@@ -6,7 +6,9 @@ patience, and leaves; the run ends with overall satisfaction exactly -4
 (the refund-abandonment penalty). Prints the event trace and the ledger.
 """
 
-from retailsim.config import build_config, parse_toml_subset
+import tomllib
+
+from retailsim.config import build_config
 from retailsim.department import DepartmentSim
 
 CONFIG = """\
@@ -50,7 +52,7 @@ days = 1
 
 
 def main():
-    config = build_config(parse_toml_subset(CONFIG), "demo")
+    config = build_config(tomllib.loads(CONFIG), "demo")
     trace = []
     sim = DepartmentSim(config, seed=0, strict=True, trace=trace)
     sim.inject_arrival(5.0)

@@ -91,13 +91,6 @@ class IllegalTransition(RuntimeError):
     """Raised when an event arrives for a customer in an incompatible state."""
 
 
-# Refund sub-phases while state == REFUND_PROCESSING (plain ints, hot path).
-REFUND_NONE = 0
-REFUND_WAIT_AUTH = 1
-REFUND_IN_AUTH = 2
-REFUND_IN_SERVICE = 3
-
-
 class CustomerAgent:
     """One shopper. Mutable slots only; behaviour lives in the department."""
 
@@ -108,14 +101,11 @@ class CustomerAgent:
         "satisfaction",
         "entered_at",
         "needs_expert",
-        "renege_handle",
-        "service_handle",
+        "pending",
         "serving_staff",
         "queue_entry",
-        "refund_phase",
         "refund_base",
         "refund_overhead",
-        "refund_cashier",
         "auth_manager",
     )
 
@@ -126,14 +116,11 @@ class CustomerAgent:
         self.satisfaction = 0
         self.entered_at = entered_at
         self.needs_expert = False
-        self.renege_handle = None
-        self.service_handle = None
+        self.pending = None
         self.serving_staff = None
         self.queue_entry = None
-        self.refund_phase = REFUND_NONE
         self.refund_base = 0.0
         self.refund_overhead = 0.0
-        self.refund_cashier = None
         self.auth_manager = None
 
     def transition(self, new_state, trigger):
@@ -154,7 +141,7 @@ class CustomerAgent:
 class StaffAgent:
     """One staff member. busy_minutes accrues when a service finishes."""
 
-    __slots__ = ("id", "role", "busy", "busy_minutes", "busy_since", "serving")
+    __slots__ = ("id", "role", "busy", "busy_minutes", "busy_since")
 
     def __init__(self, sid, role):
         self.id = sid
@@ -162,21 +149,18 @@ class StaffAgent:
         self.busy = False
         self.busy_minutes = 0.0
         self.busy_since = 0.0
-        self.serving = None
 
-    def begin(self, customer, now):
+    def begin(self, now):
         if self.busy:
             raise RuntimeError(f"staff {self.id} ({self.role.name}) is not idle")
         self.busy = True
         self.busy_since = now
-        self.serving = customer
 
     def finish(self, now):
         if not self.busy:
             raise RuntimeError(f"staff {self.id} ({self.role.name}) is not busy")
         self.busy_minutes += now - self.busy_since
         self.busy = False
-        self.serving = None
 
     def __repr__(self):
         return f"StaffAgent(id={self.id}, role={self.role.name}, busy={self.busy})"
@@ -185,13 +169,13 @@ class StaffAgent:
 def begin_service(staff, customer, duration, calendar, kind):
     """Seize an idle staff member for `customer` and schedule the completion.
 
-    Returns the completion event handle (also stored on the customer so a
-    day close can cancel it).
+    Returns the completion event handle (also the customer's pending event,
+    so a day close can cancel it).
     """
-    staff.begin(customer, calendar.now)
+    staff.begin(calendar.now)
     customer.serving_staff = staff
     handle = calendar.schedule(calendar.now + duration, kind, customer)
-    customer.service_handle = handle
+    customer.pending = handle
     return handle
 
 
@@ -255,15 +239,6 @@ class SatisfactionLedger:
     def record(self, kind, weight):
         self.counts[kind] += 1
         self.total += weight
-
-
-def apply_satisfaction_event(customer, kind, weights, ledger=None):
-    """Apply one satisfaction event; returns the customer's updated index."""
-    w = weights[kind]
-    customer.satisfaction += w
-    if ledger is not None:
-        ledger.record(kind, w)
-    return customer.satisfaction
 
 
 def spawn_customer(cid, entered_at, refund_goal_prob, u):

@@ -16,7 +16,7 @@ import secrets
 import sys
 from importlib import resources
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_referrals, load_config
 from .department import METRIC_FIELDS, run_replication
 from .experiments import (
     format_summary_table,
@@ -83,7 +83,8 @@ def _fmt_f(f):
 
 
 def cmd_run(args):
-    config = load_config(resolve_config_path(args.config))
+    path = resolve_config_path(args.config)
+    config = load_config(path)
     staffing = config.staffing
     overrides = {
         "cashiers": args.cashiers,
@@ -94,6 +95,7 @@ def cmd_run(args):
     supplied = {k: v for k, v in overrides.items() if v is not None}
     if supplied:
         staffing = dataclasses.replace(staffing, **supplied)
+        check_referrals(config.empowerment, staffing, os.path.basename(path))
     if args.weeks is not None:
         if args.weeks < 1:
             raise ConfigError(f"horizon must be >= 1 day, got --weeks {args.weeks}")

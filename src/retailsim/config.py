@@ -1,20 +1,19 @@
 """Department configuration: file format, schema validation, dataclasses.
 
-Config files are a strict TOML subset: `[section]` / `[section.sub]` headers,
-`key = value` pairs with quoted strings, integers, floats, booleans, and flat
-arrays of scalars, plus `#` comments. The parser is local because the target
-interpreter is Python 3.10 (no tomllib) and the schema is small; in exchange
-every error names the offending field and file.
+Config files are TOML, read with the standard library's tomllib. The schema
+is checked here, and every error names the offending field and file.
 
-Durations may be given either as a table with min/mode/max or as a single
-number for a fixed duration.
+Durations may be given either as a table with min/mode/max (a `[section]` or
+an inline `{ min = 1, mode = 3, max = 6 }`) or as a single number for a fixed
+duration. Every number must be finite, and durations must be >= 0.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import re
+import sys
+import tomllib
 from dataclasses import dataclass
 
 from .agents import SatisfactionWeights
@@ -23,132 +22,11 @@ from .sampling import ArrivalProfile, DecisionProb, TriangularParams
 
 log = logging.getLogger("retailsim.config")
 
-_BARE_KEY = re.compile(r"^[A-Za-z0-9_-]+$")
 _MISSING = object()
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration; message names field and file."""
-
-
-# ---------------------------------------------------------------------------
-# TOML-subset parser
-
-
-def _parse_scalar(s, source, lineno):
-    """Parse one scalar off the front of `s`; returns (value, remainder)."""
-    if not s:
-        raise ConfigError(f"{source}: line {lineno}: missing value")
-    if s[0] == '"':
-        end = s.find('"', 1)
-        if end < 0:
-            raise ConfigError(f"{source}: line {lineno}: unterminated string")
-        inner = s[1:end]
-        if "\\" in inner:
-            raise ConfigError(
-                f"{source}: line {lineno}: escape sequences are not supported"
-            )
-        return inner, s[end + 1 :]
-    # Bare token: runs to a delimiter. Comments start a delimiter too.
-    m = re.match(r"[^,\]#]+", s)
-    token = m.group(0).strip() if m else ""
-    rest = s[len(m.group(0)) :] if m else s
-    if not token:
-        raise ConfigError(f"{source}: line {lineno}: missing value")
-    if token == "true":
-        return True, rest
-    if token == "false":
-        return False, rest
-    try:
-        return int(token), rest
-    except ValueError:
-        pass
-    try:
-        return float(token), rest
-    except ValueError:
-        raise ConfigError(
-            f"{source}: line {lineno}: cannot parse value {token!r}"
-        ) from None
-
-
-def _parse_value(s, source, lineno):
-    """Parse a full value (scalar or flat array); returns (value, remainder)."""
-    if s and s[0] == "[":
-        items = []
-        rest = s[1:].lstrip()
-        while True:
-            if not rest or rest[0] == "#":
-                raise ConfigError(f"{source}: line {lineno}: unterminated array")
-            if rest[0] == "]":
-                return items, rest[1:]
-            if rest[0] == "[":
-                raise ConfigError(
-                    f"{source}: line {lineno}: nested arrays are not supported"
-                )
-            value, rest = _parse_scalar(rest, source, lineno)
-            items.append(value)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-            elif not rest.startswith("]"):
-                raise ConfigError(
-                    f"{source}: line {lineno}: expected ',' or ']' in array"
-                )
-    return _parse_scalar(s, source, lineno)
-
-
-def parse_toml_subset(text, source="<config>"):
-    """Parse config text into nested dicts; duplicate keys/sections rejected."""
-    root = {}
-    declared = set()
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if line[0] == "[":
-            end = line.find("]")
-            if end < 0:
-                raise ConfigError(f"{source}: line {lineno}: unterminated section header")
-            tail = line[end + 1 :].strip()
-            if tail and not tail.startswith("#"):
-                raise ConfigError(
-                    f"{source}: line {lineno}: unexpected text after section header"
-                )
-            path = line[1:end].strip()
-            parts = [p.strip() for p in path.split(".")] if path else []
-            if not parts or not all(_BARE_KEY.match(p) for p in parts):
-                raise ConfigError(f"{source}: line {lineno}: bad section name {path!r}")
-            if path in declared:
-                raise ConfigError(f"{source}: line {lineno}: duplicate section [{path}]")
-            declared.add(path)
-            node = root
-            for part in parts:
-                child = node.get(part)
-                if child is None:
-                    child = {}
-                    node[part] = child
-                elif not isinstance(child, dict):
-                    raise ConfigError(
-                        f"{source}: line {lineno}: section [{path}] collides with a key"
-                    )
-                node = child
-            current = node
-            continue
-        eq = line.find("=")
-        if eq < 0:
-            raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
-        key = line[:eq].strip()
-        if not _BARE_KEY.match(key):
-            raise ConfigError(f"{source}: line {lineno}: bad key {key!r}")
-        if key in current:
-            raise ConfigError(f"{source}: line {lineno}: duplicate key {key!r}")
-        value, rest = _parse_value(line[eq + 1 :].strip(), source, lineno)
-        rest = rest.strip()
-        if rest and not rest.startswith("#"):
-            raise ConfigError(f"{source}: line {lineno}: unexpected text after value")
-        current[key] = value
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +103,6 @@ class Horizon:
         if isinstance(self.days, bool) or not isinstance(self.days, int) or self.days < 1:
             raise ValueError(f"horizon must cover at least 1 day, got days={self.days!r}")
 
-    def total_minutes(self):
-        return self.trading_day_minutes * self.days
-
 
 @dataclass(frozen=True)
 class DepartmentConfig:
@@ -261,6 +136,8 @@ def _number(table, path, key, source, default=_MISSING, minimum=None):
     v = table[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{source}: {path}.{key} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
+        raise ConfigError(f"{source}: {path}.{key} must be finite, got {v}")
     if minimum is not None and not (v >= minimum):
         raise ConfigError(f"{source}: {path}.{key} must be >= {minimum}, got {v}")
     return float(v)
@@ -307,18 +184,18 @@ def _section(root, name, source, required=True):
     return v
 
 
-def _triangular(value, path, source):
-    """Accept {min, mode, max} for a spread or a bare number for a constant."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return TriangularParams.constant(float(value))
+def _triangular(table, key, source):
+    """Read durations.<key>: {min, mode, max} for a spread, a bare number for a constant."""
+    value = table[key]
     if not isinstance(value, dict):
-        raise ConfigError(
-            f"{source}: {path} must be a min/mode/max table or a single number"
+        return TriangularParams.constant(
+            _number(table, "durations", key, source, minimum=0.0)
         )
+    path = f"durations.{key}"
     _check_known(value, ("min", "mode", "max"), path, source)
-    lo = _number(value, path, "min", source)
-    mode = _number(value, path, "mode", source)
-    hi = _number(value, path, "max", source)
+    lo, mode, hi = (
+        _number(value, path, k, source, minimum=0.0) for k in ("min", "mode", "max")
+    )
     if lo == hi == mode:
         return TriangularParams.constant(lo)
     try:
@@ -371,14 +248,14 @@ def build_config(root, source="<config>"):
     for key in ("browse", "help", "pay_service", "refund_service", "patience_pay"):
         if key not in durations_t:
             raise ConfigError(f"{source}: missing required section [durations.{key}]")
-        tri[key] = _triangular(durations_t[key], f"durations.{key}", source)
+        tri[key] = _triangular(durations_t, key, source)
     for key, fallback, note in (
         ("patience_help", tri["patience_pay"], "pay-queue patience"),
         ("patience_refund", tri["patience_pay"], "pay-queue patience"),
         ("manager_authorization", TriangularParams(1.0, 3.0, 6.0), "tri(1, 3, 6)"),
     ):
         if key in durations_t:
-            tri[key] = _triangular(durations_t[key], f"durations.{key}", source)
+            tri[key] = _triangular(durations_t, key, source)
         else:
             tri[key] = fallback
             log.info("%s: [durations.%s] omitted; defaulting to %s", source, key, note)
@@ -505,11 +382,7 @@ def build_config(root, source="<config>"):
                 )
             cashier_priority = tuple(v)
 
-    if staffing.section_managers == 0 and empowerment.p_empowered < 1.0:
-        raise ConfigError(
-            f"{source}: empowerment.p_empowered = {empowerment.p_empowered} can refer "
-            f"refunds to a manager but staffing.section_managers is 0"
-        )
+    check_referrals(empowerment, staffing, source)
 
     return DepartmentConfig(
         label=label,
@@ -524,12 +397,23 @@ def build_config(root, source="<config>"):
     )
 
 
+def check_referrals(empowerment, staffing, source):
+    """A policy that can refer refunds to a manager needs a manager on staff."""
+    if staffing.section_managers == 0 and empowerment.p_empowered < 1.0:
+        raise ConfigError(
+            f"{source}: empowerment.p_empowered = {empowerment.p_empowered} can refer "
+            f"refunds to a manager but staffing.section_managers is 0"
+        )
+
+
 def load_config(path):
     """Read, parse, and validate a department config file."""
+    source = os.path.basename(str(path))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            root = tomllib.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    source = os.path.basename(str(path))
-    return build_config(parse_toml_subset(text, source), source)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return build_config(root, source)

@@ -14,12 +14,9 @@ per thousand customers, which the experiment harness relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .agents import (
-    REFUND_IN_AUTH,
-    REFUND_IN_SERVICE,
-    REFUND_NONE,
-    REFUND_WAIT_AUTH,
     CustomerGoal,
     CustomerState,
     SatisfactionEvent,
@@ -30,15 +27,8 @@ from .agents import (
     spawn_customer,
 )
 from .kernel import EventCalendar, RngStream, SimulationFault
-from .queueing import (
-    AutonomousRefund,
-    QueueEntry,
-    QueueKind,
-    ServiceQueue,
-    find_idle,
-    resolve_refund_path,
-)
-from .sampling import sample_interarrival, sample_triangular
+from .queueing import QueueEntry, QueueKind, ServiceQueue, find_idle, resolve_refund_path
+from .sampling import TriangularParams, sample_interarrival, sample_triangular
 
 EV_ARRIVAL = 0
 EV_DAY_CLOSE = 1
@@ -48,9 +38,7 @@ EV_PAY_END = 4
 EV_REFUND_END = 5
 EV_REFUND_SERVICE_END = 6
 EV_AUTH_END = 7
-EV_RENEGE_HELP = 8
-EV_RENEGE_PAY = 9
-EV_RENEGE_REFUND = 10
+EV_RENEGE = 8
 
 EVENT_NAMES = (
     "arrival",
@@ -61,10 +49,25 @@ EVENT_NAMES = (
     "refund_end",
     "refund_service_end",
     "auth_end",
-    "renege_help",
-    "renege_pay",
-    "renege_refund",
+    "renege",
 )
+
+# What settling a customer credits, by the service they are in.
+_CREDIT = {
+    CustomerState.BEING_HELPED: SatisfactionEvent.HELP_RECEIVED,
+    CustomerState.PAYING: SatisfactionEvent.PURCHASE_COMPLETED,
+    CustomerState.REFUND_PROCESSING: SatisfactionEvent.REFUND_GRANTED,
+}
+
+
+class _QueueSpec(NamedTuple):
+    """One service queue and its reneging rule."""
+
+    queue: ServiceQueue
+    patience: TriangularParams
+    abandoned: SatisfactionEvent
+    enqueue_trigger: str
+    renege_trigger: str
 
 
 def utilization(busy_minutes, headcount, trading_minutes):
@@ -105,11 +108,6 @@ class RunMetrics:
 
 METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
 
-_REFUND_SAT_KINDS = (
-    SatisfactionEvent.REFUND_GRANTED,
-    SatisfactionEvent.REFUND_QUEUE_ABANDONED,
-)
-
 
 class DepartmentSim:
     """One seeded replication; build, optionally inject arrivals, then run()."""
@@ -142,9 +140,24 @@ class DepartmentSim:
                 pool.append(StaffAgent(sid, role))
                 sid += 1
 
+        d = config.durations
         self.help_q = ServiceQueue(QueueKind.HELP)
         self.pay_q = ServiceQueue(QueueKind.PAY)
         self.refund_q = ServiceQueue(QueueKind.REFUND)
+        self._queues = {
+            CustomerState.IN_HELP_QUEUE: _QueueSpec(
+                self.help_q, d.patience_help, SatisfactionEvent.HELP_QUEUE_ABANDONED,
+                "help_enqueue", "help_renege",
+            ),
+            CustomerState.IN_PAY_QUEUE: _QueueSpec(
+                self.pay_q, d.patience_pay, SatisfactionEvent.PAY_QUEUE_ABANDONED,
+                "pay_enqueue", "pay_renege",
+            ),
+            CustomerState.IN_REFUND_QUEUE: _QueueSpec(
+                self.refund_q, d.patience_refund, SatisfactionEvent.REFUND_QUEUE_ABANDONED,
+                "refund_enqueue", "refund_renege",
+            ),
+        }
         self._cashier_dispatch = tuple(
             (self.refund_q, self._start_refund)
             if name == "refund"
@@ -155,7 +168,7 @@ class DepartmentSim:
 
         self.live = {}
         self.ledger = SatisfactionLedger()
-        self.weights = config.weights
+        self.weights = config.weights.weights
 
         # Hot-path copies of config values.
         p = config.probabilities
@@ -165,14 +178,10 @@ class DepartmentSim:
         self.p_buy_after_help = p.buy_after_help
         self.p_needs_expert = p.needs_expert
         self.p_repurchase = p.repurchase_after_refund
-        d = config.durations
         self.d_browse = d.browse
         self.d_help = d.help
         self.d_pay = d.pay_service
         self.d_refund = d.refund_service
-        self.d_patience_help = d.patience_help
-        self.d_patience_pay = d.patience_pay
-        self.d_patience_refund = d.patience_refund
         self.policy = config.empowerment
         self.hold_cashier = config.empowerment.hold_cashier_during_referral
 
@@ -186,12 +195,6 @@ class DepartmentSim:
         self.departed = 0
         self.satisfied = 0
         self.overall_satisfaction = 0
-        self.refund_satisfaction = 0
-        self.transactions = 0
-        self.abandoned_help = 0
-        self.abandoned_pay = 0
-        self.abandoned_refund = 0
-        self.refunds_completed = 0
         self.manager_authorizations = 0
         self.autonomous_refunds = 0
 
@@ -204,9 +207,7 @@ class DepartmentSim:
             self._on_refund_end,
             self._on_refund_service_end,
             self._on_auth_end,
-            self._on_renege_help,
-            self._on_renege_pay,
-            self._on_renege_refund,
+            self._on_renege,
         )
 
     # -- public API ---------------------------------------------------------
@@ -249,30 +250,28 @@ class DepartmentSim:
                 f"departed={self.departed} live={len(self.live)}"
             )
         queued = set()
-        for queue, state in (
-            (self.help_q, CustomerState.IN_HELP_QUEUE),
-            (self.pay_q, CustomerState.IN_PAY_QUEUE),
-            (self.refund_q, CustomerState.IN_REFUND_QUEUE),
-        ):
-            for entry in queue.entries:
+        for state, spec in self._queues.items():
+            for entry in spec.queue.entries:
                 c = entry.customer
                 if c.id in queued:
                     raise SimulationFault(f"customer {c.id} present in two queues")
                 queued.add(c.id)
                 if c.state is not state:
                     raise SimulationFault(
-                        f"customer {c.id} sits in the {queue.kind.value} queue "
+                        f"customer {c.id} sits in the {spec.queue.kind.value} queue "
                         f"but is in state {c.state.name}"
                     )
                 if c.queue_entry is not entry:
                     raise SimulationFault(f"customer {c.id} queue_entry out of sync")
-                h = entry.renege_handle
-                if h is None or h.cancelled or h.fired:
+                if c.pending is None or c.pending.kind != EV_RENEGE:
                     raise SimulationFault(
                         f"queued customer {c.id} lacks a live renege timer"
                     )
         for c in self.live.values():
-            if c.renege_handle is not None and c.id not in queued:
+            h = c.pending
+            if h is not None and (h.cancelled or h.fired):
+                raise SimulationFault(f"customer {c.id} holds a dead pending event")
+            if h is not None and h.kind == EV_RENEGE and c.id not in queued:
                 raise SimulationFault(
                     f"customer {c.id} holds a renege timer outside any queue"
                 )
@@ -296,8 +295,22 @@ class DepartmentSim:
         w = self.weights[kind]
         customer.satisfaction += w
         self.ledger.record(kind, w)
-        if kind in _REFUND_SAT_KINDS:
-            self.refund_satisfaction += w
+
+    def _settle(self, customer, now):
+        """Release the staff the customer holds; credit the service they are in.
+
+        Browsing and queued customers hold no staff and earn no credit.
+        """
+        customer.pending = None
+        if customer.serving_staff is not None:
+            customer.serving_staff.finish(now)
+            customer.serving_staff = None
+        if customer.auth_manager is not None:
+            customer.auth_manager.finish(now)
+            customer.auth_manager = None
+        kind = _CREDIT.get(customer.state)
+        if kind is not None:
+            self._apply(customer, kind)
 
     def _depart(self, customer, trigger):
         customer.transition(CustomerState.LEAVING, trigger)
@@ -314,22 +327,25 @@ class DepartmentSim:
         if at < self.day_end:
             self.cal.schedule(at, EV_ARRIVAL)
 
-    def _enqueue(self, customer, queue, patience, renege_kind, trigger, state):
-        customer.transition(state, trigger)
+    def _request(self, customer, staff, start, state):
+        """Start service with `staff` if one is idle, else queue in `state`."""
+        if staff is not None:
+            start(customer, staff)
+            return
+        spec = self._queues[state]
+        customer.transition(state, spec.enqueue_trigger)
         now = self.cal.now
         entry = QueueEntry(customer, now, customer.needs_expert)
-        wait = sample_triangular(patience, self.rng_patience.uniform())
-        handle = self.cal.schedule(now + wait, renege_kind, customer)
-        entry.renege_handle = handle
-        customer.renege_handle = handle
+        wait = sample_triangular(spec.patience, self.rng_patience.uniform())
+        customer.pending = self.cal.schedule(now + wait, EV_RENEGE, customer)
         customer.queue_entry = entry
-        queue.push(entry)
+        spec.queue.push(entry)
 
     def _claim(self, entry):
         """Take a queued customer for service; kills the renege timer."""
         customer = entry.customer
-        self.cal.cancel(entry.renege_handle)
-        customer.renege_handle = None
+        self.cal.cancel(customer.pending)
+        customer.pending = None
         customer.queue_entry = None
         return customer
 
@@ -360,7 +376,10 @@ class DepartmentSim:
         self.entered += 1
         if customer.goal is CustomerGoal.REFUND:
             customer.transition(CustomerState.SEEKING_REFUND, "arrival")
-            self._request_refund(customer)
+            self._request(
+                customer, find_idle(self.cashiers), self._start_refund,
+                CustomerState.IN_REFUND_QUEUE,
+            )
         else:
             customer.transition(CustomerState.BROWSING, "arrival")
             self._begin_browse(customer, now)
@@ -368,38 +387,27 @@ class DepartmentSim:
 
     def _begin_browse(self, customer, now):
         duration = sample_triangular(self.d_browse, self.rng_service.uniform())
-        customer.service_handle = self.cal.schedule(now + duration, EV_BROWSE_END, customer)
+        customer.pending = self.cal.schedule(now + duration, EV_BROWSE_END, customer)
 
     def _on_browse_end(self, customer):
-        customer.service_handle = None
+        customer.pending = None
         dec = self.rng_decisions
         if dec.uniform() < self.p_need_help:
             customer.transition(CustomerState.SEEKING_HELP, "browse_exit_help")
             customer.needs_expert = dec.uniform() < self.p_needs_expert
-            self._request_help(customer)
+            if customer.needs_expert:
+                staff = find_idle(self.expert_sellers)
+            else:
+                staff = find_idle(self.normal_sellers) or find_idle(self.expert_sellers)
+            self._request(customer, staff, self._start_help, CustomerState.IN_HELP_QUEUE)
         elif dec.uniform() < self.p_buy_browse:
             customer.transition(CustomerState.SEEKING_PAY, "browse_exit_buy")
-            self._request_pay(customer)
+            self._request(
+                customer, find_idle(self.cashiers), self._start_pay, CustomerState.IN_PAY_QUEUE
+            )
         else:
             self._apply(customer, SatisfactionEvent.LEFT_WITHOUT_PURCHASE)
             self._depart(customer, "browse_exit_leave")
-
-    def _request_help(self, customer):
-        if customer.needs_expert:
-            staff = find_idle(self.expert_sellers)
-        else:
-            staff = find_idle(self.normal_sellers) or find_idle(self.expert_sellers)
-        if staff is not None:
-            self._start_help(customer, staff)
-        else:
-            self._enqueue(
-                customer,
-                self.help_q,
-                self.d_patience_help,
-                EV_RENEGE_HELP,
-                "help_enqueue",
-                CustomerState.IN_HELP_QUEUE,
-            )
 
     def _start_help(self, customer, staff):
         customer.transition(CustomerState.BEING_HELPED, "help_start")
@@ -408,30 +416,15 @@ class DepartmentSim:
 
     def _on_help_end(self, customer):
         staff = customer.serving_staff
-        staff.finish(self.cal.now)
-        customer.serving_staff = None
-        customer.service_handle = None
-        self._apply(customer, SatisfactionEvent.HELP_RECEIVED)
+        self._settle(customer, self.cal.now)
         if self.rng_decisions.uniform() < self.p_buy_after_help:
             customer.transition(CustomerState.SEEKING_PAY, "help_exit_buy")
-            self._request_pay(customer)
+            self._request(
+                customer, find_idle(self.cashiers), self._start_pay, CustomerState.IN_PAY_QUEUE
+            )
         else:
             self._depart(customer, "help_exit_leave")
         self._staff_freed(staff)
-
-    def _request_pay(self, customer):
-        cashier = find_idle(self.cashiers)
-        if cashier is not None:
-            self._start_pay(customer, cashier)
-        else:
-            self._enqueue(
-                customer,
-                self.pay_q,
-                self.d_patience_pay,
-                EV_RENEGE_PAY,
-                "pay_enqueue",
-                CustomerState.IN_PAY_QUEUE,
-            )
 
     def _start_pay(self, customer, cashier):
         customer.transition(CustomerState.PAYING, "pay_start")
@@ -440,109 +433,78 @@ class DepartmentSim:
 
     def _on_pay_end(self, customer):
         cashier = customer.serving_staff
-        cashier.finish(self.cal.now)
-        customer.serving_staff = None
-        customer.service_handle = None
-        self.transactions += 1
-        self._apply(customer, SatisfactionEvent.PURCHASE_COMPLETED)
+        self._settle(customer, self.cal.now)
         self._depart(customer, "pay_done")
         self._staff_freed(cashier)
 
     # -- refunds ------------------------------------------------------------
 
-    def _request_refund(self, customer):
-        cashier = find_idle(self.cashiers)
-        if cashier is not None:
-            self._start_refund(customer, cashier)
-        else:
-            self._enqueue(
-                customer,
-                self.refund_q,
-                self.d_patience_refund,
-                EV_RENEGE_REFUND,
-                "refund_enqueue",
-                CustomerState.IN_REFUND_QUEUE,
-            )
-
     def _start_refund(self, customer, cashier):
         customer.transition(CustomerState.REFUND_PROCESSING, "refund_start")
-        now = self.cal.now
-        cashier.begin(customer, now)
-        customer.refund_cashier = cashier
         base = sample_triangular(self.d_refund, self.rng_service.uniform())
-        path = resolve_refund_path(
-            self.policy, base, self.managers, self.rng_decisions, self.rng_service
+        duration, overhead = resolve_refund_path(
+            self.policy, base, self.rng_decisions, self.rng_service
         )
-        if isinstance(path, AutonomousRefund):
+        if overhead is None:
             self.autonomous_refunds += 1
-            customer.refund_phase = REFUND_IN_SERVICE
-            customer.service_handle = self.cal.schedule(
-                now + path.duration, EV_REFUND_END, customer
-            )
+            begin_service(cashier, customer, duration, self.cal, EV_REFUND_END)
             return
         self.manager_authorizations += 1
-        customer.refund_base = path.duration
-        customer.refund_overhead = path.overhead
-        if self.hold_cashier:
-            if path.manager is not None:
-                self._begin_auth(customer, path.manager)
-            else:
-                customer.refund_phase = REFUND_WAIT_AUTH
-                self.auth_wait.append(customer)
-        else:
-            customer.refund_phase = REFUND_IN_SERVICE
-            customer.service_handle = self.cal.schedule(
-                now + path.duration, EV_REFUND_SERVICE_END, customer
-            )
+        customer.refund_overhead = overhead
+        if not self.hold_cashier:
+            # The cashier does the service part alone; the manager signs off after.
+            begin_service(cashier, customer, duration, self.cal, EV_REFUND_SERVICE_END)
+            return
+        cashier.begin(self.cal.now)
+        customer.serving_staff = cashier
+        customer.refund_base = duration
+        self._refer(customer)
 
-    def _begin_auth(self, customer, manager):
-        manager.begin(customer, self.cal.now)
-        customer.auth_manager = manager
-        customer.refund_phase = REFUND_IN_AUTH
-        customer.service_handle = self.cal.schedule(
-            self.cal.now + customer.refund_overhead, EV_AUTH_END, customer
-        )
-
-    def _on_auth_end(self, customer):
-        manager = customer.auth_manager
-        manager.finish(self.cal.now)
-        customer.auth_manager = None
-        customer.service_handle = None
-        if self.hold_cashier:
-            customer.refund_phase = REFUND_IN_SERVICE
-            customer.service_handle = self.cal.schedule(
-                self.cal.now + customer.refund_base, EV_REFUND_END, customer
-            )
-        else:
-            self._complete_refund(customer)
-        self._staff_freed(manager)
-
-    def _on_refund_service_end(self, customer):
-        # hold_cashier_during_referral = false: cashier part done, manager next.
-        cashier = customer.refund_cashier
-        cashier.finish(self.cal.now)
-        customer.refund_cashier = None
-        customer.service_handle = None
+    def _refer(self, customer):
+        """Hand a refund to an idle manager, or park it until one is freed."""
         manager = find_idle(self.managers)
         if manager is not None:
             self._begin_auth(customer, manager)
         else:
-            customer.refund_phase = REFUND_WAIT_AUTH
             self.auth_wait.append(customer)
+
+    def _begin_auth(self, customer, manager):
+        now = self.cal.now
+        manager.begin(now)
+        customer.auth_manager = manager
+        customer.pending = self.cal.schedule(
+            now + customer.refund_overhead, EV_AUTH_END, customer
+        )
+
+    def _on_auth_end(self, customer):
+        manager = customer.auth_manager
+        now = self.cal.now
+        if self.hold_cashier:
+            manager.finish(now)
+            customer.auth_manager = None
+            customer.pending = self.cal.schedule(
+                now + customer.refund_base, EV_REFUND_END, customer
+            )
+        else:
+            self._settle(customer, now)
+            self._after_refund(customer)
+        self._staff_freed(manager)
+
+    def _on_refund_service_end(self, customer):
+        cashier = customer.serving_staff
+        cashier.finish(self.cal.now)
+        customer.serving_staff = None
+        customer.pending = None
+        self._refer(customer)
         self._staff_freed(cashier)
 
     def _on_refund_end(self, customer):
-        cashier = customer.refund_cashier
-        cashier.finish(self.cal.now)
-        customer.refund_cashier = None
-        customer.service_handle = None
-        self._complete_refund(customer)
+        cashier = customer.serving_staff
+        self._settle(customer, self.cal.now)
+        self._after_refund(customer)
         self._staff_freed(cashier)
 
-    def _complete_refund(self, customer):
-        customer.refund_phase = REFUND_NONE
-        self.refunds_completed += 1
-        self._apply(customer, SatisfactionEvent.REFUND_GRANTED)
+    def _after_refund(self, customer):
         if self.rng_decisions.uniform() < self.p_repurchase:
             customer.goal = CustomerGoal.PURCHASE
             customer.transition(CustomerState.BROWSING, "refund_repurchase")
@@ -550,85 +512,23 @@ class DepartmentSim:
         else:
             self._depart(customer, "refund_done")
 
-    # -- reneging -----------------------------------------------------------
+    # -- reneging and day close ---------------------------------------------
 
-    def _renege(self, customer, queue, counter_name, kind, trigger):
-        queue.remove(customer.queue_entry)
+    def _on_renege(self, customer):
+        spec = self._queues[customer.state]
+        spec.queue.remove(customer.queue_entry)
         customer.queue_entry = None
-        customer.renege_handle = None
-        setattr(self, counter_name, getattr(self, counter_name) + 1)
-        self._apply(customer, kind)
-        self._depart(customer, trigger)
-
-    def _on_renege_help(self, customer):
-        self._renege(
-            customer,
-            self.help_q,
-            "abandoned_help",
-            SatisfactionEvent.HELP_QUEUE_ABANDONED,
-            "help_renege",
-        )
-
-    def _on_renege_pay(self, customer):
-        self._renege(
-            customer,
-            self.pay_q,
-            "abandoned_pay",
-            SatisfactionEvent.PAY_QUEUE_ABANDONED,
-            "pay_renege",
-        )
-
-    def _on_renege_refund(self, customer):
-        self._renege(
-            customer,
-            self.refund_q,
-            "abandoned_refund",
-            SatisfactionEvent.REFUND_QUEUE_ABANDONED,
-            "refund_renege",
-        )
-
-    # -- day close ----------------------------------------------------------
+        customer.pending = None
+        self._apply(customer, spec.abandoned)
+        self._depart(customer, spec.renege_trigger)
 
     def _on_day_close(self, _):
         now = self.cal.now
-        cal = self.cal
         for customer in list(self.live.values()):
-            if customer.service_handle is not None:
-                cal.cancel(customer.service_handle)
-                customer.service_handle = None
-            if customer.renege_handle is not None:
-                cal.cancel(customer.renege_handle)
-                customer.renege_handle = None
-            state = customer.state
-            if state is CustomerState.BROWSING:
-                pass
-            elif (
-                state is CustomerState.IN_HELP_QUEUE
-                or state is CustomerState.IN_PAY_QUEUE
-                or state is CustomerState.IN_REFUND_QUEUE
-            ):
-                customer.queue_entry = None
-            elif state is CustomerState.BEING_HELPED:
-                customer.serving_staff.finish(now)
-                customer.serving_staff = None
-                self._apply(customer, SatisfactionEvent.HELP_RECEIVED)
-            elif state is CustomerState.PAYING:
-                customer.serving_staff.finish(now)
-                customer.serving_staff = None
-                self.transactions += 1
-                self._apply(customer, SatisfactionEvent.PURCHASE_COMPLETED)
-            elif state is CustomerState.REFUND_PROCESSING:
-                if customer.refund_cashier is not None:
-                    customer.refund_cashier.finish(now)
-                    customer.refund_cashier = None
-                if customer.auth_manager is not None:
-                    customer.auth_manager.finish(now)
-                    customer.auth_manager = None
-                customer.refund_phase = REFUND_NONE
-                self.refunds_completed += 1
-                self._apply(customer, SatisfactionEvent.REFUND_GRANTED)
-            else:
-                raise SimulationFault(f"day close found customer in state {state.name}")
+            if customer.pending is not None:
+                self.cal.cancel(customer.pending)
+            customer.queue_entry = None
+            self._settle(customer, now)
             self._depart(customer, "day_close")
         self.help_q.drain()
         self.pay_q.drain()
@@ -648,20 +548,23 @@ class DepartmentSim:
         )
         manager_busy = sum(s.busy_minutes for s in self.managers)
         sellers = len(self.normal_sellers) + len(self.expert_sellers)
+        counts = self.ledger.counts
+        ev = SatisfactionEvent
+        refund_kinds = (ev.REFUND_GRANTED, ev.REFUND_QUEUE_ABANDONED)
         return RunMetrics(
-            transactions=self.transactions,
+            transactions=counts[ev.PURCHASE_COMPLETED],
             satisfied_customers=self.satisfied,
             overall_satisfaction=self.overall_satisfaction,
-            refund_satisfaction=self.refund_satisfaction,
+            refund_satisfaction=sum(counts[k] * self.weights[k] for k in refund_kinds),
             cashier_utilization=utilization(cashier_busy, len(self.cashiers), horizon),
             seller_utilization=utilization(seller_busy, sellers, horizon),
             manager_utilization=utilization(manager_busy, len(self.managers), horizon),
             customers_entered=self.entered,
             customers_left=self.departed,
-            abandoned_help=self.abandoned_help,
-            abandoned_pay=self.abandoned_pay,
-            abandoned_refund=self.abandoned_refund,
-            refunds_completed=self.refunds_completed,
+            abandoned_help=counts[ev.HELP_QUEUE_ABANDONED],
+            abandoned_pay=counts[ev.PAY_QUEUE_ABANDONED],
+            abandoned_refund=counts[ev.REFUND_QUEUE_ABANDONED],
+            refunds_completed=counts[ev.REFUND_GRANTED],
             manager_authorizations=self.manager_authorizations,
             autonomous_refunds=self.autonomous_refunds,
             satisfaction_ledger_sum=self.ledger.total,

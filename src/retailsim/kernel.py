@@ -154,8 +154,3 @@ class RngStream:
             pos = 0
         self._pos = pos + 1
         return self._buf.item(pos)
-
-
-def rng_stream(master_seed, name):
-    """Independent substream for (master_seed, name); same pair, same sequence."""
-    return RngStream(master_seed, name)

@@ -1,6 +1,7 @@
 """FIFO service queues with reneging hooks, skill matching, empowerment policy.
 
-Queues store live entries whose renege timers are cancellable event handles.
+Queue entries are live; each queued customer's renege timer is the
+cancellable event handle it holds as its pending event.
 Help entries carry a needs-expert flag: a freed expert seller takes the oldest
 entry outright, a freed normal seller takes the oldest entry it is qualified
 for, so service order is FIFO within each compatibility class.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sampling import TriangularParams, sample_bernoulli, sample_triangular
 
@@ -22,14 +23,13 @@ class QueueKind(enum.Enum):
 
 
 class QueueEntry:
-    """One waiting customer; the renege handle is cancelled on assignment."""
+    """One waiting customer."""
 
-    __slots__ = ("customer", "enqueued_at", "renege_handle", "needs_expert")
+    __slots__ = ("customer", "enqueued_at", "needs_expert")
 
     def __init__(self, customer, enqueued_at, needs_expert=False):
         self.customer = customer
         self.enqueued_at = enqueued_at
-        self.renege_handle = None
         self.needs_expert = needs_expert
 
 
@@ -80,10 +80,8 @@ class ServiceQueue:
             return False
 
     def drain(self):
-        """Remove and return all entries (day close)."""
-        out = list(self.entries)
+        """Remove all entries (day close)."""
         self.entries.clear()
-        return out
 
 
 def find_idle(staff_list):
@@ -122,30 +120,14 @@ class EmpowermentPolicy:
             )
 
 
-@dataclass(frozen=True)
-class AutonomousRefund:
-    """Cashier settles the refund alone."""
-
-    duration: float
-
-
-@dataclass(frozen=True)
-class ReferredRefund:
-    """Manager sign-off needed; manager is None when all managers are busy."""
-
-    manager: object
-    overhead: float
-    duration: float
-
-
-def resolve_refund_path(policy, base_duration, managers, decision_rng, service_rng):
+def resolve_refund_path(policy, base_duration, decision_rng, service_rng):
     """Decide how a refund that just seized a cashier proceeds.
 
-    Draws the empowerment decision (and, for referrals, the authorization
-    overhead); scans the id-ordered manager list for an idle one. The caller
-    wires the resulting path into the event calendar.
+    Draws the empowerment decision and, for referrals, the authorization
+    overhead. Returns (duration, overhead): the cashier's service time, and
+    the manager's authorization time, which is None when the cashier settles
+    the refund alone.
     """
     if sample_bernoulli(policy.p_empowered, decision_rng.uniform()):
-        return AutonomousRefund(base_duration * policy.empowered_duration_multiplier)
-    overhead = sample_triangular(policy.manager_overhead, service_rng.uniform())
-    return ReferredRefund(find_idle(managers), overhead, base_duration)
+        return base_duration * policy.empowered_duration_multiplier, None
+    return base_duration, sample_triangular(policy.manager_overhead, service_rng.uniform())

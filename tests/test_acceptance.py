@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from retailsim.config import build_config, parse_toml_subset
 from retailsim.department import DepartmentSim
 from retailsim.experiments import load_results, results_to_cells, summarize
 from retailsim.kernel import RngStream

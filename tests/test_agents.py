@@ -11,15 +11,14 @@ from retailsim.agents import (
     CustomerState,
     IllegalTransition,
     SatisfactionEvent,
-    SatisfactionLedger,
     SatisfactionWeights,
     StaffAgent,
     StaffRole,
-    apply_satisfaction_event,
     begin_service,
     spawn_customer,
 )
-from retailsim.kernel import EventCalendar, rng_stream
+from retailsim.department import DepartmentSim
+from retailsim.kernel import EventCalendar, RngStream
 
 
 def fresh(goal=CustomerGoal.PURCHASE):
@@ -120,19 +119,24 @@ def test_weights_from_mapping_overrides_and_validates():
         SatisfactionWeights.from_mapping({"help_received": True})
 
 
-def test_apply_satisfaction_event_arithmetic():
-    w = SatisfactionWeights.defaults()
+def test_satisfaction_event_arithmetic(atv_config):
+    # The department applies each event's weight to the customer's index.
+    assert atv_config.weights == SatisfactionWeights.defaults()
+    sim = DepartmentSim(atv_config)
     c = fresh()
-    assert apply_satisfaction_event(c, SatisfactionEvent.REFUND_QUEUE_ABANDONED, w) == -4
+    sim._apply(c, SatisfactionEvent.REFUND_QUEUE_ABANDONED)
+    assert c.satisfaction == -4
     c.satisfaction = 3
-    assert apply_satisfaction_event(c, SatisfactionEvent.LEFT_WITHOUT_PURCHASE, w) == 3
+    sim._apply(c, SatisfactionEvent.LEFT_WITHOUT_PURCHASE)
+    assert c.satisfaction == 3
     c.satisfaction = -2
-    assert apply_satisfaction_event(c, SatisfactionEvent.PURCHASE_COMPLETED, w) == 0
+    sim._apply(c, SatisfactionEvent.PURCHASE_COMPLETED)
+    assert c.satisfaction == 0
 
 
-def test_ledger_tracks_counts_and_exact_total():
-    w = SatisfactionWeights.defaults()
-    ledger = SatisfactionLedger()
+def test_ledger_tracks_counts_and_exact_total(atv_config):
+    sim = DepartmentSim(atv_config)
+    assert sim.ledger.total == 0
     c = fresh()
     kinds = [
         SatisfactionEvent.HELP_RECEIVED,
@@ -141,7 +145,8 @@ def test_ledger_tracks_counts_and_exact_total():
         SatisfactionEvent.REFUND_QUEUE_ABANDONED,
     ]
     for kind in kinds:
-        apply_satisfaction_event(c, kind, w, ledger)
+        sim._apply(c, kind)
+    ledger = sim.ledger
     assert ledger.counts[SatisfactionEvent.HELP_RECEIVED] == 2
     assert ledger.counts[SatisfactionEvent.PURCHASE_COMPLETED] == 1
     assert ledger.total == 1 + 2 + 1 - 4
@@ -172,7 +177,7 @@ def test_spawn_goal_split_by_draw():
 
 
 def test_spawn_refund_share_binomial():
-    stream = rng_stream(5, "decisions")
+    stream = RngStream(5, "decisions")
     n = 100_000
     refunds = sum(
         spawn_customer(i, 0.0, 0.1, stream.uniform()).goal is CustomerGoal.REFUND
@@ -197,6 +202,7 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
     customer = fresh()
     handle = begin_service(staff, customer, 4.0, cal, "pay_end")
     assert staff.busy and customer.serving_staff is staff
+    assert customer.pending is handle
     assert handle.fire_time == 4.0
     fired = []
     cal.run_until(10.0, lambda h: fired.append(h) or staff.finish(cal.now))
@@ -215,7 +221,7 @@ def test_begin_service_on_busy_staff_faults():
 
 def test_staff_saturated_all_day():
     staff = StaffAgent(1, StaffRole.CASHIER)
-    staff.begin(fresh(), 0.0)
+    staff.begin(0.0)
     staff.finish(600.0)
     assert staff.busy_minutes == 600.0
 

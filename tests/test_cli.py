@@ -115,7 +115,7 @@ def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
         ("need_help = 0.38", "need_help = 1.38", "need_help"),
         ("cashiers = 3", "cashiers = 2.5", "staffing.cashiers"),
         ("days = 70", "days = 0", "at least 1 day"),
-        ("[staffing]", "[staffing", "unterminated section header"),
+        ("[staffing]", "[staffing", "line 59"),
     ]
     for old, new, fragment in cases:
         path = tmp_path / "mutant.toml"
@@ -123,6 +123,37 @@ def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
         assert main(["validate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert fragment in err
+
+
+NUMBER_MUTATIONS = [
+    ("infinite-day", "trading_day_minutes = 600", "trading_day_minutes = inf",
+     "horizon.trading_day_minutes"),
+    ("nan-rate", "rate_per_hour = 40", "rate_per_hour = nan", "arrivals.rate_per_hour"),
+    ("huge-int-rate", "rate_per_hour = 40", "rate_per_hour = 1" + "0" * 400,
+     "arrivals.rate_per_hour"),
+    ("negative-bare-duration", "[durations.browse]\nmin = 1\nmode = 7\nmax = 15",
+     "[durations]\nbrowse = -5", "durations.browse"),
+    ("negative-duration-min", "min = 1\nmode = 7", "min = -1\nmode = 7", "durations.browse.min"),
+    ("infinite-duration-max", "max = 30", "max = inf", "durations.help.max"),
+    ("infinite-multiplier", "empowered_duration_multiplier = 2.0",
+     "empowered_duration_multiplier = inf", "empowerment.empowered_duration_multiplier"),
+]
+
+
+@pytest.mark.parametrize(
+    "label, old, new, field", NUMBER_MUTATIONS, ids=[m[0] for m in NUMBER_MUTATIONS]
+)
+def test_validate_rejects_non_finite_and_negative_numbers(
+    tmp_path, capsys, atv_text, label, old, new, field
+):
+    # Validate only: an infinite trading day that slipped through would make `run` loop
+    # forever.
+    mutated = atv_text.replace(old, new, 1)
+    assert mutated != atv_text, f"mutation {label} did not apply"
+    path = tmp_path / "mutant.toml"
+    path.write_text(mutated, encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 # -- run ----------------------------------------------------------------------
@@ -162,6 +193,30 @@ def test_run_staffing_override_shows_in_metrics(capsys):
     out = capsys.readouterr().out
     assert "transactions: 0\n" in out
     assert "cashier_utilization: n/a" in out
+
+
+def test_run_rejects_removing_the_manager_refunds_are_referred_to(capsys):
+    argv = [
+        "run", "--config", "dept_atv", "--section-managers", "0", "--seed", "3",
+        "--weeks", "1",
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "staffing.section_managers is 0" in err
+    assert "dept_atv.toml" in err
+
+
+def test_run_without_managers_when_fully_empowered(tmp_path, capsys, atv_text):
+    path = tmp_path / "empowered.toml"
+    text = atv_text.replace("p_empowered = 0.5", "p_empowered = 1.0", 1)
+    path.write_text(text, encoding="utf-8")
+    argv = [
+        "run", "--config", str(path), "--section-managers", "0", "--seed", "3", "--weeks", "1",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "manager_authorizations: 0\n" in out
+    assert "manager_utilization: n/a" in out
 
 
 def test_run_writes_one_row_csv(tmp_path, capsys):

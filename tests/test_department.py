@@ -1,11 +1,12 @@
 """Department simulation: determinism, scripted scenarios, and run invariants."""
 
 import dataclasses
+import tomllib
 
 import pytest
 
 from retailsim.agents import SatisfactionEvent
-from retailsim.config import StaffingPlan, build_config, parse_toml_subset
+from retailsim.config import StaffingPlan, build_config
 from retailsim.department import DepartmentSim, METRIC_FIELDS, run_replication, utilization
 from retailsim.sampling import ArrivalProfile
 
@@ -74,7 +75,7 @@ def scripted(**overrides):
         days=1,
     )
     params.update(overrides)
-    return build_config(parse_toml_subset(SCRIPT_TEMPLATE.format(**params)), "scripted")
+    return build_config(tomllib.loads(SCRIPT_TEMPLATE.format(**params)), "scripted")
 
 
 # -- determinism ----------------------------------------------------------------
@@ -171,6 +172,13 @@ def test_purchase_walk_timing_and_satisfaction():
     assert m.customers_left == 1
 
 
+def test_utilization_spans_every_trading_day():
+    sim = DepartmentSim(scripted(pay=4, days=3), seed=0, strict=True)
+    sim.inject_arrival(0.0)
+    # Four busy minutes over three 600-minute days.
+    assert sim.run().cashier_utilization == 4.0 / 1800.0
+
+
 def test_help_walk_uses_seller_and_stacks_satisfaction():
     sim = DepartmentSim(scripted(need_help=1.0, normal=1), seed=0, strict=True)
     sim.inject_arrival(0.0)
@@ -229,6 +237,59 @@ def test_day_close_sends_queued_customers_home_unpenalized():
     assert m.transactions == 0
     assert m.abandoned_pay == 0
     assert m.overall_satisfaction == 0
+    assert m.customers_left == 1
+
+
+def test_day_close_credits_help_in_progress():
+    sim = DepartmentSim(
+        scripted(need_help=1.0, normal=1, help=10, day_minutes=5), seed=0, strict=True
+    )
+    sim.inject_arrival(0.0)
+    m = sim.run()
+    # Help started at 2 would end at 12; the close credits it and frees the seller.
+    assert sim.ledger.counts[SatisfactionEvent.HELP_RECEIVED] == 1
+    assert m.overall_satisfaction == 1
+    assert m.transactions == 0
+    assert sim.normal_sellers[0].busy_minutes == 3.0
+    assert m.customers_left == 1
+
+
+def test_day_close_grants_refund_waiting_for_a_manager():
+    sim = DepartmentSim(
+        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10, day_minutes=5),
+        seed=0,
+        strict=True,
+    )
+    sim.inject_arrival(0.0)
+    sim.inject_arrival(1.0)
+    m = sim.run()
+    # Customer 0 holds the only manager from 0; customer 1 parks cashier 1 from 1
+    # waiting for authorization. The close grants both refunds.
+    assert m.manager_authorizations == 2
+    assert m.refunds_completed == 2
+    assert m.refund_satisfaction == 4
+    assert sim.cashiers[1].busy_minutes == 4.0
+    assert not any(s.busy for s in sim.cashiers + sim.managers)
+
+
+def test_day_close_releases_both_staff_of_a_held_authorization():
+    sim = refund_sim(p_empowered=0.0, hold="true", auth=10, day_minutes=5)
+    m = sim.run()
+    # Authorization 0-10 with the cashier parked; the close at 5 ends both.
+    assert m.refunds_completed == 1
+    assert sim.cashiers[0].busy_minutes == 5.0
+    assert sim.managers[0].busy_minutes == 5.0
+    assert m.overall_satisfaction == 2
+
+
+def test_day_close_sends_browsing_customer_home_without_ledger_event():
+    sim = DepartmentSim(scripted(browse=10, day_minutes=5), seed=0, strict=True)
+    sim.inject_arrival(0.0)
+    m = sim.run()
+    assert m.overall_satisfaction == 0
+    assert m.satisfied_customers == 0
+    assert sum(sim.ledger.counts.values()) == 0
+    assert sim.ledger.total == 0
     assert m.customers_left == 1
 
 

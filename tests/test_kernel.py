@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retailsim.kernel import EventCalendar, SimulationFault, rng_stream
+from retailsim.kernel import EventCalendar, RngStream, SimulationFault
 
 
 def drain(cal, t_end):
@@ -164,7 +164,7 @@ def test_cancelling_k_of_n_leaves_n_minus_k_dispatches(times, data):
 def test_identical_seed_gives_identical_trace():
     def simulate(seed):
         cal = EventCalendar()
-        stream = rng_stream(seed, "arrivals")
+        stream = RngStream(seed, "arrivals")
         trace = []
 
         def handler(h):
@@ -184,23 +184,23 @@ def test_identical_seed_gives_identical_trace():
 
 
 def test_same_seed_and_name_reproduce_draws():
-    a = rng_stream(7, "arrivals")
-    b = rng_stream(7, "arrivals")
+    a = RngStream(7, "arrivals")
+    b = RngStream(7, "arrivals")
     assert [a.uniform() for _ in range(1000)] == [b.uniform() for _ in range(1000)]
 
 
 def test_distinct_names_give_distinct_sequences():
-    a = rng_stream(7, "arrivals")
-    b = rng_stream(7, "decisions")
+    a = RngStream(7, "arrivals")
+    b = RngStream(7, "decisions")
     assert [a.uniform() for _ in range(1000)] != [b.uniform() for _ in range(1000)]
 
 
 def test_consuming_one_stream_leaves_another_untouched():
-    fresh = rng_stream(3, "service")
+    fresh = RngStream(3, "service")
     expected = [fresh.uniform() for _ in range(100)]
 
-    other = rng_stream(3, "patience")
-    probe = rng_stream(3, "service")
+    other = RngStream(3, "patience")
+    probe = RngStream(3, "service")
     got = []
     for _ in range(100):
         other.uniform()
@@ -210,7 +210,7 @@ def test_consuming_one_stream_leaves_another_untouched():
 
 
 def test_uniform_draws_lie_in_unit_interval_with_uniform_mean():
-    stream = rng_stream(12345, "arrivals")
+    stream = RngStream(12345, "arrivals")
     n = 10**6
     total = 0.0
     lo, hi = 1.0, 0.0
@@ -226,4 +226,4 @@ def test_uniform_draws_lie_in_unit_interval_with_uniform_mean():
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_streams_reproducible_for_any_master_seed(seed):
-    assert rng_stream(seed, "x").uniform() == rng_stream(seed, "x").uniform()
+    assert RngStream(seed, "x").uniform() == RngStream(seed, "x").uniform()

@@ -3,12 +3,11 @@
 import pytest
 
 from retailsim.agents import CustomerAgent, CustomerGoal, StaffAgent, StaffRole
+from retailsim.kernel import RngStream
 from retailsim.queueing import (
-    AutonomousRefund,
     EmpowermentPolicy,
     QueueEntry,
     QueueKind,
-    ReferredRefund,
     ServiceQueue,
     find_idle,
     resolve_refund_path,
@@ -84,16 +83,17 @@ def test_drain_empties_queue():
     entries = [entry(i) for i in range(4)]
     for e in entries:
         q.push(e)
-    assert q.drain() == entries
+    q.drain()
     assert len(q) == 0
+    assert q.pop_head() is None
 
 
 def test_find_idle_prefers_lowest_id():
     staff = [StaffAgent(i, StaffRole.CASHIER) for i in range(3)]
-    staff[0].begin(customer(0), 0.0)
+    staff[0].begin(0.0)
     assert find_idle(staff) is staff[1]
-    staff[1].begin(customer(1), 0.0)
-    staff[2].begin(customer(2), 0.0)
+    staff[1].begin(0.0)
+    staff[2].begin(0.0)
     assert find_idle(staff) is None
 
 
@@ -116,8 +116,7 @@ def test_empowered_refund_scales_duration_and_skips_service_draw():
     policy = EmpowermentPolicy(1.0, OVERHEAD, empowered_duration_multiplier=2.0)
     decision = ScriptedRng([0.99])  # < 1.0, so still empowered
     service = ScriptedRng([])
-    path = resolve_refund_path(policy, 5.0, [], decision, service)
-    assert path == AutonomousRefund(duration=10.0)
+    assert resolve_refund_path(policy, 5.0, decision, service) == (10.0, None)
     assert decision.calls == 1
     assert service.calls == 0  # no overhead draw on the autonomous branch
 
@@ -125,35 +124,29 @@ def test_empowered_refund_scales_duration_and_skips_service_draw():
 def test_referred_refund_draws_overhead_and_finds_idle_manager():
     policy = EmpowermentPolicy(0.0, TriangularParams.constant(3.0))
     managers = [StaffAgent(0, StaffRole.SECTION_MANAGER), StaffAgent(1, StaffRole.SECTION_MANAGER)]
-    managers[0].begin(customer(0), 0.0)
+    managers[0].begin(0.0)
     decision = ScriptedRng([0.4])
     service = ScriptedRng([0.7])
-    path = resolve_refund_path(policy, 5.0, managers, decision, service)
-    assert isinstance(path, ReferredRefund)
-    assert path.manager is managers[1]
-    assert path.overhead == 3.0
-    assert path.duration == 5.0
+    assert resolve_refund_path(policy, 5.0, decision, service) == (5.0, 3.0)
     assert service.calls == 1
+    # The department hands the referral to the first idle manager.
+    assert find_idle(managers) is managers[1]
 
 
 def test_referred_refund_with_all_managers_busy():
     policy = EmpowermentPolicy(0.0, TriangularParams.constant(2.0))
     manager = StaffAgent(0, StaffRole.SECTION_MANAGER)
-    manager.begin(customer(0), 0.0)
-    path = resolve_refund_path(policy, 4.0, [manager], ScriptedRng([0.0]), ScriptedRng([0.5]))
-    assert isinstance(path, ReferredRefund)
-    assert path.manager is None
+    manager.begin(0.0)
+    assert resolve_refund_path(policy, 4.0, ScriptedRng([0.0]), ScriptedRng([0.5])) == (4.0, 2.0)
+    assert find_idle([manager]) is None
 
 
 def test_empowerment_split_binomial():
-    from retailsim.kernel import rng_stream
-
     policy = EmpowermentPolicy(0.5, OVERHEAD)
-    decision = rng_stream(17, "decisions")
-    service = rng_stream(17, "service")
+    decision = RngStream(17, "decisions")
+    service = RngStream(17, "service")
     n = 100_000
     autonomous = sum(
-        isinstance(resolve_refund_path(policy, 1.0, [], decision, service), AutonomousRefund)
-        for i in range(n)
+        resolve_refund_path(policy, 1.0, decision, service)[1] is None for i in range(n)
     )
     assert abs(autonomous / n - 0.5) < 0.01

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from retailsim.kernel import rng_stream
+from retailsim.kernel import RngStream
 from retailsim.sampling import (
     ArrivalProfile,
     DecisionProb,
@@ -130,7 +130,7 @@ def test_bernoulli_threshold_is_strict():
 
 
 def test_bernoulli_frequency_tracks_binomial_error():
-    stream = rng_stream(7, "decisions")
+    stream = RngStream(7, "decisions")
     n = 100_000
     p = 0.37
     hits = sum(sample_bernoulli(p, stream.uniform()) for _ in range(n))
@@ -153,7 +153,7 @@ def test_interarrival_zero_rate_signals_no_arrivals():
 
 def test_interarrival_monte_carlo_mean():
     profile = ArrivalProfile(30.0)  # one arrival every 2 minutes on average
-    stream = rng_stream(11, "arrivals")
+    stream = RngStream(11, "arrivals")
     n = 10**6
     total = 0.0
     for _ in range(n):
