@@ -12,79 +12,76 @@ import enum
 from dataclasses import dataclass
 
 
-class CustomerGoal(enum.Enum):
-    PURCHASE = "purchase"
-    REFUND = "refund"
+class CustomerGoal(enum.IntEnum):
+    PURCHASE = 0
+    REFUND = 1
 
 
-class CustomerState(enum.Enum):
-    ENTERING = "entering"
-    BROWSING = "browsing"
-    SEEKING_HELP = "seeking_help"
-    IN_HELP_QUEUE = "in_help_queue"
-    BEING_HELPED = "being_helped"
-    SEEKING_PAY = "seeking_pay"
-    IN_PAY_QUEUE = "in_pay_queue"
-    PAYING = "paying"
-    SEEKING_REFUND = "seeking_refund"
-    IN_REFUND_QUEUE = "in_refund_queue"
-    REFUND_PROCESSING = "refund_processing"
-    LEAVING = "leaving"
+class CustomerState(enum.IntEnum):
+    ENTERING = 0
+    BROWSING = 1
+    SEEKING_HELP = 2
+    IN_HELP_QUEUE = 3
+    BEING_HELPED = 4
+    SEEKING_PAY = 5
+    IN_PAY_QUEUE = 6
+    PAYING = 7
+    SEEKING_REFUND = 8
+    IN_REFUND_QUEUE = 9
+    REFUND_PROCESSING = 10
+    LEAVING = 11
 
 
-class StaffRole(enum.Enum):
-    CASHIER = "cashier"
-    NORMAL_SELLER = "normal_seller"
-    EXPERT_SELLER = "expert_seller"
-    SECTION_MANAGER = "section_manager"
+class StaffRole(enum.IntEnum):
+    CASHIER = 0
+    NORMAL_SELLER = 1
+    EXPERT_SELLER = 2
+    SECTION_MANAGER = 3
 
 
-class SatisfactionEvent(enum.Enum):
-    PURCHASE_COMPLETED = "purchase_completed"
-    HELP_RECEIVED = "help_received"
-    REFUND_GRANTED = "refund_granted"
-    HELP_QUEUE_ABANDONED = "help_queue_abandoned"
-    PAY_QUEUE_ABANDONED = "pay_queue_abandoned"
-    REFUND_QUEUE_ABANDONED = "refund_queue_abandoned"
-    LEFT_WITHOUT_PURCHASE = "left_without_purchase"
+class SatisfactionEvent(enum.IntEnum):
+    PURCHASE_COMPLETED = 0
+    HELP_RECEIVED = 1
+    REFUND_GRANTED = 2
+    HELP_QUEUE_ABANDONED = 3
+    PAY_QUEUE_ABANDONED = 4
+    REFUND_QUEUE_ABANDONED = 5
+    LEFT_WITHOUT_PURCHASE = 6
 
 
-# Legal statechart edges. LEAVING is absorbing. Refund-goal customers enter
-# the refund path directly; everyone else starts browsing.
-_ALLOWED = {
-    CustomerState.ENTERING: frozenset(
-        {CustomerState.BROWSING, CustomerState.SEEKING_REFUND}
-    ),
-    CustomerState.BROWSING: frozenset(
-        {CustomerState.SEEKING_HELP, CustomerState.SEEKING_PAY, CustomerState.LEAVING}
-    ),
-    CustomerState.SEEKING_HELP: frozenset(
-        {CustomerState.BEING_HELPED, CustomerState.IN_HELP_QUEUE}
-    ),
-    CustomerState.IN_HELP_QUEUE: frozenset(
-        {CustomerState.BEING_HELPED, CustomerState.LEAVING}
-    ),
-    CustomerState.BEING_HELPED: frozenset(
-        {CustomerState.SEEKING_PAY, CustomerState.LEAVING}
-    ),
-    CustomerState.SEEKING_PAY: frozenset(
-        {CustomerState.PAYING, CustomerState.IN_PAY_QUEUE}
-    ),
-    CustomerState.IN_PAY_QUEUE: frozenset(
-        {CustomerState.PAYING, CustomerState.LEAVING}
-    ),
-    CustomerState.PAYING: frozenset({CustomerState.LEAVING}),
-    CustomerState.SEEKING_REFUND: frozenset(
-        {CustomerState.REFUND_PROCESSING, CustomerState.IN_REFUND_QUEUE}
-    ),
-    CustomerState.IN_REFUND_QUEUE: frozenset(
-        {CustomerState.REFUND_PROCESSING, CustomerState.LEAVING}
-    ),
-    CustomerState.REFUND_PROCESSING: frozenset(
-        {CustomerState.BROWSING, CustomerState.LEAVING}
-    ),
-    CustomerState.LEAVING: frozenset(),
-}
+# Every member bound to a module name once: reading an attribute of an Enum
+# class goes through its metaclass and costs several global lookups.
+PURCHASE, REFUND = CustomerGoal
+(
+    ENTERING, BROWSING, SEEKING_HELP, IN_HELP_QUEUE, BEING_HELPED, SEEKING_PAY,
+    IN_PAY_QUEUE, PAYING, SEEKING_REFUND, IN_REFUND_QUEUE, REFUND_PROCESSING, LEAVING,
+) = CustomerState
+CASHIER, NORMAL_SELLER, EXPERT_SELLER, SECTION_MANAGER = StaffRole
+(
+    PURCHASE_COMPLETED, HELP_RECEIVED, REFUND_GRANTED, HELP_QUEUE_ABANDONED,
+    PAY_QUEUE_ABANDONED, REFUND_QUEUE_ABANDONED, LEFT_WITHOUT_PURCHASE,
+) = SatisfactionEvent
+
+# Legal statechart edges as one bitmask per state (bit t set: may move to
+# state t). LEAVING is absorbing. Refund-goal customers enter the refund path
+# directly; everyone else starts browsing.
+_ALLOWED = tuple(
+    sum(1 << target for target in targets)
+    for _, targets in sorted({
+        ENTERING: (BROWSING, SEEKING_REFUND),
+        BROWSING: (SEEKING_HELP, SEEKING_PAY, LEAVING),
+        SEEKING_HELP: (BEING_HELPED, IN_HELP_QUEUE),
+        IN_HELP_QUEUE: (BEING_HELPED, LEAVING),
+        BEING_HELPED: (SEEKING_PAY, LEAVING),
+        SEEKING_PAY: (PAYING, IN_PAY_QUEUE),
+        IN_PAY_QUEUE: (PAYING, LEAVING),
+        PAYING: (LEAVING,),
+        SEEKING_REFUND: (REFUND_PROCESSING, IN_REFUND_QUEUE),
+        IN_REFUND_QUEUE: (REFUND_PROCESSING, LEAVING),
+        REFUND_PROCESSING: (BROWSING, LEAVING),
+        LEAVING: (),
+    }.items())
+)
 
 
 class IllegalTransition(RuntimeError):
@@ -112,7 +109,7 @@ class CustomerAgent:
     def __init__(self, cid, goal, entered_at):
         self.id = cid
         self.goal = goal
-        self.state = CustomerState.ENTERING
+        self.state = ENTERING
         self.satisfaction = 0
         self.entered_at = entered_at
         self.needs_expert = False
@@ -124,7 +121,7 @@ class CustomerAgent:
         self.auth_manager = None
 
     def transition(self, new_state, trigger):
-        if new_state not in _ALLOWED[self.state]:
+        if not _ALLOWED[self.state] >> new_state & 1:
             raise IllegalTransition(
                 f"customer {self.id}: illegal transition "
                 f"{self.state.name} -> {new_state.name} on trigger {trigger!r}"
@@ -169,46 +166,40 @@ class StaffAgent:
 def begin_service(staff, customer, duration, calendar, kind):
     """Seize an idle staff member for `customer` and schedule the completion.
 
-    Returns the completion event handle (also the customer's pending event,
-    so a day close can cancel it).
+    The completion becomes the customer's pending event, so a day close
+    can supersede it.
     """
     staff.begin(calendar.now)
     customer.serving_staff = staff
-    handle = calendar.schedule(calendar.now + duration, kind, customer)
-    customer.pending = handle
-    return handle
+    customer.pending = calendar.schedule(calendar.now + duration, kind, customer)
 
 
 _DEFAULT_WEIGHTS = {
-    SatisfactionEvent.PURCHASE_COMPLETED: 2,
-    SatisfactionEvent.HELP_RECEIVED: 1,
-    SatisfactionEvent.REFUND_GRANTED: 2,
-    SatisfactionEvent.HELP_QUEUE_ABANDONED: -2,
-    SatisfactionEvent.PAY_QUEUE_ABANDONED: -3,
-    SatisfactionEvent.REFUND_QUEUE_ABANDONED: -4,
-    SatisfactionEvent.LEFT_WITHOUT_PURCHASE: 0,
+    PURCHASE_COMPLETED: 2,
+    HELP_RECEIVED: 1,
+    REFUND_GRANTED: 2,
+    HELP_QUEUE_ABANDONED: -2,
+    PAY_QUEUE_ABANDONED: -3,
+    REFUND_QUEUE_ABANDONED: -4,
+    LEFT_WITHOUT_PURCHASE: 0,
 }
 
 
 @dataclass(frozen=True)
 class SatisfactionWeights:
-    """Integer weight per satisfaction event kind.
+    """Integer weight per satisfaction event kind, a tuple indexed by event."""
 
-    The mapping is treated as immutable after construction (a plain dict is
-    kept so configs stay picklable for multi-process sweeps).
-    """
-
-    weights: dict
+    weights: tuple
 
     @classmethod
     def defaults(cls):
-        return cls(dict(_DEFAULT_WEIGHTS))
+        return cls.from_mapping({})
 
     @classmethod
     def from_mapping(cls, mapping):
         """Build from {event-name: int}; unknown kinds or non-ints are errors."""
         merged = dict(_DEFAULT_WEIGHTS)
-        by_name = {e.value: e for e in SatisfactionEvent}
+        by_name = {e.name.lower(): e for e in SatisfactionEvent}
         for key, value in mapping.items():
             event = by_name.get(key)
             if event is None:
@@ -221,7 +212,7 @@ class SatisfactionWeights:
                     f"satisfaction weight for {key!r} must be an integer, got {value!r}"
                 )
             merged[event] = value
-        return cls(merged)
+        return cls(tuple(merged[e] for e in SatisfactionEvent))
 
     def __getitem__(self, kind):
         return self.weights[kind]
@@ -243,5 +234,5 @@ class SatisfactionLedger:
 
 def spawn_customer(cid, entered_at, refund_goal_prob, u):
     """New customer in ENTERING; goal is Refund with probability refund_goal_prob."""
-    goal = CustomerGoal.REFUND if u < refund_goal_prob else CustomerGoal.PURCHASE
+    goal = REFUND if u < refund_goal_prob else PURCHASE
     return CustomerAgent(cid, goal, entered_at)

@@ -99,7 +99,10 @@ def cmd_run(args):
     if args.weeks is not None:
         if args.weeks < 1:
             raise ConfigError(f"horizon must be >= 1 day, got --weeks {args.weeks}")
-        horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)
+        try:
+            horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)
+        except ValueError as exc:
+            raise ConfigError(f"--weeks {args.weeks}: {exc}") from None
         config = dataclasses.replace(config, horizon=horizon)
     seed = args.seed if args.seed is not None else secrets.randbits(63)
     print(f"seed: {seed}")

@@ -24,6 +24,14 @@ log = logging.getLogger("retailsim.config")
 
 _MISSING = object()
 
+# The clock is a float in minutes: beyond 2**53 it no longer holds every whole
+# minute exactly, so a longer horizon (or more days than that) is rejected.
+MAX_HORIZON_MINUTES = 2**53
+# Ceiling on each role's headcount. The model keeps one agent per staff member
+# and scans a role's staff whenever a customer needs one; real departments
+# field a handful.
+MAX_STAFF_PER_ROLE = 1000
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration; message names field and file."""
@@ -45,6 +53,10 @@ class StaffingPlan:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ValueError(f"staffing.{name} must be a non-negative integer, got {v!r}")
+            if v > MAX_STAFF_PER_ROLE:
+                raise ValueError(
+                    f"staffing.{name} must be at most {MAX_STAFF_PER_ROLE}, got {v}"
+                )
 
     def total(self):
         return (
@@ -102,6 +114,15 @@ class Horizon:
             )
         if isinstance(self.days, bool) or not isinstance(self.days, int) or self.days < 1:
             raise ValueError(f"horizon must cover at least 1 day, got days={self.days!r}")
+        # The first test keeps the product below float overflow.
+        if (
+            self.days > MAX_HORIZON_MINUTES
+            or self.days * self.trading_day_minutes > MAX_HORIZON_MINUTES
+        ):
+            raise ValueError(
+                f"horizon.days x horizon.trading_day_minutes must be at most 2**53 "
+                f"minutes, got days={self.days} of {self.trading_day_minutes:g} minutes"
+            )
 
 
 @dataclass(frozen=True)

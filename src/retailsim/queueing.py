@@ -1,7 +1,8 @@
 """FIFO service queues with reneging hooks, skill matching, empowerment policy.
 
-Queue entries are live; each queued customer's renege timer is the
-cancellable event handle it holds as its pending event.
+Queue entries are live; each queued customer's renege timer is the event
+whose calendar token it holds as its pending event, so claiming the customer
+for service only has to clear that token.
 Help entries carry a needs-expert flag: a freed expert seller takes the oldest
 entry outright, a freed normal seller takes the oldest entry it is qualified
 for, so service order is FIFO within each compatibility class.

@@ -8,7 +8,7 @@ named substreams in `kernel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -16,12 +16,17 @@ class TriangularParams:
     """Three-point duration estimate (minutes): low <= mode <= high.
 
     A zero-width distribution is only constructible through `constant`,
-    so a config typo like min == max is caught at load time.
+    so a config typo like min == max is caught at load time. `span`, `left`
+    and `right` (high - low, mode - low, high - mode) are derived once here
+    for the sampler.
     """
 
     low: float
     mode: float
     high: float
+    span: float = field(init=False, repr=False, compare=False)
+    left: float = field(init=False, repr=False, compare=False)
+    right: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.low <= self.mode <= self.high):
@@ -34,6 +39,12 @@ class TriangularParams:
                 f"degenerate triangular (low == high == {self.low}); "
                 f"use TriangularParams.constant() if a fixed duration is intended"
             )
+        self._derive()
+
+    def _derive(self):
+        object.__setattr__(self, "span", self.high - self.low)
+        object.__setattr__(self, "left", self.mode - self.low)
+        object.__setattr__(self, "right", self.high - self.mode)
 
     @classmethod
     def constant(cls, value):
@@ -42,6 +53,7 @@ class TriangularParams:
         object.__setattr__(obj, "low", float(value))
         object.__setattr__(obj, "mode", float(value))
         object.__setattr__(obj, "high", float(value))
+        obj._derive()
         return obj
 
     def mean(self):
@@ -76,19 +88,19 @@ class ArrivalProfile:
 
 def sample_triangular(params, u):
     """Inverse-CDF triangular sample; monotone in u, bounded by [low, high]."""
-    low = params.low
-    high = params.high
-    span = high - low
+    span = params.span
     if span == 0.0:
-        return low
+        return params.low
+    left = params.left
     mode = params.mode
-    left = mode - low
+    # Roundoff can land a hair on the wrong side of the mode near the branch
+    # point, so each branch is clamped at it: that keeps samples monotone in u
+    # and, since low <= mode <= high, inside the bounds.
     if u * span < left:
-        x = low + math.sqrt(u * span * left)
-    else:
-        x = high - math.sqrt((1.0 - u) * span * (high - mode))
-    # Roundoff can land a hair outside when mode sits on an endpoint.
-    return min(max(x, low), high)
+        x = params.low + math.sqrt(u * span * left)
+        return mode if x > mode else x
+    x = params.high - math.sqrt((1.0 - u) * span * params.right)
+    return mode if x < mode else x
 
 
 def sample_bernoulli(p, u):

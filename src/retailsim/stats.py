@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +277,10 @@ _GL_ORDER = 20
 
 def _range_cdf_at(w, k):
     """P(range of k iid standard normals <= w) for an array of widths w."""
+    # Imported on first use: scipy.special roughly doubles the CLI's import
+    # time, and only `analyze` reaches this.
+    from scipy.special import ndtr
+
     zs, zw = _gl_panels(-_Z_LIMIT, _Z_LIMIT, _Z_PANELS, _GL_ORDER)
     phi_w = zw * np.exp(-0.5 * zs * zs) / math.sqrt(2.0 * math.pi)
     inner = ndtr(zs)[None, :] - ndtr(zs[None, :] - w[:, None])

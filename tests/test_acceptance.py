@@ -5,6 +5,7 @@ Each test prints `CRITERION nn PASS|FAIL <label>` on the real terminal
 scoreboard even when everything passes.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.stats
 
 from retailsim.department import DepartmentSim
-from retailsim.experiments import load_results, results_to_cells, summarize
+from retailsim.experiments import load_results, results_to_cells, save_results, summarize
 from retailsim.kernel import RngStream
 from retailsim.sampling import TriangularParams, sample_bernoulli, sample_triangular
 from retailsim.stats import (
@@ -223,3 +224,22 @@ def test_criterion_10_empowerment_mechanics(empowerment_rows, capsys):
         "empowerment: no referrals at p=1, 1:1 at p=0, utilization monotone",
         ok,
     )
+
+
+# sha256 of the two full sweeps at base seed 1, 20 replications per cell: the
+# cashier sweep CSV written by the CLI and the empowerment sweep CSV. A change
+# to the order of RNG draws, or to any float the model computes, moves them.
+GOLDEN_SWEEP_SHA256 = {
+    "cashiers": "aca82e9aa840bdb2a6f69ecf6ed2daf71229ff32a4c8848ea981e52e44ed8ab4",
+    "empowerment": "53bdd6abab57ce790bac9f56fe08ad8a7f980a9055ec2723a2d4ed5dafb68fdf",
+}
+
+
+def test_sweep_csvs_match_golden_digests(cashier_sweep, empowerment_rows, tmp_path):
+    empowerment_csv = tmp_path / "empowerment.csv"
+    save_results(empowerment_rows, empowerment_csv)
+    digests = {
+        "cashiers": hashlib.sha256(cashier_sweep[0][0]).hexdigest(),
+        "empowerment": hashlib.sha256(empowerment_csv.read_bytes()).hexdigest(),
+    }
+    assert digests == GOLDEN_SWEEP_SHA256

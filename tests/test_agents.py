@@ -25,6 +25,11 @@ def fresh(goal=CustomerGoal.PURCHASE):
     return CustomerAgent(0, goal, 0.0)
 
 
+def allowed(state):
+    """The states `state` may move to, decoded from the edge bitmask."""
+    return {s for s in CustomerState if _ALLOWED[state] >> s & 1}
+
+
 # -- transitions --------------------------------------------------------------
 
 
@@ -73,8 +78,8 @@ def test_every_state_reaches_leaving():
     frontier = [CustomerState.LEAVING]
     while frontier:
         target = frontier.pop()
-        for state, nexts in _ALLOWED.items():
-            if target in nexts and state not in reached:
+        for state in CustomerState:
+            if target in allowed(state) and state not in reached:
                 reached.add(state)
                 frontier.append(state)
     assert reached == set(CustomerState)
@@ -85,7 +90,7 @@ def test_fuzz_one_million_legal_steps_never_fault():
     steps = 0
     c = fresh()
     while steps < 1_000_000:
-        options = _ALLOWED[c.state]
+        options = allowed(c.state)
         if not options:
             c = fresh()
             continue
@@ -200,13 +205,18 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
     cal = EventCalendar()
     staff = StaffAgent(0, StaffRole.CASHIER)
     customer = fresh()
-    handle = begin_service(staff, customer, 4.0, cal, "pay_end")
+    begin_service(staff, customer, 4.0, cal, "pay_end")
     assert staff.busy and customer.serving_staff is staff
-    assert customer.pending is handle
-    assert handle.fire_time == 4.0
+    assert customer.pending is not None
     fired = []
-    cal.run_until(10.0, lambda h: fired.append(h) or staff.finish(cal.now))
-    assert fired == [handle]
+
+    def handler(kind, target):
+        fired.append((cal.now, kind, target))
+        staff.finish(cal.now)
+
+    cal.run_until(10.0, handler)
+    assert fired == [(4.0, "pay_end", customer)]
+    assert customer.pending is None
     assert staff.busy_minutes == 4.0
     assert not staff.busy
 

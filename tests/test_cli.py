@@ -184,6 +184,39 @@ def test_run_rejects_zero_weeks(capsys):
     assert "horizon must be >= 1 day" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("days = 70", "days = 1000000000000000000000000000000", "horizon.days"),
+        ("cashiers = 3", "cashiers = 100000000000000", "staffing.cashiers"),
+    ],
+    ids=["days-1e30", "cashiers-1e14"],
+)
+def test_validate_rejects_sizes_the_model_cannot_run(
+    tmp_path, capsys, atv_text, old, new, field
+):
+    text = atv_text.replace(old, new, 1)
+    assert text != atv_text
+    path = tmp_path / "huge.toml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "huge.toml" in err
+
+
+def test_run_rejects_weeks_beyond_the_exact_clock(capsys):
+    rc = main(["run", "--config", "dept_atv.toml", "--weeks", str(10**30), "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--weeks" in err and "horizon.days" in err
+
+
+def test_run_rejects_a_staffing_override_beyond_the_ceiling(capsys):
+    rc = main(["run", "--config", "dept_atv.toml", "--cashiers", str(10**14), "--seed", "1"])
+    assert rc == 2
+    assert "staffing.cashiers must be at most" in capsys.readouterr().err
+
+
 def test_run_staffing_override_shows_in_metrics(capsys):
     argv = [
         "run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "3",
@@ -400,3 +433,11 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only by the studentized-range tail, imported on first use.
+    code = "import sys, retailsim.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

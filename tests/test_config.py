@@ -10,6 +10,8 @@ import pytest
 from retailsim.agents import SatisfactionEvent
 from retailsim.cli import resolve_config_path
 from retailsim.config import (
+    MAX_HORIZON_MINUTES,
+    MAX_STAFF_PER_ROLE,
     ConfigError,
     Horizon,
     StaffingPlan,
@@ -285,6 +287,18 @@ def test_horizon_validation():
         Horizon(600.0, 0)
     with pytest.raises(ValueError, match="trading_day_minutes"):
         Horizon(0.0, 7)
+
+
+def test_size_limits_sit_at_the_documented_constants():
+    days = MAX_HORIZON_MINUTES // 600
+    assert Horizon(600.0, days).days == days
+    with pytest.raises(ValueError, match="horizon.days"):
+        Horizon(600.0, days + 1)
+    with pytest.raises(ValueError, match="horizon.days"):
+        Horizon(1e-300, 10**400)  # too large for a float: no OverflowError
+    assert StaffingPlan(MAX_STAFF_PER_ROLE, 0, 0, 0).total() == MAX_STAFF_PER_ROLE
+    with pytest.raises(ValueError, match="staffing.expert_sellers must be at most"):
+        StaffingPlan(1, 1, MAX_STAFF_PER_ROLE + 1, 1)
 
 
 def test_staffing_plan_validation():

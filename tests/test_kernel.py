@@ -1,4 +1,4 @@
-"""Event calendar ordering, cancellation, fault wrapping, and RNG substreams."""
+"""Event calendar ordering, stale-token skipping, fault wrapping, and RNG substreams."""
 
 import math
 
@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 from retailsim.kernel import EventCalendar, RngStream, SimulationFault
 
 
+class Target:
+    """Minimal event target: holds the token of its one pending event."""
+
+    def __init__(self):
+        self.pending = None
+
+
 def drain(cal, t_end):
     """Dispatch everything through t_end; returns (fire_time, kind) pairs."""
     log = []
-    cal.run_until(t_end, lambda h: log.append((h.fire_time, h.kind)))
+    cal.run_until(t_end, lambda kind, target: log.append((cal.now, kind)))
     return log
 
 
@@ -25,7 +32,7 @@ def test_zero_delay_event_fires_before_later_events():
 
 def test_schedule_in_past_rejected():
     cal = EventCalendar()
-    cal.run_until(5.0, lambda h: None)
+    cal.run_until(5.0, lambda kind, target: None)
     with pytest.raises(SimulationFault, match="past"):
         cal.schedule(3.0, "late")
 
@@ -37,22 +44,25 @@ def test_simultaneous_events_dispatch_in_insertion_order():
     assert [kind for _, kind in drain(cal, 5.0)] == ["a", "b", "c"]
 
 
-def test_cancel_pending_then_twice_then_after_fire():
+def test_superseded_or_cleared_pending_event_is_dropped():
     cal = EventCalendar()
-    h1 = cal.schedule(1.0, "x")
-    h2 = cal.schedule(2.0, "y")
-    assert cal.cancel(h1) is True
-    assert cal.cancel(h1) is False  # idempotent
-    log = drain(cal, 10.0)
-    assert log == [(2.0, "y")]  # cancelled handle never fires
-    assert cal.cancel(h2) is False  # already fired
-    assert h1.cancelled and not h1.fired
-    assert h2.fired and not h2.cancelled
+    a, b, c = Target(), Target(), Target()
+    cal.schedule(1.0, "stale", a)
+    a.pending = cal.schedule(3.0, "current", a)  # supersedes the first
+    b.pending = cal.schedule(2.0, "cleared", b)
+    b.pending = None
+    c.pending = cal.schedule(4.0, "live", c)
+    seen = []
+    cal.run_until(10.0, lambda kind, target: seen.append((cal.now, kind, target.pending)))
+    # A fired event's token is cleared before its handler runs.
+    assert seen == [(3.0, "current", None), (4.0, "live", None)]
+    assert a.pending is None and c.pending is None
+    assert len(cal) == 0
 
 
 def test_run_until_empty_calendar_returns_t_end():
     cal = EventCalendar()
-    assert cal.run_until(100.0, lambda h: None) == 100.0
+    assert cal.run_until(100.0, lambda kind, target: None) == 100.0
     assert cal.now == 100.0
 
 
@@ -68,9 +78,9 @@ def test_events_beyond_t_end_stay_pending():
 
 def test_run_until_into_past_rejected():
     cal = EventCalendar()
-    cal.run_until(5.0, lambda h: None)
+    cal.run_until(5.0, lambda kind, target: None)
     with pytest.raises(SimulationFault, match="past"):
-        cal.run_until(4.0, lambda h: None)
+        cal.run_until(4.0, lambda kind, target: None)
 
 
 def test_clock_equals_event_time_during_dispatch():
@@ -78,7 +88,7 @@ def test_clock_equals_event_time_during_dispatch():
     seen = []
     cal.schedule(3.5, "a")
     cal.schedule(7.25, "b")
-    cal.run_until(50.0, lambda h: seen.append(cal.now))
+    cal.run_until(50.0, lambda kind, target: seen.append(cal.now))
     assert seen == [3.5, 7.25]
     assert cal.now == 50.0
 
@@ -87,9 +97,9 @@ def test_handler_may_schedule_zero_delay_followup():
     cal = EventCalendar()
     log = []
 
-    def handler(h):
-        log.append(h.kind)
-        if h.kind == "first":
+    def handler(kind, target):
+        log.append(kind)
+        if kind == "first":
             cal.schedule(cal.now, "followup")
 
     cal.schedule(1.0, "first")
@@ -99,11 +109,30 @@ def test_handler_may_schedule_zero_delay_followup():
     assert log == ["first", "peer", "followup"]
 
 
+def test_handler_may_reschedule_its_own_target():
+    # The token is cleared before dispatch, so the handler can set a new one.
+    cal = EventCalendar()
+    target = Target()
+    log = []
+
+    def handler(kind, t):
+        log.append((cal.now, kind))
+        if kind < 3:
+            t.pending = cal.schedule(cal.now + 1.0, kind + 1, t)
+        if kind == 1:
+            cal.schedule(cal.now + 0.5, "stale", t)  # never becomes pending
+
+    target.pending = cal.schedule(0.0, 0, target)
+    cal.run_until(10.0, handler)
+    assert log == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
+    assert target.pending is None
+
+
 def test_dispatcher_fault_wrapped_with_clock_and_kind():
     cal = EventCalendar()
     cal.schedule(4.0, "boom")
 
-    def handler(h):
+    def handler(kind, target):
         raise ValueError("broken handler")
 
     with pytest.raises(SimulationFault) as excinfo:
@@ -118,7 +147,7 @@ def test_simulation_fault_passes_through_unwrapped():
     cal.schedule(1.0, "x")
     original = SimulationFault("model bug")
 
-    def handler(h):
+    def handler(kind, target):
         raise original
 
     with pytest.raises(SimulationFault) as excinfo:
@@ -142,7 +171,7 @@ def test_clock_never_decreases(times):
     for t in times:
         cal.schedule(t, "e")
     seen = []
-    cal.run_until(200.0, lambda h: seen.append(cal.now))
+    cal.run_until(200.0, lambda kind, target: seen.append(cal.now))
     assert all(a <= b for a, b in zip(seen, seen[1:]))
 
 
@@ -150,15 +179,21 @@ def test_clock_never_decreases(times):
     st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40),
     st.data(),
 )
-def test_cancelling_k_of_n_leaves_n_minus_k_dispatches(times, data):
+def test_superseding_k_of_n_leaves_n_minus_k_dispatches(times, data):
     cal = EventCalendar()
-    handles = [cal.schedule(t, i) for i, t in enumerate(times)]
-    to_cancel = data.draw(st.sets(st.sampled_from(range(len(handles)))))
-    for i in to_cancel:
-        assert cal.cancel(handles[i])
+    targets = [Target() for _ in times]
+    for i, (t, target) in enumerate(zip(times, targets)):
+        target.pending = cal.schedule(t, i, target)
+    superseded = data.draw(st.sets(st.sampled_from(range(len(times)))))
+    for i in superseded:
+        # Overwrite the token: by a later event of the same target, or by nothing.
+        if data.draw(st.booleans()):
+            targets[i].pending = cal.schedule(60.0, "beyond", targets[i])
+        else:
+            targets[i].pending = None
     log = drain(cal, 51.0)
-    assert len(log) == len(handles) - len(to_cancel)
-    assert {kind for _, kind in log} == set(range(len(handles))) - to_cancel
+    live = [(t, i) for i, t in enumerate(times) if i not in superseded]
+    assert log == sorted(live)  # n - k dispatches, in (time, seq) order
 
 
 def test_identical_seed_gives_identical_trace():
@@ -167,10 +202,10 @@ def test_identical_seed_gives_identical_trace():
         stream = RngStream(seed, "arrivals")
         trace = []
 
-        def handler(h):
-            trace.append((cal.now, h.kind))
+        def handler(kind, target):
+            trace.append((cal.now, kind))
             if cal.now < 40.0:
-                cal.schedule(cal.now + 5.0 * stream.uniform(), h.kind + 1)
+                cal.schedule(cal.now + 5.0 * stream.uniform(), kind + 1)
 
         cal.schedule(0.0, 0)
         cal.run_until(50.0, handler)

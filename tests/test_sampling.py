@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from retailsim.kernel import RngStream
@@ -103,6 +103,9 @@ def test_triangular_sample_stays_in_bounds(tri, u):
     st.floats(min_value=0.0, max_value=0.9999999),
     st.floats(min_value=0.0, max_value=0.9999999),
 )
+# A mode 1e-58 above low: the right branch just past the branch point rounds
+# to 0.0, below the left branch's samples, unless it is clamped at the mode.
+@example(TriangularParams(0.0, 1.9873191627848545e-58, 1.0), 6.2771e-131, 1.9873191627848545e-58)
 def test_triangular_inverse_cdf_monotone_in_u(tri, u1, u2):
     if u1 > u2:
         u1, u2 = u2, u1
