@@ -21,6 +21,7 @@ from .department import METRIC_FIELDS, run_replication
 from .experiments import (
     format_summary_table,
     load_results,
+    replaced_atomically,
     results_to_cells,
     run_sweep,
     save_results,
@@ -112,7 +113,7 @@ def cmd_run(args):
     if args.out:
         import csv
 
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with replaced_atomically(args.out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(METRIC_FIELDS)
             writer.writerow(
@@ -237,7 +238,7 @@ def cmd_analyze(args):
 def _write_analysis_csv(path, metric, table, lev, tukey, levels):
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replaced_atomically(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["section", "name", "ss", "df1", "df2", "ms", "statistic", "p", "significant"]

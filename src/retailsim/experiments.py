@@ -5,7 +5,8 @@ hashing the cell coordinates under a base seed, so adding replications or
 reordering execution (including --jobs parallelism) never shifts any cell's
 stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
-repeated sweep is byte-identical.
+repeated sweep is byte-identical. Result files are written beside their
+target and moved into place, so no reader sees half of one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .config import StaffingPlan
@@ -170,16 +174,40 @@ def write_results_csv(rows, fh):
         writer.writerow([_format_value(v) for v in record])
 
 
+@contextmanager
+def replaced_atomically(path):
+    """Text file open for writing beside `path`, moved onto it once complete.
+
+    Until the block finishes, an existing `path` keeps its old bytes; if the
+    block raises, the partial file is removed and `path` is left alone.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_results(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replaced_atomically(path) as fh:
         write_results_csv(rows, fh)
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
 
 
 def _parse_level(text):
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        return _finite(float(text))
 
 
 def _parse_metric(text):
@@ -188,11 +216,18 @@ def _parse_metric(text):
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        return _finite(float(text))
+
+
+_ID_PARSERS = (str, str, _parse_level, int, int)
 
 
 def load_results(path):
-    """Read a results CSV back into ResultRows."""
+    """Read a results CSV back into ResultRows.
+
+    A cell that does not parse, and a level or metric that is NaN or
+    infinite, raises a ValueError naming the file, the line and the column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -200,27 +235,20 @@ def load_results(path):
             raise ValueError(
                 f"{path}: unexpected results header; expected {csv_header()!r}"
             )
+        parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
         rows = []
         for record in reader:
             if len(record) != len(header):
-                raise ValueError(f"{path}: row {reader.line_num}: wrong field count")
-            ident, metric_vals = record[:5], record[5:]
-            metrics = RunMetrics(
-                **{
-                    name: _parse_metric(v)
-                    for name, v in zip(METRIC_FIELDS, metric_vals)
-                }
-            )
-            rows.append(
-                ResultRow(
-                    experiment=ident[0],
-                    department=ident[1],
-                    level=_parse_level(ident[2]),
-                    replication=int(ident[3]),
-                    seed=int(ident[4]),
-                    metrics=metrics,
-                )
-            )
+                raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
+            values = []
+            for parse, column, text in zip(parsers, header, record):
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column {column!r}: {exc}"
+                    ) from None
+            rows.append(ResultRow(*values[:5], RunMetrics(*values[5:])))
     return rows
 
 

@@ -4,12 +4,16 @@ Balanced two-way fixed-effects ANOVA, mean-centered Levene, and Tukey HSD.
 Tail probabilities are computed here rather than taken from a stats library:
 the F tail via a continued-fraction regularized incomplete beta, and the
 studentized-range tail via composite Gauss-Legendre quadrature over both the
-scaled-chi axis and the normal-range axis. The test suite cross-checks both
-routes against independent implementations.
+scaled-chi axis and the normal-range axis. The normal CDF inside that
+integral is a port of the Cephes `ndtr` (Moshier, *Methods and Programs for
+Mathematical Functions*, 1989) that returns the C routine's bits, so the
+package needs numpy alone. The test suite cross-checks every route against
+independent implementations, scipy's among them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,6 +252,102 @@ def levene_test(groups):
 
 
 # ---------------------------------------------------------------------------
+# Normal CDF: Cephes ndtr, erf and erfc
+#
+# The same rational approximations as the C routines, evaluated in the same
+# operand order, with exp taken from the C library through math.exp: numpy's
+# vectorised exp can differ from it in the last bit, and so would the CDF.
+
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); exp(-x*x) underflows past it
+
+# erfc(x) = exp(-x*x) P(x) / Q(x) for 1 <= x < 8; Q has an implied leading 1.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+# erfc(x) = exp(-x*x) R(x) / S(x) for x >= 8; S has an implied leading 1.
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# erf(x) = x T(x*x) / U(x*x) for |x| <= 1; U has an implied leading 1.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+
+def _polevl(x, coef):
+    """Horner's rule over coef, highest power first (Cephes polevl)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """As _polevl with an implied leading coefficient of 1 (Cephes p1evl)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf_inner(x):
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _ndtr(a):
+    """Standard normal CDF of an array, bit for bit the Cephes `ndtr`.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) where |x| < sqrt(1/2), otherwise
+    h = erfc(|x|) / 2, and 1 - h where x > 0. erfc is 1 - erf below 1, the
+    P/Q or R/S ratio times exp(-x*x) up to sqrt(MAXLOG), and 0 beyond.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRTH
+    z = np.abs(x)
+    with np.errstate(over="ignore"):  # an infinite z*z lands on the 0 branch
+        zz = z * z
+    # h starts at 0, its value where exp(-z*z) underflows; NaN stays NaN.
+    h = np.where(np.isnan(z), np.nan, 0.0)
+    mid = (z >= _SQRTH) & (z < 1.0)
+    h[mid] = 0.5 * (1.0 - _erf_inner(z[mid]))
+    tail = np.flatnonzero((z >= 1.0) & (zz <= _MAXLOG))
+    zt = z[tail]
+    expo = np.fromiter(map(math.exp, memoryview(-zz[tail])), float, count=tail.size)
+    erfc = np.empty_like(zt)
+    near = zt < 8.0
+    far = ~near
+    zn = zt[near]
+    zf = zt[far]
+    erfc[near] = expo[near] * _polevl(zn, _ERFC_P) / _p1evl(zn, _ERFC_Q)
+    erfc[far] = expo[far] * _polevl(zf, _ERFC_R) / _p1evl(zf, _ERFC_S)
+    h[tail] = 0.5 * erfc
+    y = np.where(x > 0.0, 1.0 - h, h)
+    small = z < _SQRTH
+    y[small] = 0.5 + 0.5 * _erf_inner(x[small])
+    return y.reshape(a.shape)
+
+
+# ---------------------------------------------------------------------------
 # Studentized range and Tukey HSD
 
 _GL_CACHE = {}
@@ -275,15 +375,18 @@ _S_PANELS = 12
 _GL_ORDER = 20
 
 
-def _range_cdf_at(w, k):
-    """P(range of k iid standard normals <= w) for an array of widths w."""
-    # Imported on first use: scipy.special roughly doubles the CLI's import
-    # time, and only `analyze` reaches this.
-    from scipy.special import ndtr
-
+@functools.cache
+def _z_nodes():
+    """Normal-axis nodes, their weights times the normal density, and ndtr there."""
     zs, zw = _gl_panels(-_Z_LIMIT, _Z_LIMIT, _Z_PANELS, _GL_ORDER)
     phi_w = zw * np.exp(-0.5 * zs * zs) / math.sqrt(2.0 * math.pi)
-    inner = ndtr(zs)[None, :] - ndtr(zs[None, :] - w[:, None])
+    return zs, phi_w, _ndtr(zs)
+
+
+def _range_cdf_at(w, k):
+    """P(range of k iid standard normals <= w) for an array of widths w."""
+    zs, phi_w, ndtr_zs = _z_nodes()
+    inner = ndtr_zs[None, :] - _ndtr(zs[None, :] - w[:, None])
     np.clip(inner, 0.0, 1.0, out=inner)
     return k * (inner ** (k - 1) @ phi_w)
 

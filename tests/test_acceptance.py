@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from retailsim.department import DepartmentSim
+from retailsim.cli import main
+from retailsim.department import METRIC_FIELDS, DepartmentSim
 from retailsim.experiments import load_results, results_to_cells, save_results, summarize
 from retailsim.kernel import RngStream
 from retailsim.sampling import TriangularParams, sample_bernoulli, sample_triangular
@@ -198,8 +199,6 @@ def test_criterion_08_null_calibration(capsys):
 
 
 def test_criterion_09_reporting_shape(cashier_sweep, capsys):
-    from retailsim.cli import main
-
     rc = main(["analyze", "--results", str(cashier_sweep[0][2])])
     out = capsys.readouterr().out
     ok = rc == 0 and "F(1, 190)" in out and "F(4, 190)" in out
@@ -243,3 +242,93 @@ def test_sweep_csvs_match_golden_digests(cashier_sweep, empowerment_rows, tmp_pa
         "empowerment": hashlib.sha256(empowerment_csv.read_bytes()).hexdigest(),
     }
     assert digests == GOLDEN_SWEEP_SHA256
+
+
+# sha256 of `retailsim analyze --metric M` output for every metric of the two
+# sweeps above. The values were taken while the normal CDF still came from
+# scipy, so they also hold the in-repo port to scipy's bits.
+GOLDEN_ANALYSIS_SHA256 = {
+    "cashiers": {
+        "transactions":
+            "a7fbed265cf08c5290e3aa6a9c60627a1cbc2758481fbd9979e2a61c7194b632",
+        "satisfied_customers":
+            "7632f6c5015cc96996cf7a566d4a59dc4fe2c05320d5a7342ddf0177d09e694a",
+        "overall_satisfaction":
+            "1d188e9d78ad44eabf2aea72d58e669f2c57951206d0aee0f5d632cca71acf60",
+        "refund_satisfaction":
+            "002790c498d99a2f66f7c10126d87f543248a0b95baba76ca8f87854f4dcdb05",
+        "cashier_utilization":
+            "cf0b6014deb4ebab09207eb5640b91e2a94e7d9f77309a14c8a8d602f12bf105",
+        "seller_utilization":
+            "8b9d7ea2cc008d4a4b5125375878571ec437167da1eb04ec2672918835a40c3c",
+        "manager_utilization":
+            "826ff68d59b5840a4b98a1492de20bbdccf3eaae72388a12d1bea88357c200cb",
+        "customers_entered":
+            "d6939ab169952323af96157d6c818af8a9e56fbea0eed5ffdc0a0b71b13bda8e",
+        "customers_left":
+            "66b15ff01b65d275fbf4c93c65f752278d4c2f70fa3835bae778a9a292cf1ad3",
+        "abandoned_help":
+            "965eb5e74d7d7a5f799290215e61c3cef00d684b29518fda7a3d5770dc775035",
+        "abandoned_pay":
+            "8e4ef45668a739c22e385e726679707149e7f4e3c746257a8db7b6b75079fd2e",
+        "abandoned_refund":
+            "96debe92386309d6ac15d149cae62846e6d972964b11523941fdf1aa61a4c076",
+        "refunds_completed":
+            "1418f855eca98dd5efafcc2f8cfc6603b200b7fffd11aa78bde9cb0be32aba43",
+        "manager_authorizations":
+            "e964b24daba5ddbe2a32f0652993c72e8f70358efae84aae6359bd47a9ec7e9e",
+        "autonomous_refunds":
+            "05b9e4b10f81d8121613b9bd0b2e2df746309a777c4525514945c041ef2beae2",
+        "satisfaction_ledger_sum":
+            "6c1daecd4d8307c8072414dadd14246bb0e5f219a60462bcd91dd8f691f5def2",
+    },
+    "empowerment": {
+        "transactions":
+            "658e28f3a56ffbdafb426f2ed3edba6025eab4bc41c9e7289d7d7f32016b3cc6",
+        "satisfied_customers":
+            "7efcb32a3de59b0817638c73f788bdafeefb5c2853143d1d16a2db38e7e9d242",
+        "overall_satisfaction":
+            "758d2a6eaefcf27fed20818ea42cd5ea169c650caa5a91e9f1f2e70c7ee56a72",
+        "refund_satisfaction":
+            "911e5ad93a3ec2ff43c0ba84a2e91e3edc2e5d38da57e14191bc729c63b4f53a",
+        "cashier_utilization":
+            "f369b6abc797642b7a08ffdaff3032a748533174e8e8cbde4ab68be46df78fe6",
+        "seller_utilization":
+            "ee1890332e831788c45312a549a1d0866e349c90f958b316102d8d9874129b6a",
+        "manager_utilization":
+            "e3504143146dfde6aace31b7232fbee057284f3cbaea7a25e552ea373b5717ae",
+        "customers_entered":
+            "93966752b7389dff2fa41e81a6c6b77132f297bb820ce1d874a2a929db477134",
+        "customers_left":
+            "b9e3d32f61c4a29b119847da32901b12aa96f8218aa823f61e0d4ab5a23ff096",
+        "abandoned_help":
+            "712e53f158b969640cc3202758119906c502b0fe3c5dcf486fabe5b7d50b86c0",
+        "abandoned_pay":
+            "21eecd84150b063274d786147a9ac242d45398252a268f328836253b8ebb7296",
+        "abandoned_refund":
+            "05d87d7ccef154a516b0012e295167808f3dde4972f7f00e59f4795d36570913",
+        "refunds_completed":
+            "5218342d709d138771323cc32a759041da92d781d90a9b1716adad60ec07ace6",
+        "manager_authorizations":
+            "e98c2e4abefff7b0f4a30f15eac2ea5962ed4ca50471d15e462c659646c020b7",
+        "autonomous_refunds":
+            "2afb15c5c6d666e719e66887bf9e045ffad723a4449b651af0201a7fe985786f",
+        "satisfaction_ledger_sum":
+            "7debe41998c2be34a234a93cbbbb40fbac876f4f1465014bb78a408e083715eb",
+    },
+}
+
+
+def test_analysis_csvs_match_golden_digests(cashier_sweep, empowerment_rows, tmp_path):
+    empowerment_csv = tmp_path / "empowerment.csv"
+    save_results(empowerment_rows, empowerment_csv)
+    inputs = {"cashiers": cashier_sweep[0][2], "empowerment": empowerment_csv}
+    digests = {}
+    for experiment, results in inputs.items():
+        digests[experiment] = {}
+        for metric in METRIC_FIELDS:
+            out = tmp_path / f"{experiment}.{metric}.analysis.csv"
+            argv = ["analyze", "--results", str(results), "--metric", metric]
+            assert main(argv + ["--out", str(out)]) == 0
+            digests[experiment][metric] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == GOLDEN_ANALYSIS_SHA256

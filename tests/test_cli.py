@@ -404,6 +404,29 @@ def test_analyze_empty_results(tmp_path, capsys):
     assert "holds no result rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        ("transactions", "abc", "could not convert string to float: 'abc'"),
+        ("level", "xyz", "could not convert string to float: 'xyz'"),
+        ("overall_satisfaction", "nan", "nan is not a finite number"),
+        ("cashier_utilization", "-inf", "-inf is not a finite number"),
+    ],
+)
+def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    lines = results.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[2].split(",")
+    cells[header.index(column)] = value
+    lines[2] = ",".join(cells)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--results", str(results)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {results}: line 3, column {column!r}: {reason}" in err
+
+
 # -- config resolution ----------------------------------------------------------------
 
 
@@ -435,9 +458,21 @@ def test_module_entry_point_runs():
     assert "OK" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only by the studentized-range tail, imported on first use.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # The package needs numpy alone; scipy is a test oracle and nothing more.
     code = "import sys, retailsim.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    code = (
+        "import sys\n"
+        "from retailsim.cli import main\n"
+        f"rc = main(['analyze', '--results', {str(results)!r}])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Tukey HSD on cashiers levels (pooled over departments):" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from retailsim import experiments
 from retailsim.config import StaffingPlan
 from retailsim.department import METRIC_FIELDS, RunMetrics
 from retailsim.experiments import (
@@ -170,6 +171,22 @@ def test_load_results_rejects_short_rows(tmp_path):
     path.write_text(",".join(csv_header()) + "\ncashiers,A,1,1,5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="wrong field count"):
         load_results(path)
+
+
+def test_failed_write_leaves_the_existing_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "results.csv"
+    save_results([mk_row("A", 1, 1)], path)
+    before = path.read_bytes()
+
+    def write_half_then_fail(rows, fh):
+        fh.write("experiment,department\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "write_results_csv", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_results([mk_row("B", 2, 1)], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
 def test_absent_utilization_round_trips_as_none(tmp_path):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retailsim.stats import (
+    _MAXLOG,
     RunningStat,
+    _ndtr,
     anova_two_way,
     f_upper_tail,
     levene_test,
@@ -237,6 +240,34 @@ def test_levene_validation():
 
 
 # -- studentized range ------------------------------------------------------------------
+
+
+def _with_neighbours(points, ulps=3):
+    """Each point and its `ulps` nearest floats on either side."""
+    out = []
+    for p in points:
+        lo = hi = p
+        out.append(p)
+        for _ in range(ulps):
+            lo = np.nextafter(lo, -np.inf)
+            hi = np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return out
+
+
+def test_ndtr_port_is_bitwise_scipy_ndtr():
+    underflow = math.sqrt(2.0 * _MAXLOG)  # beyond it exp(-x*x/2) underflows
+    branch_points = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), underflow]
+    edges = _with_neighbours(branch_points + [-p for p in branch_points])
+    edges += [-0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e308, -1e308]
+    edges += [math.inf, -math.inf, math.nan]
+    random = np.random.default_rng(20260).uniform(-40.0, 40.0, 1_000_000)
+    for points in (np.array(edges), random, random.reshape(1000, 1000)):
+        ours = _ndtr(points)
+        oracle = scipy.special.ndtr(points)
+        assert ours.shape == points.shape
+        mismatched = ours.view(np.int64) != oracle.view(np.int64)
+        assert not mismatched.any(), points[mismatched][:10]
 
 
 def test_studentized_range_edges_and_validation():
