@@ -12,13 +12,12 @@ import argparse
 import dataclasses
 import math
 import os
-import secrets
 import sys
-from importlib import resources
 
 from .config import ConfigError, check_referrals, load_config
 from .department import METRIC_FIELDS, run_replication
 from .experiments import (
+    MAX_JOBS,
     format_summary_table,
     load_results,
     replaced_atomically,
@@ -32,6 +31,7 @@ from .stats import anova_two_way, levene_test, tukey_hsd
 
 CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
 DEFAULT_CONFIG_FILES = ("dept_atv.toml", "dept_ww.toml")
+PACKAGED_CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 
 
 def resolve_config_path(name, extra_dir=None):
@@ -44,18 +44,13 @@ def resolve_config_path(name, extra_dir=None):
     env_dir = os.environ.get(CONFIG_DIR_ENV)
     if env_dir:
         dirs.append(env_dir)
+    dirs.append(PACKAGED_CONFIG_DIR)
     for candidate_dir in dirs:
         for base in names:
             path = os.path.join(candidate_dir, base) if candidate_dir else base
             if os.path.isfile(path):
                 return path
             tried.append(path)
-    packaged = resources.files("retailsim") / "configs"
-    for base in names:
-        candidate = packaged / base
-        if candidate.is_file():
-            return str(candidate)
-        tried.append(str(candidate))
     raise ConfigError(f"config {name!r} not found; tried: {', '.join(tried)}")
 
 
@@ -105,7 +100,10 @@ def cmd_run(args):
         except ValueError as exc:
             raise ConfigError(f"--weeks {args.weeks}: {exc}") from None
         config = dataclasses.replace(config, horizon=horizon)
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    if args.seed is not None:
+        seed = args.seed
+    else:
+        seed = int.from_bytes(os.urandom(8), "big") >> 1
     print(f"seed: {seed}")
     metrics = run_replication(config, staffing=staffing, seed=seed)
     for name in METRIC_FIELDS:
@@ -126,8 +124,8 @@ def cmd_run(args):
 def cmd_sweep(args):
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ConfigError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     configs = {}
     for name in args.configs:
         cfg = load_config(resolve_config_path(name, args.config_dir))
@@ -317,7 +315,7 @@ def build_parser():
     p_sweep.add_argument("--out", default="results.csv",
                          help="results CSV path (default results.csv)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (default 1)")
+                         help=f"worker processes, at most {MAX_JOBS} (default 1)")
     p_sweep.add_argument("--config-dir", dest="config_dir",
                          help="directory searched for config files first")
     p_sweep.add_argument(

@@ -6,36 +6,39 @@ reordering execution (including --jobs parallelism) never shifts any cell's
 stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
 repeated sweep is byte-identical. Result files are written beside their
-target and moved into place, so no reader sees half of one.
+target and moved into place, so no reader sees half of one. A replication
+that fails inside a sweep is reported as a SimulationFault naming its
+department, level, replication and seed, so it can be rerun on its own.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .config import StaffingPlan
 from .department import METRIC_FIELDS, RunMetrics, run_replication
+from .kernel import SimulationFault, hash_seed
 from .stats import RunningStat
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
+# Most worker processes a sweep may ask for. The pool forks all of its
+# workers at the first task and each holds a replication in memory, so a
+# typo such as --jobs 100000 must be refused, not attempted.
+MAX_JOBS = 64
 
 _EXPERIMENTS = ("cashiers", "empowerment")
 
 
 def derive_cell_seed(base_seed, department, level, replication):
     """Stable 63-bit seed for one experiment cell."""
-    text = f"{base_seed}|{department}|{level!r}|{replication}"
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
+    return hash_seed(f"{base_seed}|{department}|{level!r}|{replication}") >> 1
 
 
 def cashier_fill_plan(cashiers, total=10, expert_sellers=1, section_managers=1):
@@ -104,17 +107,27 @@ def _cell_config(experiment, config, level):
 
 
 def _run_cell(task):
-    config, staffing, seed = task
-    return run_replication(config, staffing=staffing, seed=seed)
+    config, staffing, department, level, replication, seed = task
+    try:
+        return run_replication(config, staffing=staffing, seed=seed)
+    except Exception as exc:
+        raise SimulationFault(
+            f"sweep cell department={department!r} level={level!r} "
+            f"replication={replication} seed={seed}: {exc}"
+        ) from exc
 
 
 def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     """Run a full sweep; returns ResultRows in canonical order.
 
     `configs` maps department label to DepartmentConfig; label order is the
-    row order. jobs > 1 fans replications out to worker processes without
-    changing any result (each cell is seeded independently).
+    row order. jobs > 1 fans replications out to at most `jobs` worker
+    processes, never more than there are replications, without changing any
+    result (each cell is seeded independently). jobs must lie in
+    [1, MAX_JOBS].
     """
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     if experiment == "cashiers":
         levels = CASHIER_LEVELS
     elif experiment == "empowerment":
@@ -128,23 +141,25 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         replications=replications,
         base_seed=base_seed,
     )
-    coords = []
     tasks = []
     for dept in design.departments:
         for level in design.levels:
             cell_cfg, staffing = _cell_config(experiment, configs[dept], level)
             for rep in range(1, design.replications + 1):
                 seed = design.seed_for(dept, level, rep)
-                coords.append((dept, level, rep, seed))
-                tasks.append((cell_cfg, staffing, seed))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+                tasks.append((cell_cfg, staffing, dept, level, rep, seed))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # Imported here: only a parallel sweep pays for the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks, chunksize=8))
     else:
         outcomes = [_run_cell(t) for t in tasks]
     return [
         ResultRow(experiment, dept, level, rep, seed, metrics)
-        for (dept, level, rep, seed), metrics in zip(coords, outcomes)
+        for (_, _, dept, level, rep, seed), metrics in zip(tasks, outcomes)
     ]
 
 

@@ -13,7 +13,6 @@ days; callers impose day structure by scheduling their own close events.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 
 import numpy as np
@@ -85,14 +84,22 @@ class EventCalendar:
         return self.now
 
 
-def derive_substream_seed(master_seed, name):
-    """Hash (master_seed, name) to a 64-bit stream seed.
+def hash_seed(text):
+    """The first 64 bits of sha256(text) as an unsigned int.
 
-    sha256 keeps distinct names statistically independent and makes the
-    mapping stable across platforms and Python hash randomization.
+    sha256 keeps distinct texts statistically independent and makes the
+    mapping stable across platforms and Python hash randomization. hashlib
+    is imported here, not at module level, because it loads OpenSSL and
+    only commands that simulate derive seeds.
     """
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    import hashlib
+
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+
+
+def derive_substream_seed(master_seed, name):
+    """Hash (master_seed, name) to a 64-bit stream seed."""
+    return hash_seed(f"{master_seed}:{name}")
 
 
 class RngStream:

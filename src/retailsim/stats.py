@@ -7,8 +7,12 @@ studentized-range tail via composite Gauss-Legendre quadrature over both the
 scaled-chi axis and the normal-range axis. The normal CDF inside that
 integral is a port of the Cephes `ndtr` (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989) that returns the C routine's bits, so the
-package needs numpy alone. The test suite cross-checks every route against
-independent implementations, scipy's among them.
+package needs numpy alone. The inner integral is evaluated on a matrix of
+widths by normal-axis nodes that is filled one panel of widths at a time, so
+the normal CDF's temporaries stay small; only exact elementwise steps are
+blocked, and the result has the bits of the whole-matrix evaluation. The test
+suite cross-checks every route against independent implementations, scipy's
+among them.
 """
 
 from __future__ import annotations
@@ -293,10 +297,15 @@ _ERF_U = (
 
 
 def _polevl(x, coef):
-    """Horner's rule over coef, highest power first (Cephes polevl)."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    """Horner's rule over coef, highest power first (Cephes polevl).
+
+    Runs in place on one array; each step is still (ans * x) + c.
+    """
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -304,7 +313,8 @@ def _p1evl(x, coef):
     """As _polevl with an implied leading coefficient of 1 (Cephes p1evl)."""
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
@@ -384,10 +394,20 @@ def _z_nodes():
 
 
 def _range_cdf_at(w, k):
-    """P(range of k iid standard normals <= w) for an array of widths w."""
+    """P(range of k iid standard normals <= w) for an array of widths w.
+
+    The (len(w), len(zs)) matrix of ndtr(z) - ndtr(z - w) is filled one
+    panel of _GL_ORDER widths at a time, so the dozen temporaries inside
+    _ndtr stay cache-sized. Only those elementwise steps are blocked: the
+    power and the product with the node weights run once on the whole
+    matrix, as numpy may pick a different code path for another shape.
+    """
     zs, phi_w, ndtr_zs = _z_nodes()
-    inner = ndtr_zs[None, :] - _ndtr(zs[None, :] - w[:, None])
-    np.clip(inner, 0.0, 1.0, out=inner)
+    inner = np.empty((len(w), len(zs)))
+    for start in range(0, len(w), _GL_ORDER):
+        rows = inner[start:start + _GL_ORDER]
+        np.subtract(ndtr_zs, _ndtr(zs - w[start:start + _GL_ORDER, None]), out=rows)
+        np.clip(rows, 0.0, 1.0, out=rows)
     return k * (inner ** (k - 1) @ phi_w)
 
 

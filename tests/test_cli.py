@@ -1,14 +1,22 @@
 """Command line behavior: exit codes, determinism, and analysis output."""
 
+import concurrent.futures
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from retailsim import experiments
 from retailsim.cli import main, resolve_config_path
 from retailsim.department import METRIC_FIELDS, RunMetrics
-from retailsim.experiments import ResultRow, csv_header, save_results
+from retailsim.experiments import (
+    MAX_JOBS,
+    ResultRow,
+    csv_header,
+    derive_cell_seed,
+    save_results,
+)
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +326,38 @@ def test_sweep_rejects_bad_usage(short_dir, tmp_path, capsys):
     assert "duplicate department label" in capsys.readouterr().err
 
 
+def test_sweep_rejects_jobs_beyond_the_ceiling(short_dir, tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started.append)
+    for jobs in (0, MAX_JOBS + 1, 100_000):
+        argv = sweep_argv(short_dir, tmp_path / "x.csv") + ["--jobs", str(jobs)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}" in err
+    assert started == []
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_fault_exits_1_naming_the_cell(short_dir, tmp_path, capsys, monkeypatch):
+    bad_seed = derive_cell_seed(1, "WW", 0.5, 1)
+    original = experiments.run_replication
+
+    def faulty(config, staffing=None, seed=None):
+        if seed == bad_seed:
+            raise ZeroDivisionError("injected failure")
+        return original(config, staffing=staffing, seed=seed)
+
+    monkeypatch.setattr(experiments, "run_replication", faulty)
+    out = tmp_path / "emp.csv"
+    assert main(sweep_argv(short_dir, out)) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"simulation fault: sweep cell department='WW' level=0.5 replication=1 "
+        f"seed={bad_seed}: injected failure\n"
+    )
+    assert not out.exists()
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
@@ -458,21 +498,42 @@ def test_module_entry_point_runs():
     assert "OK" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # The package needs numpy alone; scipy is a test oracle and nothing more.
-    code = "import sys, retailsim.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    results = tmp_path / "worked.csv"
-    write_worked_example(results)
+# Modules no analysis or validation needs: scipy is a test oracle only,
+# hashlib loads OpenSSL for seed derivation, the process pool serves
+# `sweep --jobs N` with N > 1, and secrets serves nothing.
+NOT_FOR_ANALYSIS = ("scipy", "hashlib", "concurrent.futures.process", "secrets")
+
+
+def loaded_by(argv):
+    """Run `retailsim argv` in a fresh interpreter.
+
+    Returns its stdout lines; the last one is the exit code followed by the
+    NOT_FOR_ANALYSIS modules loaded by then.
+    """
     code = (
         "import sys\n"
         "from retailsim.cli import main\n"
-        f"rc = main(['analyze', '--results', {str(results)!r}])\n"
-        "print(rc, 'scipy' in sys.modules)\n"
+        f"rc = main({argv!r}) if {argv!r} else 0\n"
+        f"print(rc, *[m for m in {NOT_FOR_ANALYSIS!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert "Tukey HSD on cashiers levels (pooled over departments):" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    return proc.stdout.splitlines()
+
+
+def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
+    assert loaded_by([]) == ["0"]
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    lines = loaded_by(["analyze", "--results", str(results)])
+    assert "Tukey HSD on cashiers levels (pooled over departments):" in lines
+    assert lines[-1] == "0"
+    lines = loaded_by(["validate", "--config", "dept_atv.toml"])
+    assert lines[-1] == "0"
+    # A serial sweep derives seeds (and numpy.random loads secrets) but
+    # starts no pool.
+    lines = loaded_by(sweep_argv(short_dir, tmp_path / "emp.csv") + ["--jobs", "1"])
+    rc, *loaded = lines[-1].split()
+    assert rc == "0"
+    assert "hashlib" in loaded
+    assert "concurrent.futures.process" not in loaded

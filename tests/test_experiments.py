@@ -1,5 +1,6 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
+import concurrent.futures
 import math
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from retailsim import experiments
 from retailsim.config import StaffingPlan
 from retailsim.department import METRIC_FIELDS, RunMetrics
+from retailsim.kernel import SimulationFault
 from retailsim.experiments import (
     CASHIER_LEVELS,
     EMPOWERMENT_LEVELS,
+    MAX_JOBS,
     ExperimentDesign,
     ResultRow,
     cashier_fill_plan,
@@ -114,6 +117,71 @@ def test_sweep_parallel_matches_serial(mini_sweep, atv_week, ww_week):
         jobs=2,
     )
     assert parallel == mini_sweep
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture()
+def recording_executor(monkeypatch):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return RecordingExecutor
+
+
+def test_sweep_starts_no_more_workers_than_replications(
+    recording_executor, mini_sweep, atv_week, ww_week
+):
+    rows = run_sweep(
+        "cashiers", {"A&TV": atv_week, "WW": ww_week}, replications=1, jobs=MAX_JOBS
+    )
+    assert recording_executor.sizes == [10]
+    assert rows == mini_sweep
+    run_sweep("cashiers", {"A&TV": atv_week}, replications=1, jobs=3)
+    assert recording_executor.sizes == [10, 3]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 100_000])
+def test_sweep_rejects_jobs_outside_the_bound(recording_executor, atv_week, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be between 1 and {MAX_JOBS}"):
+        run_sweep("cashiers", {"A&TV": atv_week}, replications=1, jobs=jobs)
+    assert recording_executor.sizes == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
+    design = ExperimentDesign("cashiers", ("A&TV",), CASHIER_LEVELS, replications=2)
+    bad_seed = design.seed_for("A&TV", 3, 2)
+    original = experiments.run_replication
+
+    def faulty(config, staffing=None, seed=None):
+        if seed == bad_seed:
+            raise RuntimeError("injected failure")
+        return original(config, staffing=staffing, seed=seed)
+
+    # Worker processes are forked, so they inherit the patched function.
+    monkeypatch.setattr(experiments, "run_replication", faulty)
+    with pytest.raises(SimulationFault) as excinfo:
+        run_sweep("cashiers", {"A&TV": atv_week}, replications=2, jobs=jobs)
+    assert str(excinfo.value) == (
+        f"sweep cell department='A&TV' level=3 replication=2 seed={bad_seed}: "
+        "injected failure"
+    )
 
 
 def test_sweep_rejects_unknown_experiment(atv_week):

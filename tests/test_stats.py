@@ -13,6 +13,8 @@ from retailsim.stats import (
     _MAXLOG,
     RunningStat,
     _ndtr,
+    _range_cdf_at,
+    _z_nodes,
     anova_two_way,
     f_upper_tail,
     levene_test,
@@ -268,6 +270,27 @@ def test_ndtr_port_is_bitwise_scipy_ndtr():
         assert ours.shape == points.shape
         mismatched = ours.view(np.int64) != oracle.view(np.int64)
         assert not mismatched.any(), points[mismatched][:10]
+
+
+def _range_cdf_one_shot(w, k):
+    """The range CDF with the whole (len(w), len(zs)) matrix built at once."""
+    zs, phi_w, ndtr_zs = _z_nodes()
+    inner = ndtr_zs[None, :] - _ndtr(zs[None, :] - w[:, None])
+    np.clip(inner, 0.0, 1.0, out=inner)
+    return k * (inner ** (k - 1) @ phi_w)
+
+
+@pytest.mark.parametrize("size", [1, 7, 20, 240, 241])
+def test_blocked_range_cdf_is_bitwise_the_one_shot_reference(size):
+    # 20 widths per block: sizes 1, 7 and 241 end on a partial block.
+    w = np.random.default_rng(size).uniform(0.0, 12.0, size)
+    edges = [0.0, 40.0, 1e-3]  # zero width, saturated, nearly zero
+    w[: len(edges)] = edges[:size]
+    for k in (2, 5, 10):
+        blocked = _range_cdf_at(w, k)
+        reference = _range_cdf_one_shot(w, k)
+        assert blocked.shape == (size,)
+        assert np.array_equal(blocked.view(np.int64), reference.view(np.int64)), k
 
 
 def test_studentized_range_edges_and_validation():
