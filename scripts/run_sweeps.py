@@ -3,7 +3,9 @@
 
 Writes one results CSV and one analysis CSV per experiment under --outdir,
 and prints per-cell summary tables plus the ANOVA / Levene / Tukey report
-for the transaction counts.
+for the transaction counts. Each step is a `retailsim sweep` or
+`retailsim analyze` command, so the command line checks every option and a
+bad one exits 2 before any sweep starts.
 """
 
 import argparse
@@ -11,48 +13,30 @@ import pathlib
 import sys
 
 from retailsim import cli
-from retailsim.config import load_config
-from retailsim.experiments import (
-    format_summary_table,
-    run_sweep,
-    save_results,
-    summarize,
-)
 
-DEPARTMENTS = ("dept_atv", "dept_ww")
 EXPERIMENTS = ("cashiers", "empowerment")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=20, help="replications per cell")
-    parser.add_argument("--base-seed", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--reps", default="20", help="replications per cell")
+    parser.add_argument("--base-seed", default="1")
+    parser.add_argument("--jobs", default="1", help="worker processes")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args(argv)
-
-    configs = {}
-    for name in DEPARTMENTS:
-        config = load_config(cli.resolve_config_path(name))
-        configs[config.label] = config
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for experiment in EXPERIMENTS:
-        rows = run_sweep(
-            experiment,
-            configs,
-            replications=args.reps,
-            base_seed=args.base_seed,
-            jobs=args.jobs,
-        )
-        path = outdir / f"{experiment}.csv"
-        save_results(rows, path)
-        print(f"{experiment}: {len(rows)} rows -> {path}")
-        print(format_summary_table(summarize(rows, "transactions"), "transactions"))
-        rc = cli.main(["analyze", "--results", str(path)])
-        if rc != 0:
-            return rc
+        path = str(outdir / f"{experiment}.csv")
+        sweep = [
+            "sweep", "--experiment", experiment, "--reps", args.reps,
+            "--base-seed", args.base_seed, "--jobs", args.jobs, "--out", path,
+        ]
+        for command in (sweep, ["analyze", "--results", path]):
+            rc = cli.main(command)
+            if rc != 0:
+                return rc
         print()
     return 0
 

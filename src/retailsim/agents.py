@@ -192,10 +192,6 @@ class SatisfactionWeights:
     weights: tuple
 
     @classmethod
-    def defaults(cls):
-        return cls.from_mapping({})
-
-    @classmethod
     def from_mapping(cls, mapping):
         """Build from {event-name: int}; unknown kinds or non-ints are errors."""
         merged = dict(_DEFAULT_WEIGHTS)
@@ -213,9 +209,6 @@ class SatisfactionWeights:
                 )
             merged[event] = value
         return cls(tuple(merged[e] for e in SatisfactionEvent))
-
-    def __getitem__(self, kind):
-        return self.weights[kind]
 
 
 class SatisfactionLedger:

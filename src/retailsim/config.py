@@ -1,11 +1,14 @@
-"""Department configuration: file format, schema validation, dataclasses.
+"""Department configuration: the record dataclasses are the schema.
 
-Config files are TOML, read with the standard library's tomllib. The schema
-is checked here, and every error names the offending field and file.
-
-Durations may be given either as a table with min/mode/max (a `[section]` or
-an inline `{ min = 1, mode = 3, max = 6 }`) or as a single number for a fixed
-duration. Every number must be finite, and durations must be >= 0.
+Config files are TOML, read with the standard library's tomllib. Each section
+is read into one frozen record: `[arrivals]` into `sampling.ArrivalProfile`,
+`[empowerment]` into `queueing.EmpowermentPolicy`, the rest into the records
+below. A record's field names are its section's keys, its field defaults the
+defaults of omitted keys, and its `__post_init__` holds every bound; the one
+reader, `_record`, walks the fields. `[satisfaction_weights]` is read by
+`agents.SatisfactionWeights.from_mapping`, keyed by event name. A duration is
+a min/mode/max table or a bare number for a fixed duration. Every number must
+be finite, and every error names the file and the field.
 """
 
 from __future__ import annotations
@@ -14,15 +17,13 @@ import logging
 import os
 import sys
 import tomllib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .agents import SatisfactionWeights
 from .queueing import EmpowermentPolicy
-from .sampling import ArrivalProfile, DecisionProb, TriangularParams
+from .sampling import ArrivalProfile, TriangularParams
 
 log = logging.getLogger("retailsim.config")
-
-_MISSING = object()
 
 # The clock is a float in minutes: beyond 2**53 it no longer holds every whole
 # minute exactly, so a longer horizon (or more days than that) is rejected.
@@ -38,7 +39,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Schema
+# Schema: one record per TOML section
 
 
 @dataclass(frozen=True)
@@ -49,34 +50,41 @@ class StaffingPlan:
     section_managers: int
 
     def __post_init__(self):
-        for name in ("cashiers", "normal_sellers", "expert_sellers", "section_managers"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValueError(f"staffing.{name} must be a non-negative integer, got {v!r}")
+                raise ValueError(f"staffing.{f.name} must be a non-negative integer, got {v!r}")
             if v > MAX_STAFF_PER_ROLE:
                 raise ValueError(
-                    f"staffing.{name} must be at most {MAX_STAFF_PER_ROLE}, got {v}"
+                    f"staffing.{f.name} must be at most {MAX_STAFF_PER_ROLE}, got {v}"
                 )
 
     def total(self):
-        return (
-            self.cashiers
-            + self.normal_sellers
-            + self.expert_sellers
-            + self.section_managers
-        )
+        return sum(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
 class Durations:
+    """Triangular durations in minutes; an omitted patience is patience_pay."""
+
     browse: TriangularParams
     help: TriangularParams
     pay_service: TriangularParams
     refund_service: TriangularParams
-    manager_authorization: TriangularParams
     patience_pay: TriangularParams
-    patience_help: TriangularParams
-    patience_refund: TriangularParams
+    manager_authorization: TriangularParams = TriangularParams(1.0, 3.0, 6.0)
+    patience_help: TriangularParams | None = None
+    patience_refund: TriangularParams | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            params = getattr(self, f.name)
+            if params is None and f.default is None:
+                params = self.patience_pay
+                object.__setattr__(self, f.name, params)
+            # low <= mode <= high holds already, so this bounds all three.
+            if not params.low >= 0:
+                raise ValueError(f"durations.{f.name}.min must be >= 0, got {params.low}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,22 @@ class Probabilities:
     need_help: float
     buy_after_browse: float
     buy_after_help: float
-    refund_goal: float
-    repurchase_after_refund: float
-    needs_expert: float
-    buy_after_browse_is_marginal: bool
+    refund_goal: float = 0.1
+    repurchase_after_refund: float = 0.3
+    needs_expert: float = 0.2
+    buy_after_browse_is_marginal: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            p = getattr(self, f.name)
+            if f.type == "float" and not 0.0 <= p <= 1.0:
+                raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
+        if self.buy_after_browse_is_marginal and self.need_help + self.buy_after_browse > 1.0:
+            raise ValueError(
+                f"probabilities.need_help + probabilities.buy_after_browse "
+                f"exceed 1 ({self.need_help} + {self.buy_after_browse}); "
+                f"marginal browse-exit probabilities must sum to at most 1"
+            )
 
     def browse_buy_conditional(self):
         """P(buy | browsed, no help wanted) implied by the configured reading.
@@ -104,8 +124,8 @@ class Probabilities:
 
 @dataclass(frozen=True)
 class Horizon:
-    trading_day_minutes: float
-    days: int
+    trading_day_minutes: float = 600.0
+    days: int = 70
 
     def __post_init__(self):
         if not (self.trading_day_minutes > 0):
@@ -113,7 +133,9 @@ class Horizon:
                 f"horizon.trading_day_minutes must be > 0, got {self.trading_day_minutes}"
             )
         if isinstance(self.days, bool) or not isinstance(self.days, int) or self.days < 1:
-            raise ValueError(f"horizon must cover at least 1 day, got days={self.days!r}")
+            raise ValueError(
+                f"horizon.days must be a whole number of at least 1 day, got {self.days!r}"
+            )
         # The first test keeps the product below float overflow.
         if (
             self.days > MAX_HORIZON_MINUTES
@@ -122,6 +144,20 @@ class Horizon:
             raise ValueError(
                 f"horizon.days x horizon.trading_day_minutes must be at most 2**53 "
                 f"minutes, got days={self.days} of {self.trading_day_minutes:g} minutes"
+            )
+
+
+@dataclass(frozen=True)
+class Queues:
+    """The order in which a freed cashier looks at its two queues."""
+
+    cashier_priority: tuple = ("refund", "pay")
+
+    def __post_init__(self):
+        if sorted(self.cashier_priority, key=str) != ["pay", "refund"]:
+            raise ValueError(
+                f"queues.cashier_priority must be a permutation of ['refund', 'pay'], "
+                f"got {list(self.cashier_priority)!r}"
             )
 
 
@@ -135,287 +171,130 @@ class DepartmentConfig:
     staffing: StaffingPlan
     empowerment: EmpowermentPolicy
     horizon: Horizon
-    cashier_priority: tuple = ("refund", "pay")
+    cashier_priority: tuple
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Reader
 
 
 def _check_known(table, known, path, source):
     unknown = sorted(set(table) - set(known))
     if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigError(f"{source}: unknown key {where!r}")
+        raise ConfigError(f"{source}: unknown key {f'{path}.{unknown[0]}'!r}")
 
 
-def _number(table, path, key, source, default=_MISSING, minimum=None):
-    if key not in table:
-        if default is _MISSING:
-            raise ConfigError(f"{source}: missing required key {path}.{key}")
-        return default
-    v = table[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{source}: {path}.{key} must be a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
-        raise ConfigError(f"{source}: {path}.{key} must be finite, got {v}")
-    if minimum is not None and not (v >= minimum):
-        raise ConfigError(f"{source}: {path}.{key} must be >= {minimum}, got {v}")
-    return float(v)
+def _read(value, kind, where, source):
+    """One TOML value as the annotated `kind` of the field at `where`.
 
-
-def _prob(table, path, key, source, default=_MISSING):
-    v = _number(table, path, key, source, default=default)
-    try:
-        return DecisionProb(v).p
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {path}.{key}: {exc}") from None
-
-
-def _bool(table, path, key, source, default=_MISSING):
-    if key not in table:
-        if default is _MISSING:
-            raise ConfigError(f"{source}: missing required key {path}.{key}")
-        return default
-    v = table[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{source}: {path}.{key} must be true or false, got {v!r}")
-    return v
-
-
-def _int(table, path, key, source, default=_MISSING):
-    if key not in table:
-        if default is _MISSING:
-            raise ConfigError(f"{source}: missing required key {path}.{key}")
-        return default
-    v = table[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{source}: {path}.{key} must be an integer, got {v!r}")
-    return v
-
-
-def _section(root, name, source, required=True):
-    if name not in root:
-        if required:
-            raise ConfigError(f"{source}: missing required section [{name}]")
-        return None
-    v = root[name]
-    if not isinstance(v, dict):
-        raise ConfigError(f"{source}: [{name}] must be a section, got {v!r}")
-    return v
-
-
-def _triangular(table, key, source):
-    """Read durations.<key>: {min, mode, max} for a spread, a bare number for a constant."""
-    value = table[key]
+    Only the type is checked here. An int is passed on as it is: the record,
+    which code also builds from other sources, checks it with its bounds.
+    """
+    if kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{source}: {where} must be true or false, got {value!r}")
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{source}: {where} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
+            raise ConfigError(f"{source}: {where} must be finite, got {value}")
+        return float(value)
+    if kind == "tuple":
+        if not isinstance(value, list):
+            raise ConfigError(f"{source}: {where} must be an array, got {value!r}")
+        return tuple(value)
+    if not kind.startswith("TriangularParams"):
+        return value
+    # A duration: {min, mode, max} for a spread, a bare number for a constant.
     if not isinstance(value, dict):
-        return TriangularParams.constant(
-            _number(table, "durations", key, source, minimum=0.0)
-        )
-    path = f"durations.{key}"
-    _check_known(value, ("min", "mode", "max"), path, source)
-    lo, mode, hi = (
-        _number(value, path, k, source, minimum=0.0) for k in ("min", "mode", "max")
-    )
-    if lo == hi == mode:
-        return TriangularParams.constant(lo)
+        return TriangularParams.constant(_read(value, "float", where, source))
+    keys = ("min", "mode", "max")
+    _check_known(value, keys, where, source)
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ConfigError(f"{source}: missing required key {where}.{missing[0]}")
+    low, mode, high = (_read(value[key], "float", f"{where}.{key}", source) for key in keys)
+    if low == mode == high:
+        return TriangularParams.constant(low)
     try:
-        return TriangularParams(lo, mode, hi)
+        return TriangularParams(low, mode, high)
     except ValueError as exc:
-        raise ConfigError(f"{source}: {path}: {exc}") from None
+        raise ConfigError(f"{source}: {where}: {exc}") from None
 
 
-_TOP_LEVEL = ("label",)
-_SECTIONS = (
-    "arrivals",
-    "durations",
-    "probabilities",
-    "satisfaction_weights",
-    "staffing",
-    "empowerment",
-    "horizon",
-    "queues",
-)
-_DURATION_KEYS = (
-    "browse",
-    "help",
-    "pay_service",
-    "refund_service",
-    "manager_authorization",
-    "patience_pay",
-    "patience_help",
-    "patience_refund",
-)
+def _record(cls, root, section, source, **given):
+    """Read [section] into the record `cls`, taking the section out of `root`.
+
+    The fields of `cls`, less those `given`, are the section's keys. An
+    omitted key takes its field's default, which is logged.
+    """
+    present = section in root
+    table = root.pop(section, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"{source}: [{section}] must be a section, got {table!r}")
+    keys = [f for f in fields(cls) if f.name not in given]
+    _check_known(table, [f.name for f in keys], section, source)
+    values = dict(given)
+    defaulted = []
+    for f in keys:
+        where = f"{section}.{f.name}"
+        if f.name in table:
+            values[f.name] = _read(table[f.name], f.type, where, source)
+        elif f.default is MISSING:
+            missing = f"key {where}" if present else f"section [{section}]"
+            raise ConfigError(f"{source}: missing required {missing}")
+        else:
+            defaulted.append(f.name)
+    try:
+        record = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    for name in defaulted:
+        log.info(
+            "%s: %s.%s omitted; defaulting to %r", source, section, name, getattr(record, name)
+        )
+    return record
 
 
 def build_config(root, source="<config>"):
     """Validate a parsed config tree and build the DepartmentConfig."""
     if not isinstance(root, dict):
         raise ConfigError(f"{source}: config root must be a table")
-    _check_known(root, _TOP_LEVEL + _SECTIONS, "", source)
-
-    label = root.get("label")
+    rest = dict(root)  # each reader takes its section; what is left is unknown
+    label = rest.pop("label", None)
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{source}: top-level 'label' must be a non-empty string")
 
-    arrivals_t = _section(root, "arrivals", source)
-    _check_known(arrivals_t, ("rate_per_hour",), "arrivals", source)
-    rate = _number(arrivals_t, "arrivals", "rate_per_hour", source, minimum=0.0)
-    arrivals = ArrivalProfile(rate)
-
-    durations_t = _section(root, "durations", source)
-    _check_known(durations_t, _DURATION_KEYS, "durations", source)
-    tri = {}
-    for key in ("browse", "help", "pay_service", "refund_service", "patience_pay"):
-        if key not in durations_t:
-            raise ConfigError(f"{source}: missing required section [durations.{key}]")
-        tri[key] = _triangular(durations_t, key, source)
-    for key, fallback, note in (
-        ("patience_help", tri["patience_pay"], "pay-queue patience"),
-        ("patience_refund", tri["patience_pay"], "pay-queue patience"),
-        ("manager_authorization", TriangularParams(1.0, 3.0, 6.0), "tri(1, 3, 6)"),
-    ):
-        if key in durations_t:
-            tri[key] = _triangular(durations_t, key, source)
-        else:
-            tri[key] = fallback
-            log.info("%s: [durations.%s] omitted; defaulting to %s", source, key, note)
-    durations = Durations(**tri)
-
-    probs_t = _section(root, "probabilities", source)
-    _check_known(
-        probs_t,
-        (
-            "need_help",
-            "buy_after_browse",
-            "buy_after_help",
-            "refund_goal",
-            "repurchase_after_refund",
-            "needs_expert",
-            "buy_after_browse_is_marginal",
-        ),
-        "probabilities",
-        source,
-    )
-    probabilities = Probabilities(
-        need_help=_prob(probs_t, "probabilities", "need_help", source),
-        buy_after_browse=_prob(probs_t, "probabilities", "buy_after_browse", source),
-        buy_after_help=_prob(probs_t, "probabilities", "buy_after_help", source),
-        refund_goal=_prob(probs_t, "probabilities", "refund_goal", source, default=0.1),
-        repurchase_after_refund=_prob(
-            probs_t, "probabilities", "repurchase_after_refund", source, default=0.3
-        ),
-        needs_expert=_prob(probs_t, "probabilities", "needs_expert", source, default=0.2),
-        buy_after_browse_is_marginal=_bool(
-            probs_t, "probabilities", "buy_after_browse_is_marginal", source, default=True
-        ),
-    )
-    if (
-        probabilities.buy_after_browse_is_marginal
-        and probabilities.need_help + probabilities.buy_after_browse > 1.0
-    ):
-        raise ConfigError(
-            f"{source}: probabilities.need_help + probabilities.buy_after_browse "
-            f"exceed 1 ({probabilities.need_help} + {probabilities.buy_after_browse}); "
-            f"marginal browse-exit probabilities must sum to at most 1"
-        )
-
-    weights_t = _section(root, "satisfaction_weights", source, required=False)
-    if weights_t is None:
-        weights = SatisfactionWeights.defaults()
+    weights = rest.pop("satisfaction_weights", None)
+    if weights is None:
         log.info("%s: [satisfaction_weights] omitted; using default weights", source)
-    else:
-        try:
-            weights = SatisfactionWeights.from_mapping(weights_t)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: satisfaction_weights: {exc}") from None
-
-    staffing_t = _section(root, "staffing", source)
-    _check_known(
-        staffing_t,
-        ("cashiers", "normal_sellers", "expert_sellers", "section_managers"),
-        "staffing",
-        source,
-    )
+        weights = {}
+    elif not isinstance(weights, dict):
+        raise ConfigError(f"{source}: [satisfaction_weights] must be a section, got {weights!r}")
     try:
-        staffing = StaffingPlan(
-            cashiers=_int(staffing_t, "staffing", "cashiers", source),
-            normal_sellers=_int(staffing_t, "staffing", "normal_sellers", source),
-            expert_sellers=_int(staffing_t, "staffing", "expert_sellers", source),
-            section_managers=_int(staffing_t, "staffing", "section_managers", source),
-        )
+        weights = SatisfactionWeights.from_mapping(weights)
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+        raise ConfigError(f"{source}: satisfaction_weights: {exc}") from None
 
-    emp_t = _section(root, "empowerment", source, required=False)
-    if emp_t is None:
-        emp_t = {}
-        log.info(
-            "%s: [empowerment] omitted; defaulting to p_empowered = 1.0 "
-            "(all refunds settled by the cashier)",
-            source,
-        )
-    _check_known(
-        emp_t,
-        ("p_empowered", "hold_cashier_during_referral", "empowered_duration_multiplier"),
-        "empowerment",
-        source,
-    )
-    try:
-        empowerment = EmpowermentPolicy(
-            p_empowered=_prob(emp_t, "empowerment", "p_empowered", source, default=1.0),
-            manager_overhead=durations.manager_authorization,
-            hold_cashier_during_referral=_bool(
-                emp_t, "empowerment", "hold_cashier_during_referral", source, default=True
-            ),
-            empowered_duration_multiplier=_number(
-                emp_t, "empowerment", "empowered_duration_multiplier", source, default=1.0
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: empowerment: {exc}") from None
-
-    horizon_t = _section(root, "horizon", source, required=False)
-    if horizon_t is None:
-        horizon_t = {}
-        log.info("%s: [horizon] omitted; defaulting to 70 days of 600 minutes", source)
-    _check_known(horizon_t, ("trading_day_minutes", "days"), "horizon", source)
-    try:
-        horizon = Horizon(
-            trading_day_minutes=_number(
-                horizon_t, "horizon", "trading_day_minutes", source, default=600.0
-            ),
-            days=_int(horizon_t, "horizon", "days", source, default=70),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: horizon: {exc}") from None
-
-    queues_t = _section(root, "queues", source, required=False)
-    cashier_priority = ("refund", "pay")
-    if queues_t is not None:
-        _check_known(queues_t, ("cashier_priority",), "queues", source)
-        if "cashier_priority" in queues_t:
-            v = queues_t["cashier_priority"]
-            if not isinstance(v, list) or sorted(v) != ["pay", "refund"]:
-                raise ConfigError(
-                    f"{source}: queues.cashier_priority must be a permutation of "
-                    f"['refund', 'pay'], got {v!r}"
-                )
-            cashier_priority = tuple(v)
-
-    check_referrals(empowerment, staffing, source)
-
-    return DepartmentConfig(
+    durations = _record(Durations, rest, "durations", source)
+    config = DepartmentConfig(
         label=label,
-        arrivals=arrivals,
+        arrivals=_record(ArrivalProfile, rest, "arrivals", source),
         durations=durations,
-        probabilities=probabilities,
+        probabilities=_record(Probabilities, rest, "probabilities", source),
         weights=weights,
-        staffing=staffing,
-        empowerment=empowerment,
-        horizon=horizon,
-        cashier_priority=cashier_priority,
+        staffing=_record(StaffingPlan, rest, "staffing", source),
+        # The manager's sign-off time is a duration, read with the others.
+        empowerment=_record(
+            EmpowermentPolicy, rest, "empowerment", source,
+            manager_overhead=durations.manager_authorization,
+        ),
+        horizon=_record(Horizon, rest, "horizon", source),
+        cashier_priority=_record(Queues, rest, "queues", source).cashier_priority,
     )
+    if rest:
+        raise ConfigError(f"{source}: unknown key {min(rest)!r}")
+    check_referrals(config.empowerment, config.staffing, source)
+    return config
 
 
 def check_referrals(empowerment, staffing, source):

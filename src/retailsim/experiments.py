@@ -27,13 +27,12 @@ from .stats import RunningStat
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_LEVELS = {"cashiers": CASHIER_LEVELS, "empowerment": EMPOWERMENT_LEVELS}
 CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
 # Most worker processes a sweep may ask for. The pool forks all of its
 # workers at the first task and each holds a replication in memory, so a
 # typo such as --jobs 100000 must be refused, not attempted.
 MAX_JOBS = 64
-
-_EXPERIMENTS = ("cashiers", "empowerment")
 
 
 def derive_cell_seed(base_seed, department, level, replication):
@@ -54,36 +53,6 @@ def cashier_fill_plan(cashiers, total=10, expert_sellers=1, section_managers=1):
             f"(needs {expert_sellers} expert + {section_managers} manager)"
         )
     return StaffingPlan(cashiers, normal, expert_sellers, section_managers)
-
-
-@dataclass(frozen=True)
-class ExperimentDesign:
-    """Factorial layout of one sweep: departments x levels x replications."""
-
-    name: str
-    departments: tuple
-    levels: tuple
-    replications: int = 20
-    base_seed: int = 1
-
-    def __post_init__(self):
-        if self.name not in _EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}; pick from {_EXPERIMENTS}")
-        if len(self.departments) < 1 or len(self.levels) < 1:
-            raise ValueError("design needs at least one department and one level")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        seeds = [
-            self.seed_for(d, lv, r)
-            for d in self.departments
-            for lv in self.levels
-            for r in range(1, self.replications + 1)
-        ]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seed derivation collided across cells; change base_seed")
-
-    def seed_for(self, department, level, replication):
-        return derive_cell_seed(self.base_seed, department, level, replication)
 
 
 @dataclass(frozen=True)
@@ -128,26 +97,22 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
-    if experiment == "cashiers":
-        levels = CASHIER_LEVELS
-    elif experiment == "empowerment":
-        levels = EMPOWERMENT_LEVELS
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}; pick from {_EXPERIMENTS}")
-    design = ExperimentDesign(
-        name=experiment,
-        departments=tuple(configs),
-        levels=levels,
-        replications=replications,
-        base_seed=base_seed,
-    )
+    levels = _LEVELS.get(experiment)
+    if levels is None:
+        raise ValueError(f"unknown experiment {experiment!r}; pick from {tuple(_LEVELS)}")
+    if not configs:
+        raise ValueError("design needs at least one department and one level")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     tasks = []
-    for dept in design.departments:
-        for level in design.levels:
-            cell_cfg, staffing = _cell_config(experiment, configs[dept], level)
-            for rep in range(1, design.replications + 1):
-                seed = design.seed_for(dept, level, rep)
+    for dept, config in configs.items():
+        for level in levels:
+            cell_cfg, staffing = _cell_config(experiment, config, level)
+            for rep in range(1, replications + 1):
+                seed = derive_cell_seed(base_seed, dept, level, rep)
                 tasks.append((cell_cfg, staffing, dept, level, rep, seed))
+    if len({task[-1] for task in tasks}) != len(tasks):
+        raise ValueError("seed derivation collided across cells; change base_seed")
     workers = min(jobs, len(tasks))
     if workers > 1:
         # Imported here: only a parallel sweep pays for the pool machinery.

@@ -43,9 +43,6 @@ class ServiceQueue:
         self.kind = kind
         self.entries = deque()
 
-    def __len__(self):
-        return len(self.entries)
-
     def push(self, entry):
         self.entries.append(entry)
 
@@ -103,20 +100,23 @@ class EmpowermentPolicy:
     service. While hold_cashier_during_referral is true the cashier stays
     occupied through the wait and authorization; when false the cashier is
     released after the service portion and the customer alone waits for the
-    manager.
+    manager. The config's [empowerment] section holds the other fields;
+    manager_overhead is its durations.manager_authorization.
     """
 
-    p_empowered: float
     manager_overhead: TriangularParams
+    p_empowered: float = 1.0
     hold_cashier_during_referral: bool = True
     empowered_duration_multiplier: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.p_empowered <= 1.0):
-            raise ValueError(f"p_empowered must lie in [0, 1], got {self.p_empowered}")
-        if self.empowered_duration_multiplier <= 0:
             raise ValueError(
-                f"empowered_duration_multiplier must be > 0, "
+                f"empowerment.p_empowered must lie in [0, 1], got {self.p_empowered}"
+            )
+        if not self.empowered_duration_multiplier > 0:
+            raise ValueError(
+                f"empowerment.empowered_duration_multiplier must be > 0, "
                 f"got {self.empowered_duration_multiplier}"
             )
 

@@ -56,34 +56,16 @@ class TriangularParams:
         obj._derive()
         return obj
 
-    def mean(self):
-        return (self.low + self.mode + self.high) / 3.0
-
-    def variance(self):
-        a, m, b = self.low, self.mode, self.high
-        return (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
-
-
-@dataclass(frozen=True)
-class DecisionProb:
-    """Validated probability for a yes/no customer decision."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"probability must lie in [0, 1], got {self.p}")
-
 
 @dataclass(frozen=True)
 class ArrivalProfile:
-    """Poisson arrival intensity; rate 0 means the door stays shut."""
+    """Poisson arrival intensity, read from [arrivals]; rate 0 keeps the door shut."""
 
     rate_per_hour: float
 
     def __post_init__(self):
-        if self.rate_per_hour < 0:
-            raise ValueError(f"arrival rate must be >= 0, got {self.rate_per_hour}")
+        if not self.rate_per_hour >= 0:
+            raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
 
 
 def sample_triangular(params, u):
@@ -105,8 +87,6 @@ def sample_triangular(params, u):
 
 def sample_bernoulli(p, u):
     """True iff u < p, so p = 0 never fires and p = 1 always does (u < 1)."""
-    if isinstance(p, DecisionProb):
-        p = p.p
     return u < p
 
 

@@ -52,10 +52,13 @@ def unimodal_or_plateau_peak(means):
 
 
 def test_criterion_01_sweep_determinism_and_runtime(cashier_sweep, capsys):
+    # The first sweep is serial and the second runs at --jobs 2.
     (bytes_a, secs_a, _), (bytes_b, secs_b, _) = cashier_sweep
     ok = bytes_a == bytes_b and len(bytes_a) > 0 and secs_a <= 300 and secs_b <= 300
     assert verdict(
-        capsys, 1, f"byte-identical 200-rep sweeps ({secs_a:.0f}s, {secs_b:.0f}s)", ok
+        capsys, 1,
+        f"byte-identical 200-rep sweeps, serial and --jobs 2 ({secs_a:.0f}s, {secs_b:.0f}s)",
+        ok,
     )
 
 

@@ -102,20 +102,20 @@ def test_fuzz_one_million_legal_steps_never_fault():
 
 
 def test_default_weights_match_documented_values():
-    w = SatisfactionWeights.defaults()
-    assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 2
-    assert w[SatisfactionEvent.HELP_RECEIVED] == 1
-    assert w[SatisfactionEvent.REFUND_GRANTED] == 2
-    assert w[SatisfactionEvent.HELP_QUEUE_ABANDONED] == -2
-    assert w[SatisfactionEvent.PAY_QUEUE_ABANDONED] == -3
-    assert w[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
-    assert w[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 0
+    w = SatisfactionWeights.from_mapping({})
+    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
+    assert w.weights[SatisfactionEvent.HELP_RECEIVED] == 1
+    assert w.weights[SatisfactionEvent.REFUND_GRANTED] == 2
+    assert w.weights[SatisfactionEvent.HELP_QUEUE_ABANDONED] == -2
+    assert w.weights[SatisfactionEvent.PAY_QUEUE_ABANDONED] == -3
+    assert w.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
+    assert w.weights[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 0
 
 
 def test_weights_from_mapping_overrides_and_validates():
     w = SatisfactionWeights.from_mapping({"purchase_completed": 5})
-    assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 5
-    assert w[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4  # untouched default
+    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 5
+    assert w.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4  # untouched default
     with pytest.raises(ValueError, match="unknown satisfaction event"):
         SatisfactionWeights.from_mapping({"applause": 1})
     with pytest.raises(ValueError, match="integer"):
@@ -126,7 +126,7 @@ def test_weights_from_mapping_overrides_and_validates():
 
 def test_satisfaction_event_arithmetic(atv_config):
     # The department applies each event's weight to the customer's index.
-    assert atv_config.weights == SatisfactionWeights.defaults()
+    assert atv_config.weights == SatisfactionWeights.from_mapping({})
     sim = DepartmentSim(atv_config)
     c = fresh()
     sim._apply(c, SatisfactionEvent.REFUND_QUEUE_ABANDONED)
@@ -161,14 +161,14 @@ def test_ledger_tracks_counts_and_exact_total(atv_config):
 def test_purchase_without_abandonment_never_negative():
     # Non-abandon events all have non-negative default weights, so any event
     # multiset containing PurchaseCompleted and no *Abandoned sums >= 0.
-    w = SatisfactionWeights.defaults()
+    w = SatisfactionWeights.from_mapping({})
     abandons = {
         SatisfactionEvent.HELP_QUEUE_ABANDONED,
         SatisfactionEvent.PAY_QUEUE_ABANDONED,
         SatisfactionEvent.REFUND_QUEUE_ABANDONED,
     }
-    assert all(w[k] >= 0 for k in SatisfactionEvent if k not in abandons)
-    assert w[SatisfactionEvent.PURCHASE_COMPLETED] > 0
+    assert all(w.weights[k] >= 0 for k in SatisfactionEvent if k not in abandons)
+    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] > 0
 
 
 # -- spawning -----------------------------------------------------------------

@@ -1,24 +1,60 @@
 """Config parsing, schema validation, defaults, and cross-field checks."""
 
+import contextlib
+import copy
+import dataclasses
+import io
+import json
 import logging
 import math
+import pathlib
+import tempfile
 import textwrap
 import tomllib
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from retailsim.agents import SatisfactionEvent
-from retailsim.cli import resolve_config_path
+from conftest import triangular_mean, triangular_variance
+from retailsim.agents import SatisfactionEvent, SatisfactionWeights
+from retailsim.cli import main, resolve_config_path
 from retailsim.config import (
     MAX_HORIZON_MINUTES,
     MAX_STAFF_PER_ROLE,
     ConfigError,
+    Durations,
     Horizon,
+    Probabilities,
+    Queues,
     StaffingPlan,
     build_config,
     load_config,
 )
-from retailsim.sampling import TriangularParams
+from retailsim.department import run_replication
+from retailsim.queueing import EmpowermentPolicy
+from retailsim.sampling import ArrivalProfile, TriangularParams
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# Each config section and the record it is read into.
+RECORDS = {
+    "arrivals": ArrivalProfile,
+    "durations": Durations,
+    "probabilities": Probabilities,
+    "staffing": StaffingPlan,
+    "empowerment": EmpowermentPolicy,
+    "horizon": Horizon,
+    "queues": Queues,
+}
+# empowerment.manager_overhead is read as durations.manager_authorization.
+GIVEN = {("empowerment", "manager_overhead")}
+CONFIG_KEYS = [
+    (section, field)
+    for section, record in RECORDS.items()
+    for field in dataclasses.fields(record)
+    if (section, field.name) not in GIVEN
+]
 
 MINIMAL = textwrap.dedent(
     """\
@@ -142,7 +178,7 @@ def test_shipped_atv_values(atv_config):
     assert cfg.staffing == StaffingPlan(3, 5, 1, 1)
     assert cfg.staffing.total() == 10
     assert cfg.horizon == Horizon(600.0, 70)
-    assert cfg.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
+    assert cfg.weights.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
 
 
 def test_shipped_ww_contrasts_with_atv(atv_config, ww_config):
@@ -151,7 +187,7 @@ def test_shipped_ww_contrasts_with_atv(atv_config, ww_config):
     assert ww_config.arrivals.rate_per_hour > atv_config.arrivals.rate_per_hour
     assert ww_config.probabilities.need_help < atv_config.probabilities.need_help
     assert ww_config.probabilities.buy_after_browse > atv_config.probabilities.buy_after_browse
-    assert ww_config.durations.help.mean() < atv_config.durations.help.mean()
+    assert triangular_mean(ww_config.durations.help) < triangular_mean(atv_config.durations.help)
 
 
 def test_shipped_configs_resolve_by_bare_name():
@@ -178,7 +214,7 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert cfg.empowerment.hold_cashier_during_referral is True
     assert cfg.horizon == Horizon(600.0, 70)
     assert cfg.cashier_priority == ("refund", "pay")
-    assert cfg.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
+    assert cfg.weights.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
     # Every defaulted block leaves a provenance note.
     notes = " ".join(r.message for r in caplog.records)
     assert "satisfaction_weights" in notes
@@ -213,7 +249,7 @@ def test_scalar_duration_becomes_constant(tmp_path):
     assert text != MINIMAL
     cfg = load_text(tmp_path, text)
     assert cfg.durations.pay_service == TriangularParams.constant(3.0)
-    assert cfg.durations.pay_service.variance() == 0.0
+    assert triangular_variance(cfg.durations.pay_service) == 0.0
 
 
 def test_constant_table_duration_allowed(tmp_path):
@@ -248,6 +284,14 @@ def test_constant_table_duration_allowed(tmp_path):
         (
             lambda t: t + '\n[queues]\ncashier_priority = ["refund", "refund"]\n',
             "permutation",
+        ),
+        (
+            lambda t: t + '\n[queues]\ncashier_priority = ["pay", 1]\n',
+            "queues.cashier_priority must be a permutation",
+        ),
+        (
+            lambda t: t + "\n[empowerment]\nmanager_overhead = 3\n",
+            "unknown key 'empowerment.manager_overhead'",
         ),
         (lambda t: t.replace('label = "TEST"\n', ""), "label"),
     ],
@@ -307,3 +351,231 @@ def test_staffing_plan_validation():
     with pytest.raises(ValueError, match="non-negative integer"):
         StaffingPlan(True, 2, 1, 1)
     assert StaffingPlan(3, 5, 1, 1).total() == 10
+
+
+def test_probabilities_validation():
+    base = Probabilities(0.38, 0.37, 0.56)
+    assert (base.refund_goal, base.repurchase_after_refund, base.needs_expert) == (0.1, 0.3, 0.2)
+    dataclasses.replace(base, need_help=0.0, buy_after_help=1.0, refund_goal=1.0)
+    for field in dataclasses.fields(Probabilities):
+        if field.type != "float":
+            continue
+        for bad in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValueError, match=f"probabilities.{field.name} must lie in"):
+                dataclasses.replace(base, **{field.name: bad})
+    with pytest.raises(ValueError, match="sum to at most 1"):
+        dataclasses.replace(base, need_help=0.6, buy_after_browse=0.5)
+    verbatim = dataclasses.replace(
+        base, need_help=0.6, buy_after_browse=0.5, buy_after_browse_is_marginal=False
+    )
+    assert verbatim.browse_buy_conditional() == 0.5
+
+
+# -- configuration reference ----------------------------------------------------
+
+
+def readme_reference():
+    """{`section.key`: (default cell, bound cell)} from the README's config table."""
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`")] = (cells[1], cells[2])
+    return rows
+
+
+def toml_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(toml_text, value)) + "]"
+    return "{ " + ", ".join(f"{k} = {toml_text(v)}" for k, v in value.items()) + " }"
+
+
+def test_readme_reference_lists_every_key_with_its_default():
+    rows = readme_reference()
+    assert rows["label"][0] == "required"
+    for section, field in CONFIG_KEYS:
+        key = f"{section}.{field.name}"
+        assert key in rows, f"README configuration reference lacks `{key}`"
+        default, bound = rows[key]
+        if field.default is dataclasses.MISSING:
+            assert default == "required", key
+        elif isinstance(field.default, (bool, int, float, tuple)):
+            assert default == f"`{toml_text(field.default)}`", key
+    weights = SatisfactionWeights.from_mapping({}).weights
+    for event in SatisfactionEvent:
+        key = f"satisfaction_weights.{event.name.lower()}"
+        assert key in rows, f"README configuration reference lacks `{key}`"
+        assert rows[key][0] == f"`{weights[event]}`", key
+    documented = {key.split(".")[0] for key in rows} - {"label"}
+    assert documented == set(RECORDS) | {"satisfaction_weights"}
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+
+def write_toml(path, root):
+    lines = [f"{k} = {toml_text(v)}" for k, v in root.items() if not isinstance(v, dict)]
+    for section, table in root.items():
+        if isinstance(table, dict):
+            lines.append(f"[{section}]")
+            lines += [f"{k} = {toml_text(v)}" for k, v in table.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def durations():
+    number = st.floats(0.0, 30.0) | st.integers(0, 30)
+    spread = st.lists(number, min_size=3, max_size=3).map(
+        lambda v: dict(zip(("min", "mode", "max"), sorted(v)))
+    )
+    return number | spread
+
+
+def valid_value(field):
+    """Values inside the record's bounds; days stay small so the clock is exact."""
+    if field.type == "bool":
+        return st.booleans()
+    if field.type == "tuple":
+        return st.permutations(["refund", "pay"])
+    if field.type.startswith("TriangularParams"):
+        return durations()
+    if field.type == "int":
+        return st.integers(1, 400) if field.name == "days" else st.integers(0, 3)
+    positive = {"trading_day_minutes": 600.0, "empowered_duration_multiplier": 4.0}
+    if field.name in positive:
+        return st.floats(0.0, positive[field.name], exclude_min=True)
+    return st.floats(0.0, 90.0 if field.name == "rate_per_hour" else 1.0)
+
+
+@st.composite
+def valid_configs(draw):
+    root = {"label": draw(st.text("ABCWTV&", min_size=1, max_size=6))}
+    for section, field in CONFIG_KEYS:
+        if field.default is dataclasses.MISSING or draw(st.booleans()):
+            root.setdefault(section, {})[field.name] = draw(valid_value(field))
+    weights = draw(
+        st.dictionaries(st.sampled_from([e.name.lower() for e in SatisfactionEvent]),
+                        st.integers(-5, 5))
+    )
+    if weights:
+        root["satisfaction_weights"] = weights
+    probs = root["probabilities"]
+    if probs.get("buy_after_browse_is_marginal", True):
+        assume(probs["need_help"] + probs["buy_after_browse"] <= 1.0)
+    if root["staffing"]["section_managers"] == 0:
+        assume(root.get("empowerment", {}).get("p_empowered", 1.0) == 1.0)
+    return root
+
+
+def expected_value(field, value):
+    if field.type.startswith("TriangularParams"):
+        if not isinstance(value, dict):
+            return TriangularParams.constant(value)
+        low, mode, high = (float(value[k]) for k in ("min", "mode", "max"))
+        return TriangularParams.constant(low) if low == high else TriangularParams(low, mode, high)
+    if field.type == "float":
+        return float(value)
+    if field.type == "tuple":
+        return tuple(value)
+    return value
+
+
+FUZZ = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@FUZZ
+@given(valid_configs(), st.integers(0, 2**63 - 1))
+def test_fuzzed_valid_configs_load_and_run(root, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.toml"
+        write_toml(path, root)
+        config = load_config(path)
+    records = {section: getattr(config, section) for section in RECORDS if section != "queues"}
+    records["queues"] = Queues(config.cashier_priority)
+    for section, field in CONFIG_KEYS:
+        value = getattr(records[section], field.name)
+        if field.name in root.get(section, {}):
+            expected = expected_value(field, root[section][field.name])
+        elif field.default is None:
+            expected = config.durations.patience_pay
+        else:
+            expected = field.default
+        assert value == expected and type(value) is type(expected), (section, field.name)
+    assert config.weights == SatisfactionWeights.from_mapping(root.get("satisfaction_weights", {}))
+    one_day = dataclasses.replace(
+        config, horizon=Horizon(config.horizon.trading_day_minutes, 1)
+    )
+    metrics = run_replication(one_day, seed=seed, strict=True)
+    assert metrics.customers_entered == metrics.customers_left
+
+
+def wrong_types(field):
+    """TOML values of a type the field cannot be read from."""
+    if field.type == "bool":
+        return [1, 0.5, "yes", [True]]
+    if field.type == "tuple":
+        return ["refund", 1, {"first": "pay"}]
+    if field.type.startswith("TriangularParams"):
+        return ["3", True, [1.0], {"value": 1}, {"min": 1.0, "mode": 2.0}]
+    return ["3", True, [1.0], {"value": 1}]
+
+
+def out_of_bound(field):
+    """A value of the right TOML type that the field's bounds reject."""
+    if field.type == "bool":
+        return st.sampled_from(wrong_types(field))  # every boolean is in bounds
+    if field.type == "tuple":
+        return st.sampled_from([["pay", "pay"], ["refund"], [], ["pay", "refund", "pay"], ["pay", 1]])
+    if field.type == "int":
+        return st.integers(max_value=-1) | st.integers(MAX_HORIZON_MINUTES + 1, 2**63 - 1)
+    bad_number = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
+    if field.type == "float":
+        return bad_number
+    number = st.floats(0.0, 30.0)
+    return st.one_of(
+        bad_number,
+        st.tuples(bad_number, number).map(lambda v: {"min": v[0], "mode": v[1], "max": 31.0}),
+        number.map(lambda low: {"min": low, "mode": low + 2.0, "max": low + 1.0}),
+    )
+
+
+def check_rejected(root, where):
+    """`root` fails to load naming the file and `where`; validate exits 2 with it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.toml"
+        write_toml(path, root)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(["validate", "--config", str(path)]) == 2
+    message = str(excinfo.value)
+    assert message.startswith("fuzz.toml: ") and where in message, message
+    assert stderr.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "section, field", CONFIG_KEYS, ids=[f"{section}.{f.name}" for section, f in CONFIG_KEYS]
+)
+@settings(FUZZ, max_examples=2)
+@given(data=st.data())
+def test_fuzzed_corruptions_name_the_file_and_field(section, field, data):
+    """Each wrong TOML type, a value out of bounds and an unknown key, one at a time."""
+    valid = data.draw(valid_configs())
+    names = {f.name for f in dataclasses.fields(RECORDS[section])}
+    unknown = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+        lambda key: key not in names
+    ))
+    corruptions = [(field.name, bad) for bad in wrong_types(field)]
+    corruptions += [(field.name, data.draw(out_of_bound(field))), (unknown, 1)]
+    for key, bad in corruptions:
+        root = copy.deepcopy(valid)
+        root.setdefault(section, {})[key] = bad
+        check_rejected(root, f"{section}.{key}")

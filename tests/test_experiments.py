@@ -13,7 +13,6 @@ from retailsim.experiments import (
     CASHIER_LEVELS,
     EMPOWERMENT_LEVELS,
     MAX_JOBS,
-    ExperimentDesign,
     ResultRow,
     cashier_fill_plan,
     csv_header,
@@ -75,13 +74,13 @@ def test_cashier_fill_plan_rejects_impossible_counts():
         cashier_fill_plan(0)
 
 
-def test_design_validation():
+def test_design_validation(atv_week):
     with pytest.raises(ValueError, match="unknown experiment"):
-        ExperimentDesign("queueing", ("A",), (1,))
+        run_sweep("queueing", {"A": atv_week})
     with pytest.raises(ValueError, match="replications"):
-        ExperimentDesign("cashiers", ("A",), (1,), replications=0)
+        run_sweep("cashiers", {"A": atv_week}, replications=0)
     with pytest.raises(ValueError, match="at least one department"):
-        ExperimentDesign("cashiers", (), (1,))
+        run_sweep("cashiers", {})
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -96,11 +95,8 @@ def mini_sweep(atv_week, ww_week):
 
 def test_sweep_shape_and_canonical_order(mini_sweep, atv_week, ww_week):
     assert len(mini_sweep) == 10
-    design = ExperimentDesign(
-        "cashiers", ("A&TV", "WW"), CASHIER_LEVELS, replications=1, base_seed=1
-    )
     expected = [
-        ("cashiers", dept, level, 1, design.seed_for(dept, level, 1))
+        ("cashiers", dept, level, 1, derive_cell_seed(1, dept, level, 1))
         for dept in ("A&TV", "WW")
         for level in CASHIER_LEVELS
     ]
@@ -165,8 +161,7 @@ def test_sweep_rejects_jobs_outside_the_bound(recording_executor, atv_week, jobs
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
-    design = ExperimentDesign("cashiers", ("A&TV",), CASHIER_LEVELS, replications=2)
-    bad_seed = design.seed_for("A&TV", 3, 2)
+    bad_seed = derive_cell_seed(1, "A&TV", 3, 2)
     original = experiments.run_replication
 
     def faulty(config, staffing=None, seed=None):

@@ -75,7 +75,7 @@ def test_remove_present_and_absent():
     q.push(e)
     assert q.remove(e) is True
     assert q.remove(e) is False
-    assert len(q) == 0
+    assert len(q.entries) == 0
 
 
 def test_drain_empties_queue():
@@ -84,7 +84,7 @@ def test_drain_empties_queue():
     for e in entries:
         q.push(e)
     q.drain()
-    assert len(q) == 0
+    assert len(q.entries) == 0
     assert q.pop_head() is None
 
 
@@ -104,16 +104,16 @@ OVERHEAD = TriangularParams(1, 3, 6)
 
 
 def test_policy_validates_probability_and_multiplier():
-    EmpowermentPolicy(0.0, OVERHEAD)
-    EmpowermentPolicy(1.0, OVERHEAD)
+    EmpowermentPolicy(OVERHEAD, 0.0)
+    EmpowermentPolicy(OVERHEAD, 1.0)
     with pytest.raises(ValueError, match="p_empowered"):
-        EmpowermentPolicy(1.5, OVERHEAD)
+        EmpowermentPolicy(OVERHEAD, 1.5)
     with pytest.raises(ValueError, match="multiplier"):
-        EmpowermentPolicy(0.5, OVERHEAD, empowered_duration_multiplier=0.0)
+        EmpowermentPolicy(OVERHEAD, 0.5, empowered_duration_multiplier=0.0)
 
 
 def test_empowered_refund_scales_duration_and_skips_service_draw():
-    policy = EmpowermentPolicy(1.0, OVERHEAD, empowered_duration_multiplier=2.0)
+    policy = EmpowermentPolicy(OVERHEAD, 1.0, empowered_duration_multiplier=2.0)
     decision = ScriptedRng([0.99])  # < 1.0, so still empowered
     service = ScriptedRng([])
     assert resolve_refund_path(policy, 5.0, decision, service) == (10.0, None)
@@ -122,7 +122,7 @@ def test_empowered_refund_scales_duration_and_skips_service_draw():
 
 
 def test_referred_refund_draws_overhead_and_finds_idle_manager():
-    policy = EmpowermentPolicy(0.0, TriangularParams.constant(3.0))
+    policy = EmpowermentPolicy(TriangularParams.constant(3.0), 0.0)
     managers = [StaffAgent(0, StaffRole.SECTION_MANAGER), StaffAgent(1, StaffRole.SECTION_MANAGER)]
     managers[0].begin(0.0)
     decision = ScriptedRng([0.4])
@@ -134,7 +134,7 @@ def test_referred_refund_draws_overhead_and_finds_idle_manager():
 
 
 def test_referred_refund_with_all_managers_busy():
-    policy = EmpowermentPolicy(0.0, TriangularParams.constant(2.0))
+    policy = EmpowermentPolicy(TriangularParams.constant(2.0), 0.0)
     manager = StaffAgent(0, StaffRole.SECTION_MANAGER)
     manager.begin(0.0)
     assert resolve_refund_path(policy, 4.0, ScriptedRng([0.0]), ScriptedRng([0.5])) == (4.0, 2.0)
@@ -142,7 +142,7 @@ def test_referred_refund_with_all_managers_busy():
 
 
 def test_empowerment_split_binomial():
-    policy = EmpowermentPolicy(0.5, OVERHEAD)
+    policy = EmpowermentPolicy(OVERHEAD, 0.5)
     decision = RngStream(17, "decisions")
     service = RngStream(17, "service")
     n = 100_000

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import triangular_mean, triangular_variance
 from retailsim.kernel import RngStream
 from retailsim.sampling import (
     ArrivalProfile,
-    DecisionProb,
     TriangularParams,
     sample_bernoulli,
     sample_interarrival,
@@ -49,25 +49,16 @@ def test_triangular_rejects_degenerate_span():
 
 def test_constant_duration_constructor():
     const = TriangularParams.constant(4.0)
-    assert const.mean() == 4.0
-    assert const.variance() == 0.0
+    assert triangular_mean(const) == 4.0
+    assert triangular_variance(const) == 0.0
     for u in (0.0, 0.3, 0.999999):
         assert sample_triangular(const, u) == 4.0
 
 
 def test_closed_form_mean_and_variance():
     tri = TriangularParams(1, 7, 15)
-    assert tri.mean() == pytest.approx(23 / 3, abs=1e-12)
-    assert tri.variance() == pytest.approx(74 / 9, abs=1e-12)
-
-
-def test_decision_prob_bounds():
-    DecisionProb(0.0)
-    DecisionProb(1.0)
-    with pytest.raises(ValueError):
-        DecisionProb(-0.01)
-    with pytest.raises(ValueError):
-        DecisionProb(1.01)
+    assert triangular_mean(tri) == pytest.approx(23 / 3, abs=1e-12)
+    assert triangular_variance(tri) == pytest.approx(74 / 9, abs=1e-12)
 
 
 def test_arrival_profile_rejects_negative_rate():
@@ -129,7 +120,7 @@ def test_bernoulli_degenerate_probabilities():
 def test_bernoulli_threshold_is_strict():
     assert sample_bernoulli(0.5, 0.5) is False
     assert sample_bernoulli(0.5, 0.49999999) is True
-    assert sample_bernoulli(DecisionProb(0.37), 0.1) is True
+    assert sample_bernoulli(0.37, 0.1) is True
 
 
 def test_bernoulli_frequency_tracks_binomial_error():
