@@ -93,8 +93,6 @@ def cmd_run(args):
         staffing = dataclasses.replace(staffing, **supplied)
         check_referrals(config.empowerment, staffing, os.path.basename(path))
     if args.weeks is not None:
-        if args.weeks < 1:
-            raise ConfigError(f"horizon must be >= 1 day, got --weeks {args.weeks}")
         try:
             horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)
         except ValueError as exc:

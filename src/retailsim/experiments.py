@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .config import StaffingPlan
 from .department import METRIC_FIELDS, RunMetrics, run_replication
 from .kernel import SimulationFault, hash_seed
-from .stats import RunningStat
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -234,6 +233,30 @@ def load_results(path):
 
 # ---------------------------------------------------------------------------
 # Summaries
+
+
+class RunningStat:
+    """Welford accumulator: numerically stable single-pass mean and sd."""
+
+    __slots__ = ("n", "mean", "_m2")
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    def push(self, x):
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self._m2 += delta * (x - self.mean)
+
+    @property
+    def sd(self):
+        """Sample standard deviation (n - 1); None below 2 observations."""
+        if self.n < 2:
+            return None
+        return math.sqrt(self._m2 / (self.n - 1))
 
 
 @dataclass(frozen=True)

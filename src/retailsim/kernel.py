@@ -9,13 +9,15 @@ holds its token is stale and is dropped when popped. Superseding or clearing
 
 Time is a float in model minutes. The kernel knows nothing about trading
 days; callers impose day structure by scheduling their own close events.
+
+numpy is imported when the first `RngStream` is built, not with the module:
+the CLI imports the kernel for every command, and only commands that
+simulate draw random numbers.
 """
 
 from __future__ import annotations
 
 import heapq
-
-import numpy as np
 
 
 class SimulationFault(RuntimeError):
@@ -113,6 +115,8 @@ class RngStream:
     __slots__ = ("name", "seed", "_gen", "_buf", "_block")
 
     def __init__(self, master_seed, name, block=1024):
+        import numpy as np
+
         self.name = name
         self.seed = derive_substream_seed(master_seed, name)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))

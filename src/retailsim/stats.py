@@ -13,6 +13,10 @@ the normal CDF's temporaries stay small; only exact elementwise steps are
 blocked, and the result has the bits of the whole-matrix evaluation. The test
 suite cross-checks every route against independent implementations, scipy's
 among them.
+
+Each function that computes on arrays imports numpy itself, so importing this
+module does not: the CLI imports it for every command, and `validate`,
+`--help` and usage errors need no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,7 @@ def anova_two_way(data, factor_names=("A", "B")):
     exact. A zero within-cell variance yields NaN F/p and degenerate=True
     instead of a division error.
     """
+    import numpy as np
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
@@ -227,6 +230,7 @@ class LeveneResult:
 
 def levene_test(groups):
     """Mean-centered Levene test of variance homogeneity across groups."""
+    import numpy as np
     arrays = [np.asarray(g, dtype=float).ravel() for g in groups]
     k = len(arrays)
     if k < 2:
@@ -331,6 +335,7 @@ def _ndtr(a):
     h = erfc(|x|) / 2, and 1 - h where x > 0. erfc is 1 - erf below 1, the
     P/Q or R/S ratio times exp(-x*x) up to sqrt(MAXLOG), and 0 beyond.
     """
+    import numpy as np
     a = np.asarray(a, dtype=float)
     x = a.ravel() * _SQRTH
     z = np.abs(x)
@@ -365,6 +370,7 @@ _GL_CACHE = {}
 
 def _gl_panels(lo, hi, panels, order):
     """Gauss-Legendre nodes/weights for `panels` equal panels on [lo, hi]."""
+    import numpy as np
     key = (round(lo, 12), round(hi, 12), panels, order)
     cached = _GL_CACHE.get(key)
     if cached is not None:
@@ -388,6 +394,7 @@ _GL_ORDER = 20
 @functools.cache
 def _z_nodes():
     """Normal-axis nodes, their weights times the normal density, and ndtr there."""
+    import numpy as np
     zs, zw = _gl_panels(-_Z_LIMIT, _Z_LIMIT, _Z_PANELS, _GL_ORDER)
     phi_w = zw * np.exp(-0.5 * zs * zs) / math.sqrt(2.0 * math.pi)
     return zs, phi_w, _ndtr(zs)
@@ -402,6 +409,7 @@ def _range_cdf_at(w, k):
     power and the product with the node weights run once on the whole
     matrix, as numpy may pick a different code path for another shape.
     """
+    import numpy as np
     zs, phi_w, ndtr_zs = _z_nodes()
     inner = np.empty((len(w), len(zs)))
     for start in range(0, len(w), _GL_ORDER):
@@ -418,6 +426,7 @@ def studentized_range_upper_tail(q, k, df):
     on a window wide enough that the truncated density mass is < 1e-12;
     the inner integral is the normal-range CDF at width q*s.
     """
+    import numpy as np
     if k < 2:
         raise ValueError(f"studentized range needs k >= 2 groups, got {k}")
     if df < 1:
@@ -490,31 +499,3 @@ def tukey_hsd(means, n_per_group, ms_within, df_within, alpha=0.05):
                 )
             )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Streaming summaries
-
-
-class RunningStat:
-    """Welford accumulator: numerically stable single-pass mean and sd."""
-
-    __slots__ = ("n", "mean", "_m2")
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x):
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def sd(self):
-        """Sample standard deviation (n - 1); None below 2 observations."""
-        if self.n < 2:
-            return None
-        return math.sqrt(self._m2 / (self.n - 1))

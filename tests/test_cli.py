@@ -186,10 +186,12 @@ def test_run_generates_and_prints_a_seed(capsys):
     assert int(seed_line.split(": ")[1]) >= 0
 
 
-def test_run_rejects_zero_weeks(capsys):
-    rc = main(["run", "--config", "dept_atv.toml", "--weeks", "0", "--seed", "1"])
+@pytest.mark.parametrize("weeks", [0, -3])
+def test_run_rejects_zero_weeks(capsys, weeks):
+    rc = main(["run", "--config", "dept_atv.toml", "--weeks", str(weeks), "--seed", "1"])
     assert rc == 2
-    assert "horizon must be >= 1 day" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--weeks {weeks}" in err and "horizon.days" in err
 
 
 @pytest.mark.parametrize(
@@ -502,19 +504,25 @@ def test_module_entry_point_runs():
 # hashlib loads OpenSSL for seed derivation, the process pool serves
 # `sweep --jobs N` with N > 1, and secrets serves nothing.
 NOT_FOR_ANALYSIS = ("scipy", "hashlib", "concurrent.futures.process", "secrets")
+# What loaded_by reports: numpy too, which only simulating and analysing need.
+WATCHED = NOT_FOR_ANALYSIS + ("numpy",)
 
 
 def loaded_by(argv):
     """Run `retailsim argv` in a fresh interpreter.
 
-    Returns its stdout lines; the last one is the exit code followed by the
-    NOT_FOR_ANALYSIS modules loaded by then.
+    Returns its stdout lines; the last one is the exit code, also of an
+    argparse exit (help or a usage error), followed by the WATCHED modules
+    loaded by then.
     """
     code = (
         "import sys\n"
         "from retailsim.cli import main\n"
-        f"rc = main({argv!r}) if {argv!r} else 0\n"
-        f"print(rc, *[m for m in {NOT_FOR_ANALYSIS!r} if m in sys.modules])\n"
+        "try:\n"
+        f"    rc = main({argv!r}) if {argv!r} else 0\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        f"print(rc, *[m for m in {WATCHED!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -527,9 +535,11 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     write_worked_example(results)
     lines = loaded_by(["analyze", "--results", str(results)])
     assert "Tukey HSD on cashiers levels (pooled over departments):" in lines
-    assert lines[-1] == "0"
-    lines = loaded_by(["validate", "--config", "dept_atv.toml"])
-    assert lines[-1] == "0"
+    assert lines[-1] == "0 numpy"
+    lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"])
+    rc, *loaded = lines[-1].split()
+    assert rc == "0"
+    assert "numpy" in loaded
     # A serial sweep derives seeds (and numpy.random loads secrets) but
     # starts no pool.
     lines = loaded_by(sweep_argv(short_dir, tmp_path / "emp.csv") + ["--jobs", "1"])
@@ -537,3 +547,21 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     assert rc == "0"
     assert "hashlib" in loaded
     assert "concurrent.futures.process" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["validate", "--config", "dept_atv.toml"], "0"),
+        (["--help"], "0"),
+        (["validate", "--config", "nope"], "2"),
+        (["sweep", "--experiment", "cashiers", "--jobs", "0"], "2"),
+        (["run", "--config", "dept_atv.toml", "--weeks", "0"], "2"),
+        (["run"], "2"),
+        (["analyze", "--results", "{tmp_path}/missing.csv"], "1"),
+    ],
+    ids=["validate", "help", "unknown-config", "jobs-0", "weeks-0", "usage", "no-results"],
+)
+def test_cold_start_commands_leave_numpy_unloaded(tmp_path, argv, rc):
+    argv = [arg.format(tmp_path=tmp_path) for arg in argv]
+    assert loaded_by(argv)[-1] == rc

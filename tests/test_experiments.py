@@ -3,7 +3,10 @@
 import concurrent.futures
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from retailsim import experiments
 from retailsim.config import StaffingPlan
@@ -14,6 +17,7 @@ from retailsim.experiments import (
     EMPOWERMENT_LEVELS,
     MAX_JOBS,
     ResultRow,
+    RunningStat,
     cashier_fill_plan,
     csv_header,
     derive_cell_seed,
@@ -262,6 +266,35 @@ def test_absent_utilization_round_trips_as_none(tmp_path):
 
 
 # -- summaries ---------------------------------------------------------------------
+
+
+def test_running_stat_matches_numpy():
+    values = [3.0, -1.5, 4.25, 0.0, 2.5, 2.5, -7.0]
+    acc = RunningStat()
+    for v in values:
+        acc.push(v)
+    assert acc.n == len(values)
+    assert acc.mean == pytest.approx(np.mean(values), rel=1e-14)
+    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-14)
+
+
+def test_running_stat_small_counts():
+    acc = RunningStat()
+    assert acc.n == 0 and acc.sd is None
+    acc.push(42.0)
+    assert acc.mean == 42.0
+    assert acc.sd is None
+    acc.push(42.0)
+    assert acc.sd == 0.0
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
+def test_running_stat_streams_any_list(values):
+    acc = RunningStat()
+    for v in values:
+        acc.push(v)
+    assert acc.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
+    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-9, abs=1e-6)
 
 
 def test_summarize_mean_and_sd():

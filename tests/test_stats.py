@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from retailsim.stats import (
     _MAXLOG,
-    RunningStat,
     _ndtr,
     _range_cdf_at,
     _z_nodes,
@@ -391,38 +390,6 @@ def test_tukey_familywise_error_calibrated():
     q_crit = (lo + hi) / 2.0
     rate = float(np.mean(q_stat > q_crit))
     assert 0.04 <= rate <= 0.06
-
-
-# -- streaming summaries -----------------------------------------------------------------------
-
-
-def test_running_stat_matches_numpy():
-    values = [3.0, -1.5, 4.25, 0.0, 2.5, 2.5, -7.0]
-    acc = RunningStat()
-    for v in values:
-        acc.push(v)
-    assert acc.n == len(values)
-    assert acc.mean == pytest.approx(np.mean(values), rel=1e-14)
-    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-14)
-
-
-def test_running_stat_small_counts():
-    acc = RunningStat()
-    assert acc.n == 0 and acc.sd is None
-    acc.push(42.0)
-    assert acc.mean == 42.0
-    assert acc.sd is None
-    acc.push(42.0)
-    assert acc.sd == 0.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-def test_running_stat_streams_any_list(values):
-    acc = RunningStat()
-    for v in values:
-        acc.push(v)
-    assert acc.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-9, abs=1e-6)
 
 
 def test_anova_table_effects_accessor():
