@@ -1,32 +1,26 @@
 """Command line front end: run, sweep, analyze, validate.
 
 Exit codes: 0 success, 1 runtime failure (simulation fault, unreadable
-results), 2 usage or configuration errors. The only nondeterminism is an
-omitted --seed, which is generated once and printed so the run can be
-reproduced.
+results), 2 usage or configuration errors (a `ConfigError` is a ValueError).
+The only nondeterminism is an omitted --seed, which is generated once and
+printed so the run can be reproduced.
+
+At module level this imports only the results schema, the statistics and the
+fault type, so `analyze` never loads the simulation model. Each other command
+imports the config, model and sweep modules it needs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import os
 import sys
 
-from .config import ConfigError, check_referrals, load_config
-from .department import METRIC_FIELDS, run_replication
-from .experiments import (
-    MAX_JOBS,
-    format_summary_table,
-    load_results,
-    replaced_atomically,
-    results_to_cells,
-    run_sweep,
-    save_results,
-    summarize,
-)
 from .kernel import SimulationFault
+from .results import METRIC_FIELDS, load_results, replaced_atomically, results_to_cells
 from .stats import anova_two_way, levene_test, tukey_hsd
 
 CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
@@ -51,6 +45,8 @@ def resolve_config_path(name, extra_dir=None):
             if os.path.isfile(path):
                 return path
             tried.append(path)
+    from .config import ConfigError
+
     raise ConfigError(f"config {name!r} not found; tried: {', '.join(tried)}")
 
 
@@ -79,6 +75,9 @@ def _fmt_f(f):
 
 
 def cmd_run(args):
+    from .config import ConfigError, check_referrals, load_config
+    from .department import run_replication
+
     path = resolve_config_path(args.config)
     config = load_config(path)
     staffing = config.staffing
@@ -107,8 +106,6 @@ def cmd_run(args):
     for name in METRIC_FIELDS:
         print(f"{name}: {_fmt_metric(getattr(metrics, name))}")
     if args.out:
-        import csv
-
         with replaced_atomically(args.out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(METRIC_FIELDS)
@@ -120,6 +117,9 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
+    from .config import ConfigError, load_config
+    from .experiments import MAX_JOBS, format_summary_table, run_sweep, save_results, summarize
+
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
     if not 1 <= args.jobs <= MAX_JOBS:
@@ -232,8 +232,6 @@ def cmd_analyze(args):
 
 
 def _write_analysis_csv(path, metric, table, lev, tukey, levels):
-    import csv
-
     with replaced_atomically(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -267,6 +265,8 @@ def _write_analysis_csv(path, metric, table, lev, tukey, levels):
 
 
 def cmd_validate(args):
+    from .config import load_config
+
     path = resolve_config_path(args.config)
     config = load_config(path)
     print(
@@ -313,7 +313,7 @@ def build_parser():
     p_sweep.add_argument("--out", default="results.csv",
                          help="results CSV path (default results.csv)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help=f"worker processes, at most {MAX_JOBS} (default 1)")
+                         help="worker processes (default 1)")
     p_sweep.add_argument("--config-dir", dest="config_dir",
                          help="directory searched for config files first")
     p_sweep.add_argument(
@@ -344,9 +344,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,15 @@ lists, and each customer holds at most one pending event as a calendar token,
 so nothing is ever cancelled: superseding the token makes the old event stale.
 A 10-week WW replication (about 56k customers and 190k events) runs in about
 0.65 s on one core of a 2-vCPU VM, which the experiment harness relies on.
+
+A replication returns a `RunMetrics`. It and `METRIC_FIELDS`, the metric
+names in CSV column order, are defined in `results`, so the analysis reads
+them without loading this model.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .agents import (  # enum members as plain names: cheap on the hot path
@@ -30,6 +33,7 @@ from .agents import (  # enum members as plain names: cheap on the hot path
 )
 from .kernel import EventCalendar, RngStream, SimulationFault
 from .queueing import QueueEntry, QueueKind, ServiceQueue, find_idle, resolve_refund_path
+from .results import METRIC_FIELDS, RunMetrics  # perfbench's tracer reads METRIC_FIELDS here
 from .sampling import TriangularParams, sample_interarrival, sample_triangular
 
 EV_ARRIVAL = 0
@@ -80,38 +84,6 @@ def utilization(busy_minutes, headcount, trading_minutes):
     if headcount == 0:
         return None
     return busy_minutes / (headcount * trading_minutes)
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Aggregate outcome of one replication.
-
-    Field order is the column order of result CSVs. Utilizations are None
-    (empty CSV cell) when the staffing plan has nobody in the role, which is
-    not the same thing as 0.0. overall_satisfaction equals the satisfaction
-    ledger sum by construction; both are reported so the equality is
-    checkable from the outside.
-    """
-
-    transactions: int
-    satisfied_customers: int
-    overall_satisfaction: int
-    refund_satisfaction: int
-    cashier_utilization: object
-    seller_utilization: object
-    manager_utilization: object
-    customers_entered: int
-    customers_left: int
-    abandoned_help: int
-    abandoned_pay: int
-    abandoned_refund: int
-    refunds_completed: int
-    manager_authorizations: int
-    autonomous_refunds: int
-    satisfaction_ledger_sum: int
-
-
-METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
 
 
 class DepartmentSim:

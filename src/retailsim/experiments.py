@@ -5,10 +5,10 @@ hashing the cell coordinates under a base seed, so adding replications or
 reordering execution (including --jobs parallelism) never shifts any cell's
 stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
-repeated sweep is byte-identical. Result files are written beside their
-target and moved into place, so no reader sees half of one. A replication
-that fails inside a sweep is reported as a SimulationFault naming its
-department, level, replication and seed, so it can be rerun on its own.
+repeated sweep is byte-identical. A replication that fails inside a sweep is
+reported as a SimulationFault naming its department, level, replication and
+seed, so it can be rerun on its own. The CSV schema, its reader and the
+atomic file replacement live in `results`, which the analysis shares.
 """
 
 from __future__ import annotations
@@ -16,18 +16,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import os
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .config import StaffingPlan
-from .department import METRIC_FIELDS, RunMetrics, run_replication
+from .department import run_replication
 from .kernel import SimulationFault, hash_seed
+from .results import METRIC_FIELDS, ResultRow, csv_header, replaced_atomically
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _LEVELS = {"cashiers": CASHIER_LEVELS, "empowerment": EMPOWERMENT_LEVELS}
-CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
 # Most worker processes a sweep may ask for. The pool forks all of its
 # workers at the first task and each holds a replication in memory, so a
 # typo such as --jobs 100000 must be refused, not attempted.
@@ -52,18 +50,6 @@ def cashier_fill_plan(cashiers, total=10, expert_sellers=1, section_managers=1):
             f"(needs {expert_sellers} expert + {section_managers} manager)"
         )
     return StaffingPlan(cashiers, normal, expert_sellers, section_managers)
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One replication outcome tagged with its cell coordinates."""
-
-    experiment: str
-    department: str
-    level: object
-    replication: int
-    seed: int
-    metrics: RunMetrics
 
 
 def _cell_config(experiment, config, level):
@@ -128,11 +114,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
-
-
-def csv_header():
-    return list(CSV_ID_FIELDS) + list(METRIC_FIELDS)
+# Writing results
 
 
 def _format_value(value):
@@ -153,82 +135,9 @@ def write_results_csv(rows, fh):
         writer.writerow([_format_value(v) for v in record])
 
 
-@contextmanager
-def replaced_atomically(path):
-    """Text file open for writing beside `path`, moved onto it once complete.
-
-    Until the block finishes, an existing `path` keeps its old bytes; if the
-    block raises, the partial file is removed and `path` is left alone.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def save_results(rows, path):
     with replaced_atomically(path) as fh:
         write_results_csv(rows, fh)
-
-
-def _finite(value):
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
-    return value
-
-
-def _parse_level(text):
-    try:
-        return int(text)
-    except ValueError:
-        return _finite(float(text))
-
-
-def _parse_metric(text):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return _finite(float(text))
-
-
-_ID_PARSERS = (str, str, _parse_level, int, int)
-
-
-def load_results(path):
-    """Read a results CSV back into ResultRows.
-
-    A cell that does not parse, and a level or metric that is NaN or
-    infinite, raises a ValueError naming the file, the line and the column.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != csv_header():
-            raise ValueError(
-                f"{path}: unexpected results header; expected {csv_header()!r}"
-            )
-        parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
-        rows = []
-        for record in reader:
-            if len(record) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
-            values = []
-            for parse, column, text in zip(parsers, header, record):
-                try:
-                    values.append(parse(text))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}, column {column!r}: {exc}"
-                    ) from None
-            rows.append(ResultRow(*values[:5], RunMetrics(*values[5:])))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +224,3 @@ def format_summary_table(summaries, metric):
         )
     return "\n".join(lines)
 
-
-def results_to_cells(rows, metric):
-    """Arrange rows as (departments, levels, values) for the two-way ANOVA.
-
-    Departments keep first-seen order, levels sort ascending, and every
-    (department, level) cell must hold the same number of replications.
-    """
-    if metric not in METRIC_FIELDS:
-        raise ValueError(f"unknown metric {metric!r}; pick from {METRIC_FIELDS}")
-    departments = []
-    levels = set()
-    cells = {}
-    for row in rows:
-        if row.department not in departments:
-            departments.append(row.department)
-        levels.add(row.level)
-        value = getattr(row.metrics, metric)
-        if value is None:
-            raise ValueError(
-                f"metric {metric!r} is absent for cell {row.department}/{row.level}"
-            )
-        cells.setdefault((row.department, row.level), []).append(value)
-    levels = sorted(levels)
-    counts = {key: len(v) for key, v in cells.items()}
-    expected = len(departments) * len(levels)
-    if len(cells) != expected or len(set(counts.values())) != 1:
-        raise ValueError(
-            "results are not a balanced department x level grid; "
-            f"got cell counts {counts}"
-        )
-    data = [[cells[(d, lv)] for lv in levels] for d in departments]
-    return departments, levels, data

@@ -1,0 +1,174 @@
+"""The results-CSV schema that the model writes and the analysis reads.
+
+`RunMetrics` is one replication's outcome and `ResultRow` tags it with its
+sweep cell. A results CSV holds the cell columns, then one column per metric,
+with round-trip float formatting; `load_results` reads one back and names the
+line and column of any bad cell. Files are written beside their target and
+moved into place, so no reader sees half of one.
+
+This module imports only the standard library, so `analyze` reads results
+without loading the simulation model.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import os
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, fields
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    """Aggregate outcome of one replication.
+
+    Field order is the column order of result CSVs. Utilizations are None
+    (empty CSV cell) when the staffing plan has nobody in the role, which is
+    not the same thing as 0.0. overall_satisfaction equals the satisfaction
+    ledger sum by construction; both are reported so the equality is
+    checkable from the outside.
+    """
+
+    transactions: int
+    satisfied_customers: int
+    overall_satisfaction: int
+    refund_satisfaction: int
+    cashier_utilization: object
+    seller_utilization: object
+    manager_utilization: object
+    customers_entered: int
+    customers_left: int
+    abandoned_help: int
+    abandoned_pay: int
+    abandoned_refund: int
+    refunds_completed: int
+    manager_authorizations: int
+    autonomous_refunds: int
+    satisfaction_ledger_sum: int
+
+
+METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
+CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
+
+
+@dataclass(frozen=True)
+class ResultRow:
+    """One replication outcome tagged with its cell coordinates."""
+
+    experiment: str
+    department: str
+    level: object
+    replication: int
+    seed: int
+    metrics: RunMetrics
+
+
+def csv_header():
+    return list(CSV_ID_FIELDS) + list(METRIC_FIELDS)
+
+
+@contextmanager
+def replaced_atomically(path):
+    """Text file open for writing beside `path`, moved onto it once complete.
+
+    Until the block finishes, an existing `path` keeps its old bytes; if the
+    block raises, the partial file is removed and `path` is left alone.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
+
+
+def _parse_level(text):
+    try:
+        return int(text)
+    except ValueError:
+        return _finite(float(text))
+
+
+def _parse_metric(text):
+    if text == "":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return _finite(float(text))
+
+
+_ID_PARSERS = (str, str, _parse_level, int, int)
+
+
+def load_results(path):
+    """Read a results CSV back into ResultRows.
+
+    A cell that does not parse, and a level or metric that is NaN or
+    infinite, raises a ValueError naming the file, the line and the column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != csv_header():
+            raise ValueError(
+                f"{path}: unexpected results header; expected {csv_header()!r}"
+            )
+        parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
+        rows = []
+        for record in reader:
+            if len(record) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
+            values = []
+            for parse, column, text in zip(parsers, header, record):
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}, column {column!r}: {exc}"
+                    ) from None
+            rows.append(ResultRow(*values[:5], RunMetrics(*values[5:])))
+    return rows
+
+
+def results_to_cells(rows, metric):
+    """Arrange rows as (departments, levels, values) for the two-way ANOVA.
+
+    Departments keep first-seen order, levels sort ascending, and every
+    (department, level) cell must hold the same number of replications.
+    """
+    if metric not in METRIC_FIELDS:
+        raise ValueError(f"unknown metric {metric!r}; pick from {METRIC_FIELDS}")
+    departments = []
+    levels = set()
+    cells = {}
+    for row in rows:
+        if row.department not in departments:
+            departments.append(row.department)
+        levels.add(row.level)
+        value = getattr(row.metrics, metric)
+        if value is None:
+            raise ValueError(
+                f"metric {metric!r} is absent for cell {row.department}/{row.level}"
+            )
+        cells.setdefault((row.department, row.level), []).append(value)
+    levels = sorted(levels)
+    counts = {key: len(v) for key, v in cells.items()}
+    expected = len(departments) * len(levels)
+    if len(cells) != expected or len(set(counts.values())) != 1:
+        raise ValueError(
+            "results are not a balanced department x level grid; "
+            f"got cell counts {counts}"
+        )
+    data = [[cells[(d, lv)] for lv in levels] for d in departments]
+    return departments, levels, data

@@ -7,12 +7,12 @@ studentized-range tail via composite Gauss-Legendre quadrature over both the
 scaled-chi axis and the normal-range axis. The normal CDF inside that
 integral is a port of the Cephes `ndtr` (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989) that returns the C routine's bits, so the
-package needs numpy alone. The inner integral is evaluated on a matrix of
-widths by normal-axis nodes that is filled one panel of widths at a time, so
-the normal CDF's temporaries stay small; only exact elementwise steps are
-blocked, and the result has the bits of the whole-matrix evaluation. The test
-suite cross-checks every route against independent implementations, scipy's
-among them.
+package needs numpy alone. The Gauss-Legendre base rule is a table of
+literals, not an eigensolve. The inner integral is summed one panel of widths
+at a time into one vector, with no widths-by-nodes matrix held, and the
+result has the bits of the whole-matrix evaluation. The test suite
+cross-checks every route against independent implementations, scipy's among
+them.
 
 Each function that computes on arrays imports numpy itself, so importing this
 module does not: the CLI imports it for every command, and `validate`,
@@ -365,37 +365,45 @@ def _ndtr(a):
 # ---------------------------------------------------------------------------
 # Studentized range and Tukey HSD
 
-_GL_CACHE = {}
+# The order-20 Gauss-Legendre rule on [-1, 1] as numpy's leggauss(20) returns
+# it. The rule is symmetric, so only its positive nodes and their weights are
+# listed.
+_GL_HALF_NODES = (
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+    0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+)
+_GL_HALF_WEIGHTS = (
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+    0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+)
+_GL_ORDER = 2 * len(_GL_HALF_NODES)
 
 
-def _gl_panels(lo, hi, panels, order):
+def _gl_panels(lo, hi, panels):
     """Gauss-Legendre nodes/weights for `panels` equal panels on [lo, hi]."""
     import numpy as np
-    key = (round(lo, 12), round(hi, 12), panels, order)
-    cached = _GL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+    base_w = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     xs = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     ws = (half[:, None] * base_w[None, :]).ravel()
-    _GL_CACHE[key] = (xs, ws)
     return xs, ws
 
 
 _Z_LIMIT = 9.0
 _Z_PANELS = 12
 _S_PANELS = 12
-_GL_ORDER = 20
 
 
 @functools.cache
 def _z_nodes():
     """Normal-axis nodes, their weights times the normal density, and ndtr there."""
     import numpy as np
-    zs, zw = _gl_panels(-_Z_LIMIT, _Z_LIMIT, _Z_PANELS, _GL_ORDER)
+    zs, zw = _gl_panels(-_Z_LIMIT, _Z_LIMIT, _Z_PANELS)
     phi_w = zw * np.exp(-0.5 * zs * zs) / math.sqrt(2.0 * math.pi)
     return zs, phi_w, _ndtr(zs)
 
@@ -403,20 +411,27 @@ def _z_nodes():
 def _range_cdf_at(w, k):
     """P(range of k iid standard normals <= w) for an array of widths w.
 
-    The (len(w), len(zs)) matrix of ndtr(z) - ndtr(z - w) is filled one
-    panel of _GL_ORDER widths at a time, so the dozen temporaries inside
-    _ndtr stay cache-sized. Only those elementwise steps are blocked: the
-    power and the product with the node weights run once on the whole
-    matrix, as numpy may pick a different code path for another shape.
+    Widths are taken one panel of _GL_ORDER at a time: ndtr(z) - ndtr(z - w)
+    at the normal-axis nodes, clipped, raised to k - 1 and summed against the
+    node weights into one vector, so no (len(w), len(zs)) matrix is held and
+    the temporaries inside _ndtr stay cache-sized. Every step is elementwise
+    except the product, which numpy computes row by row with the bits of the
+    whole-matrix product as long as it has two or more rows; a one-row
+    product sums in another order, so a one-row remainder joins the panel
+    before it.
     """
     import numpy as np
     zs, phi_w, ndtr_zs = _z_nodes()
-    inner = np.empty((len(w), len(zs)))
-    for start in range(0, len(w), _GL_ORDER):
-        rows = inner[start:start + _GL_ORDER]
-        np.subtract(ndtr_zs, _ndtr(zs - w[start:start + _GL_ORDER, None]), out=rows)
+    out = np.empty(len(w))
+    bounds = list(range(0, len(w), _GL_ORDER)) + [len(w)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = ndtr_zs - _ndtr(zs - w[start:stop, None])
         np.clip(rows, 0.0, 1.0, out=rows)
-    return k * (inner ** (k - 1) @ phi_w)
+        rows **= k - 1
+        out[start:stop] = rows @ phi_w
+    return k * out
 
 
 def studentized_range_upper_tail(q, k, df):
@@ -440,7 +455,7 @@ def studentized_range_upper_tail(q, k, df):
     spread = 12.0 / math.sqrt(2.0 * df)
     lo = max(0.0, 1.0 - spread)
     hi = 1.0 + spread
-    ss, sw = _gl_panels(lo, hi, _S_PANELS, _GL_ORDER)
+    ss, sw = _gl_panels(lo, hi, _S_PANELS)
     # log density of s, exponentiated per node: stays finite for any df
     # because the peak log-density cancels inside the exp.
     ln_c = (df / 2.0) * math.log(df) + (1.0 - df / 2.0) * math.log(2.0) - math.lgamma(

@@ -13,9 +13,10 @@ import pytest
 import scipy.stats
 
 from retailsim.cli import main
-from retailsim.department import METRIC_FIELDS, DepartmentSim
-from retailsim.experiments import load_results, results_to_cells, save_results, summarize
+from retailsim.department import DepartmentSim
+from retailsim.experiments import save_results, summarize
 from retailsim.kernel import RngStream
+from retailsim.results import METRIC_FIELDS, load_results, results_to_cells
 from retailsim.sampling import TriangularParams, sample_bernoulli, sample_triangular
 from retailsim.stats import (
     anova_two_way,

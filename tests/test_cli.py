@@ -9,14 +9,8 @@ import pytest
 
 from retailsim import experiments
 from retailsim.cli import main, resolve_config_path
-from retailsim.department import METRIC_FIELDS, RunMetrics
-from retailsim.experiments import (
-    MAX_JOBS,
-    ResultRow,
-    csv_header,
-    derive_cell_seed,
-    save_results,
-)
+from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results
+from retailsim.results import METRIC_FIELDS, ResultRow, RunMetrics, csv_header
 
 
 @pytest.fixture(scope="module")
@@ -506,13 +500,19 @@ def test_module_entry_point_runs():
 NOT_FOR_ANALYSIS = ("scipy", "hashlib", "concurrent.futures.process", "secrets")
 # What loaded_by reports: numpy too, which only simulating and analysing need.
 WATCHED = NOT_FOR_ANALYSIS + ("numpy",)
+# The simulation model and what only it needs: analysis reads results
+# without it, and computes its quadrature nodes without numpy.polynomial.
+MODEL = (
+    "retailsim.config", "retailsim.department", "retailsim.experiments",
+    "tomllib", "logging", "numpy.polynomial",
+)
 
 
-def loaded_by(argv):
+def loaded_by(argv, watched=WATCHED):
     """Run `retailsim argv` in a fresh interpreter.
 
     Returns its stdout lines; the last one is the exit code, also of an
-    argparse exit (help or a usage error), followed by the WATCHED modules
+    argparse exit (help or a usage error), followed by the `watched` modules
     loaded by then.
     """
     code = (
@@ -522,7 +522,7 @@ def loaded_by(argv):
         f"    rc = main({argv!r}) if {argv!r} else 0\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        f"print(rc, *[m for m in {WATCHED!r} if m in sys.modules])\n"
+        f"print(rc, *[m for m in {watched!r} if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -533,9 +533,14 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     assert loaded_by([]) == ["0"]
     results = tmp_path / "worked.csv"
     write_worked_example(results)
-    lines = loaded_by(["analyze", "--results", str(results)])
+    lines = loaded_by(["analyze", "--results", str(results)], WATCHED + MODEL)
     assert "Tukey HSD on cashiers levels (pooled over departments):" in lines
     assert lines[-1] == "0 numpy"
+    lines = loaded_by(["validate", "--config", "dept_atv.toml"], WATCHED + MODEL)
+    rc, *loaded = lines[-1].split()
+    assert rc == "0"
+    assert "retailsim.department" not in loaded
+    assert "retailsim.experiments" not in loaded
     lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"])
     rc, *loaded = lines[-1].split()
     assert rc == "0"

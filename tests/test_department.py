@@ -7,7 +7,8 @@ import pytest
 
 from retailsim.agents import SatisfactionEvent
 from retailsim.config import StaffingPlan, build_config
-from retailsim.department import DepartmentSim, METRIC_FIELDS, run_replication, utilization
+from retailsim.department import DepartmentSim, run_replication, utilization
+from retailsim.results import METRIC_FIELDS
 from retailsim.sampling import ArrivalProfile
 
 SCRIPT_TEMPLATE = """\

@@ -10,23 +10,26 @@ from hypothesis import strategies as st
 
 from retailsim import experiments
 from retailsim.config import StaffingPlan
-from retailsim.department import METRIC_FIELDS, RunMetrics
 from retailsim.kernel import SimulationFault
 from retailsim.experiments import (
     CASHIER_LEVELS,
     EMPOWERMENT_LEVELS,
     MAX_JOBS,
-    ResultRow,
     RunningStat,
     cashier_fill_plan,
-    csv_header,
     derive_cell_seed,
     format_summary_table,
-    load_results,
-    results_to_cells,
     run_sweep,
     save_results,
     summarize,
+)
+from retailsim.results import (
+    METRIC_FIELDS,
+    ResultRow,
+    RunMetrics,
+    csv_header,
+    load_results,
+    results_to_cells,
 )
 
 

@@ -1,6 +1,8 @@
 """Inferential statistics against closed forms and independent oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retailsim.stats import (
+    _GL_HALF_NODES,
     _MAXLOG,
+    _gl_panels,
     _ndtr,
     _range_cdf_at,
     _z_nodes,
@@ -279,9 +283,10 @@ def _range_cdf_one_shot(w, k):
     return k * (inner ** (k - 1) @ phi_w)
 
 
-@pytest.mark.parametrize("size", [1, 7, 20, 240, 241])
+@pytest.mark.parametrize("size", [1, 7, 20, 21, 41, 240, 241])
 def test_blocked_range_cdf_is_bitwise_the_one_shot_reference(size):
-    # 20 widths per block: sizes 1, 7 and 241 end on a partial block.
+    # 20 widths per block: sizes 1, 7, 21, 41 and 241 end on a partial block,
+    # and 21, 41 and 241 on a one-row remainder.
     w = np.random.default_rng(size).uniform(0.0, 12.0, size)
     edges = [0.0, 40.0, 1e-3]  # zero width, saturated, nearly zero
     w[: len(edges)] = edges[:size]
@@ -290,6 +295,27 @@ def test_blocked_range_cdf_is_bitwise_the_one_shot_reference(size):
         reference = _range_cdf_one_shot(w, k)
         assert blocked.shape == (size,)
         assert np.array_equal(blocked.view(np.int64), reference.view(np.int64)), k
+
+
+def test_gauss_legendre_literals_are_numpys_rule():
+    xs, ws = _gl_panels(-1.0, 1.0, 1)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(2 * len(_GL_HALF_NODES))
+    for ours, ref in ((xs, ref_x), (ws, ref_w)):
+        assert np.all(np.abs(ours - ref) <= np.spacing(np.abs(ref)))
+
+
+def test_range_tail_does_not_depend_on_earlier_calls():
+    # Windows of df = 10**9 and 10**9 + 1 differ by less than 1e-12.
+    def tail_after(*dfs):
+        code = (
+            "from retailsim.stats import studentized_range_upper_tail as tail\n"
+            f"print(repr([tail(4.0, 5, df) for df in {dfs!r}][-1]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert tail_after(10**9 + 1) == tail_after(10**9, 10**9 + 1)
 
 
 def test_studentized_range_edges_and_validation():
