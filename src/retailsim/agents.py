@@ -3,18 +3,16 @@
 Customers are passive records driven by the department's event handlers; the
 statechart here only polices that each transition is legal, so a handler bug
 surfaces as an IllegalTransition naming the state and trigger instead of
-silently corrupting counters.
+silently corrupting counters. A customer holds only what some handler reads
+back; why they came in (to buy or to return an item) is decided by the
+arrival handler's branch and not stored, and a queued customer is its own
+queue entry.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-
-class CustomerGoal(enum.IntEnum):
-    PURCHASE = 0
-    REFUND = 1
 
 
 class CustomerState(enum.IntEnum):
@@ -51,7 +49,6 @@ class SatisfactionEvent(enum.IntEnum):
 
 # Every member bound to a module name once: reading an attribute of an Enum
 # class goes through its metaclass and costs several global lookups.
-PURCHASE, REFUND = CustomerGoal
 (
     ENTERING, BROWSING, SEEKING_HELP, IN_HELP_QUEUE, BEING_HELPED, SEEKING_PAY,
     IN_PAY_QUEUE, PAYING, SEEKING_REFUND, IN_REFUND_QUEUE, REFUND_PROCESSING, LEAVING,
@@ -93,29 +90,23 @@ class CustomerAgent:
 
     __slots__ = (
         "id",
-        "goal",
         "state",
         "satisfaction",
-        "entered_at",
         "needs_expert",
         "pending",
         "serving_staff",
-        "queue_entry",
         "refund_base",
         "refund_overhead",
         "auth_manager",
     )
 
-    def __init__(self, cid, goal, entered_at):
+    def __init__(self, cid):
         self.id = cid
-        self.goal = goal
         self.state = ENTERING
         self.satisfaction = 0
-        self.entered_at = entered_at
         self.needs_expert = False
         self.pending = None
         self.serving_staff = None
-        self.queue_entry = None
         self.refund_base = 0.0
         self.refund_overhead = 0.0
         self.auth_manager = None
@@ -130,8 +121,8 @@ class CustomerAgent:
 
     def __repr__(self):
         return (
-            f"CustomerAgent(id={self.id}, goal={self.goal.name}, "
-            f"state={self.state.name}, satisfaction={self.satisfaction})"
+            f"CustomerAgent(id={self.id}, state={self.state.name}, "
+            f"satisfaction={self.satisfaction})"
         )
 
 
@@ -223,9 +214,3 @@ class SatisfactionLedger:
     def record(self, kind, weight):
         self.counts[kind] += 1
         self.total += weight
-
-
-def spawn_customer(cid, entered_at, refund_goal_prob, u):
-    """New customer in ENTERING; goal is Refund with probability refund_goal_prob."""
-    goal = REFUND if u < refund_goal_prob else PURCHASE
-    return CustomerAgent(cid, goal, entered_at)

@@ -20,7 +20,9 @@ import os
 import sys
 
 from .kernel import SimulationFault
-from .results import METRIC_FIELDS, load_results, replaced_atomically, results_to_cells
+from .results import (
+    METRIC_FIELDS, format_value, load_results, replaced_atomically, results_to_cells,
+)
 from .stats import anova_two_way, levene_test, tukey_hsd
 
 CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
@@ -51,11 +53,7 @@ def resolve_config_path(name, extra_dir=None):
 
 
 def _fmt_metric(value):
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "n/a" if value is None else format_value(value)
 
 
 def _fmt_p(p):
@@ -109,9 +107,7 @@ def cmd_run(args):
         with replaced_atomically(args.out) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(METRIC_FIELDS)
-            writer.writerow(
-                ["" if getattr(metrics, n) is None else _fmt_metric(getattr(metrics, n)) for n in METRIC_FIELDS]
-            )
+            writer.writerow([format_value(getattr(metrics, n)) for n in METRIC_FIELDS])
         print(f"metrics written to {args.out}")
     return 0
 
@@ -139,24 +135,13 @@ def cmd_sweep(args):
     )
     save_results(rows, args.out)
     print(f"{len(rows)} replications written to {args.out}")
-    print()
-    print("mean transactions per cell:")
-    print(format_summary_table(summarize(rows, "transactions"), "transactions"))
+    metrics = ["transactions"]
     if args.experiment == "empowerment":
+        metrics += ["cashier_utilization", "refund_satisfaction"]
+    for metric in metrics:
         print()
-        print("mean cashier utilization per cell:")
-        print(
-            format_summary_table(
-                summarize(rows, "cashier_utilization"), "cashier_utilization"
-            )
-        )
-        print()
-        print("mean refund satisfaction per cell:")
-        print(
-            format_summary_table(
-                summarize(rows, "refund_satisfaction"), "refund_satisfaction"
-            )
-        )
+        print(f"mean {metric.replace('_', ' ')} per cell:")
+        print(format_summary_table(summarize(rows, metric), metric))
     return 0
 
 

@@ -9,6 +9,9 @@ busy time never crosses a close, so utilization stays in [0, 1].
 Handlers use plain-int event kinds, int-valued states and id-ordered staff
 lists, and each customer holds at most one pending event as a calendar token,
 so nothing is ever cancelled: superseding the token makes the old event stale.
+The service queues hold the waiting customers themselves; handlers append,
+pop and clear their deques directly, and an arrival's single decision draw
+sends it to the refund path or to browsing.
 A 10-week WW replication (about 56k customers and 190k events) runs in about
 0.65 s on one core of a 2-vCPU VM, which the experiment harness relies on.
 
@@ -25,14 +28,14 @@ from typing import NamedTuple
 from .agents import (  # enum members as plain names: cheap on the hot path
     BEING_HELPED, BROWSING, IN_HELP_QUEUE, IN_PAY_QUEUE, IN_REFUND_QUEUE, LEAVING, PAYING,
     REFUND_PROCESSING, SEEKING_HELP, SEEKING_PAY, SEEKING_REFUND,
-    CASHIER, EXPERT_SELLER, NORMAL_SELLER, SECTION_MANAGER, PURCHASE, REFUND,
+    CASHIER, EXPERT_SELLER, NORMAL_SELLER, SECTION_MANAGER,
     HELP_QUEUE_ABANDONED, HELP_RECEIVED, LEFT_WITHOUT_PURCHASE, PAY_QUEUE_ABANDONED,
     PURCHASE_COMPLETED, REFUND_GRANTED, REFUND_QUEUE_ABANDONED,
-    CustomerState, SatisfactionEvent, SatisfactionLedger, StaffAgent,
-    begin_service, spawn_customer,
+    CustomerAgent, CustomerState, SatisfactionEvent, SatisfactionLedger, StaffAgent,
+    begin_service,
 )
 from .kernel import EventCalendar, RngStream, SimulationFault
-from .queueing import QueueEntry, QueueKind, ServiceQueue, find_idle, resolve_refund_path
+from .queueing import ServiceQueue, find_idle, resolve_refund_path
 from .results import METRIC_FIELDS, RunMetrics  # perfbench's tracer reads METRIC_FIELDS here
 from .sampling import TriangularParams, sample_interarrival, sample_triangular
 
@@ -90,9 +93,8 @@ class DepartmentSim:
     """One seeded replication; build, optionally inject arrivals, then run()."""
 
     def __init__(self, config, staffing=None, seed=0, trace=None, strict=False):
-        self.config = config
-        self.staffing = staffing if staffing is not None else config.staffing
-        self.seed = seed
+        if staffing is None:
+            staffing = config.staffing
         self.cal = EventCalendar()
         self.trace = trace
         self.strict = strict
@@ -108,19 +110,19 @@ class DepartmentSim:
         self.expert_sellers = []
         self.managers = []
         for count, role, pool in (
-            (self.staffing.cashiers, CASHIER, self.cashiers),
-            (self.staffing.normal_sellers, NORMAL_SELLER, self.normal_sellers),
-            (self.staffing.expert_sellers, EXPERT_SELLER, self.expert_sellers),
-            (self.staffing.section_managers, SECTION_MANAGER, self.managers),
+            (staffing.cashiers, CASHIER, self.cashiers),
+            (staffing.normal_sellers, NORMAL_SELLER, self.normal_sellers),
+            (staffing.expert_sellers, EXPERT_SELLER, self.expert_sellers),
+            (staffing.section_managers, SECTION_MANAGER, self.managers),
         ):
             for _ in range(count):
                 pool.append(StaffAgent(sid, role))
                 sid += 1
 
         d = config.durations
-        self.help_q = ServiceQueue(QueueKind.HELP)
-        self.pay_q = ServiceQueue(QueueKind.PAY)
-        self.refund_q = ServiceQueue(QueueKind.REFUND)
+        self.help_q = ServiceQueue()
+        self.pay_q = ServiceQueue()
+        self.refund_q = ServiceQueue()
         self._queues = {
             IN_HELP_QUEUE: _QueueSpec(
                 self.help_q, d.patience_help, HELP_QUEUE_ABANDONED,
@@ -136,9 +138,9 @@ class DepartmentSim:
             ),
         }
         self._cashier_dispatch = tuple(
-            (self.refund_q, self._start_refund)
+            (self.refund_q.entries, self._start_refund)
             if name == "refund"
-            else (self.pay_q, self._start_pay)
+            else (self.pay_q.entries, self._start_pay)
             for name in config.cashier_priority
         )
         self.auth_wait = deque()
@@ -234,18 +236,15 @@ class DepartmentSim:
         }
         queued = set()
         for state, spec in self._queues.items():
-            for entry in spec.queue.entries:
-                c = entry.customer
+            for c in spec.queue.entries:
                 if c.id in queued:
                     raise SimulationFault(f"customer {c.id} present in two queues")
                 queued.add(c.id)
                 if c.state is not state:
                     raise SimulationFault(
-                        f"customer {c.id} sits in the {spec.queue.kind.value} queue "
+                        f"customer {c.id} is queued in {state.name} "
                         f"but is in state {c.state.name}"
                     )
-                if c.queue_entry is not entry:
-                    raise SimulationFault(f"customer {c.id} queue_entry out of sync")
                 if c.id not in renege_timers:
                     raise SimulationFault(
                         f"queued customer {c.id} lacks a live renege timer"
@@ -263,7 +262,7 @@ class DepartmentSim:
             if find_idle(self.expert_sellers) is not None:
                 raise SimulationFault("idle expert seller while help customers queue")
             if find_idle(self.normal_sellers) is not None and any(
-                not e.needs_expert for e in self.help_q.entries
+                not c.needs_expert for c in self.help_q.entries
             ):
                 raise SimulationFault("idle normal seller while servable help entry queues")
         if self.auth_wait and find_idle(self.managers) is not None:
@@ -315,35 +314,29 @@ class DepartmentSim:
             return
         spec = self._queues[state]
         customer.transition(state, spec.enqueue_trigger)
-        now = self.cal.now
-        entry = QueueEntry(customer, now, customer.needs_expert)
         wait = sample_triangular(spec.patience, self.rng_patience.uniform())
-        customer.pending = self.cal.schedule(now + wait, EV_RENEGE, customer)
-        customer.queue_entry = entry
-        spec.queue.push(entry)
+        customer.pending = self.cal.schedule(self.cal.now + wait, EV_RENEGE, customer)
+        spec.queue.entries.append(customer)
 
-    def _claim(self, entry):
+    def _claim(self, customer):
         """Take a queued customer for service; makes the renege timer stale."""
-        customer = entry.customer
         customer.pending = None
-        customer.queue_entry = None
         return customer
 
     def _staff_freed(self, staff):
         role = staff.role
         if role is CASHIER:
             for queue, starter in self._cashier_dispatch:
-                entry = queue.pop_head()
-                if entry is not None:
-                    starter(self._claim(entry), staff)
+                if queue:
+                    starter(self._claim(queue.popleft()), staff)
                     return
         elif role is SECTION_MANAGER:
             if self.auth_wait:
                 self._begin_auth(self.auth_wait.popleft(), staff)
         else:
-            entry = self.help_q.pop_first_servable(role is EXPERT_SELLER)
-            if entry is not None:
-                self._start_help(self._claim(entry), staff)
+            customer = self.help_q.pop_first_servable(role is EXPERT_SELLER)
+            if customer is not None:
+                self._start_help(self._claim(customer), staff)
 
     # -- customer flow ------------------------------------------------------
 
@@ -351,9 +344,8 @@ class DepartmentSim:
         now = self.cal.now
         cid = self.entered
         self.entered = cid + 1
-        customer = spawn_customer(cid, now, self.p_refund_goal, self.rng_decisions.uniform())
-        self.live[cid] = customer
-        if customer.goal is REFUND:
+        customer = self.live[cid] = CustomerAgent(cid)
+        if self.rng_decisions.uniform() < self.p_refund_goal:
             customer.transition(SEEKING_REFUND, "arrival")
             self._request(customer, find_idle(self.cashiers), self._start_refund, IN_REFUND_QUEUE)
         else:
@@ -476,7 +468,6 @@ class DepartmentSim:
 
     def _after_refund(self, customer):
         if self.rng_decisions.uniform() < self.p_repurchase:
-            customer.goal = PURCHASE
             customer.transition(BROWSING, "refund_repurchase")
             self._begin_browse(customer, self.cal.now)
         else:
@@ -486,20 +477,18 @@ class DepartmentSim:
 
     def _on_renege(self, customer):
         spec = self._queues[customer.state]
-        spec.queue.remove(customer.queue_entry)
-        customer.queue_entry = None
+        spec.queue.remove(customer)
         self._apply(customer, spec.abandoned)
         self._depart(customer, spec.renege_trigger)
 
     def _on_day_close(self, _):
         now = self.cal.now
         for customer in list(self.live.values()):
-            customer.queue_entry = None
             self._settle(customer, now)
             self._depart(customer, "day_close")
-        self.help_q.drain()
-        self.pay_q.drain()
-        self.refund_q.drain()
+        self.help_q.entries.clear()
+        self.pay_q.entries.clear()
+        self.refund_q.entries.clear()
         self.auth_wait.clear()
         self.day_index += 1
         if self.day_index < self.days:

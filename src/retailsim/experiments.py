@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .config import StaffingPlan
 from .department import run_replication
 from .kernel import SimulationFault, hash_seed
-from .results import METRIC_FIELDS, ResultRow, csv_header, replaced_atomically
+from .results import METRIC_FIELDS, ResultRow, csv_header, format_value, replaced_atomically
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -117,14 +117,6 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
 # Writing results
 
 
-def _format_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_results_csv(rows, fh):
     """Write rows to an open text file (newline='' per csv docs)."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -132,7 +124,7 @@ def write_results_csv(rows, fh):
     for row in rows:
         record = [row.experiment, row.department, row.level, row.replication, row.seed]
         record += [getattr(row.metrics, name) for name in METRIC_FIELDS]
-        writer.writerow([_format_value(v) for v in record])
+        writer.writerow([format_value(v) for v in record])
 
 
 def save_results(rows, path):

@@ -1,85 +1,53 @@
 """FIFO service queues with reneging hooks, skill matching, empowerment policy.
 
-Queue entries are live; each queued customer's renege timer is the event
-whose calendar token it holds as its pending event, so claiming the customer
-for service only has to clear that token.
-Help entries carry a needs-expert flag: a freed expert seller takes the oldest
-entry outright, a freed normal seller takes the oldest entry it is qualified
-for, so service order is FIFO within each compatibility class.
+A queue holds the waiting `CustomerAgent`s themselves. Each queued
+customer's renege timer is the event whose calendar token it holds as its
+pending event, so claiming the customer for service only has to clear that
+token. A freed expert seller takes the oldest help customer outright, a freed
+normal seller the oldest one who does not need an expert, so service order is
+FIFO within each compatibility class.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 
 from .sampling import TriangularParams, sample_bernoulli, sample_triangular
 
 
-class QueueKind(enum.Enum):
-    HELP = "help"
-    PAY = "pay"
-    REFUND = "refund"
-
-
-class QueueEntry:
-    """One waiting customer."""
-
-    __slots__ = ("customer", "enqueued_at", "needs_expert")
-
-    def __init__(self, customer, enqueued_at, needs_expert=False):
-        self.customer = customer
-        self.enqueued_at = enqueued_at
-        self.needs_expert = needs_expert
-
-
 class ServiceQueue:
-    """FIFO queue for one service kind."""
+    """FIFO queue of waiting customers for one service.
 
-    __slots__ = ("kind", "entries")
+    The department appends to, pops from and clears `entries` itself; the
+    two methods here are the scans that pick a customer out of the middle.
+    """
 
-    def __init__(self, kind):
-        self.kind = kind
+    __slots__ = ("entries",)
+
+    def __init__(self):
         self.entries = deque()
 
-    def push(self, entry):
-        self.entries.append(entry)
-
-    def pop_head(self):
-        """Oldest entry, or None when empty."""
-        if self.entries:
-            return self.entries.popleft()
-        return None
-
     def pop_first_servable(self, can_serve_expert):
-        """Oldest entry a staff member of the given qualification may take.
+        """Oldest customer a staff member of the given qualification may take.
 
-        Experts may take anything; a normal seller skips entries flagged
-        needs_expert but otherwise respects arrival order.
+        Experts may take anyone; a normal seller skips customers who need an
+        expert but otherwise respects arrival order.
         """
         entries = self.entries
         if not entries:
             return None
         if can_serve_expert:
             return entries.popleft()
-        for entry in entries:
-            if not entry.needs_expert:
-                entries.remove(entry)
-                return entry
+        for customer in entries:
+            if not customer.needs_expert:
+                entries.remove(customer)
+                return customer
         return None
 
-    def remove(self, entry):
-        """Drop a specific entry (renege or day close); True if it was present."""
-        try:
-            self.entries.remove(entry)
-            return True
-        except ValueError:
-            return False
-
-    def drain(self):
-        """Remove all entries (day close)."""
-        self.entries.clear()
+    def remove(self, customer):
+        """Drop a reneging customer; ValueError if they are not queued."""
+        self.entries.remove(customer)
 
 
 def find_idle(staff_list):

@@ -68,6 +68,15 @@ def csv_header():
     return list(CSV_ID_FIELDS) + list(METRIC_FIELDS)
 
 
+def format_value(value):
+    """One CSV cell: None is empty, a float its round-trip repr."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 @contextmanager
 def replaced_atomically(path):
     """Text file open for writing beside `path`, moved onto it once complete.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 
 # ---------------------------------------------------------------------------
-# Incomplete beta and F / t tails
+# Incomplete beta and the F tail
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
@@ -112,11 +112,6 @@ def f_upper_tail(f, df1, df2):
         return 1.0
     x = df2 / (df2 + df1 * f)
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
-
-
-def t_two_sided_tail(t, df):
-    """P(|T_df| > t); equals the F tail at t^2 with (1, df) df."""
-    return f_upper_tail(t * t, 1.0, df)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from retailsim.stats import (
     f_upper_tail,
     levene_test,
     studentized_range_upper_tail,
-    t_two_sided_tail,
 )
 
 from test_department import scripted
@@ -191,7 +190,7 @@ def test_criterion_08_null_calibration(capsys):
     tukey_t = all(
         abs(
             studentized_range_upper_tail(q, 2, df)
-            - t_two_sided_tail(q / math.sqrt(2.0), df)
+            - f_upper_tail(q * q / 2.0, 1.0, df)
         )
         <= 1e-4
         for q in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)

@@ -1,5 +1,6 @@
 """Customer statechart legality, satisfaction accounting, staff service contract."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from retailsim.agents import (
     _ALLOWED,
     CustomerAgent,
-    CustomerGoal,
     CustomerState,
     IllegalTransition,
     SatisfactionEvent,
@@ -15,14 +15,16 @@ from retailsim.agents import (
     StaffAgent,
     StaffRole,
     begin_service,
-    spawn_customer,
 )
 from retailsim.department import DepartmentSim
-from retailsim.kernel import EventCalendar, RngStream
+from retailsim.kernel import EventCalendar
+
+from conftest import shorten
+from test_department import scripted
 
 
-def fresh(goal=CustomerGoal.PURCHASE):
-    return CustomerAgent(0, goal, 0.0)
+def fresh():
+    return CustomerAgent(0)
 
 
 def allowed(state):
@@ -47,7 +49,7 @@ def test_purchase_walk_through_pay_queue():
 
 
 def test_refund_goal_enters_refund_path_directly():
-    c = fresh(CustomerGoal.REFUND)
+    c = fresh()
     c.transition(CustomerState.SEEKING_REFUND, "arrival")
     c.transition(CustomerState.REFUND_PROCESSING, "refund_start")
     c.transition(CustomerState.BROWSING, "refund_repurchase")
@@ -171,31 +173,68 @@ def test_purchase_without_abandonment_never_negative():
     assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] > 0
 
 
-# -- spawning -----------------------------------------------------------------
+# -- spawning: the arrival handler's refund-or-browse branch -------------------
 
 
-def test_spawn_goal_split_by_draw():
-    assert spawn_customer(1, 0.0, 0.0, 0.99).goal is CustomerGoal.PURCHASE
-    assert spawn_customer(2, 0.0, 1.0, 0.99).goal is CustomerGoal.REFUND
-    assert spawn_customer(3, 0.0, 0.4, 0.39).goal is CustomerGoal.REFUND
-    assert spawn_customer(4, 0.0, 0.4, 0.40).goal is CustomerGoal.PURCHASE
+class ConstantRng:
+    def __init__(self, value):
+        self.value = value
+
+    def uniform(self):
+        return self.value
 
 
-def test_spawn_refund_share_binomial():
-    stream = RngStream(5, "decisions")
-    n = 100_000
-    refunds = sum(
-        spawn_customer(i, 0.0, 0.1, stream.uniform()).goal is CustomerGoal.REFUND
-        for i in range(n)
-    )
-    assert abs(refunds / n - 0.1) < 0.003
+def arrival_moves(monkeypatch, sim):
+    """Run `sim`; each customer's first move as (from, to, trigger, satisfaction)."""
+    first = {}
+    transition = CustomerAgent.transition
+
+    def record(customer, new_state, trigger):
+        if customer.id not in first:
+            first[customer.id] = (customer.state, new_state, trigger, customer.satisfaction)
+        transition(customer, new_state, trigger)
+
+    monkeypatch.setattr(CustomerAgent, "transition", record)
+    sim.run()
+    monkeypatch.undo()
+    return list(first.values())
 
 
-def test_spawn_starts_clean():
-    c = spawn_customer(9, 42.0, 0.0, 0.5)
-    assert c.state is CustomerState.ENTERING
-    assert c.satisfaction == 0
-    assert c.entered_at == 42.0
+def with_refund_goal(config, p):
+    probabilities = dataclasses.replace(config.probabilities, refund_goal=p)
+    return dataclasses.replace(config, probabilities=probabilities)
+
+
+def test_spawn_goal_split_by_draw(monkeypatch, atv_config):
+    # A draw below refund_goal seeks a refund; a draw at it goes browsing.
+    for u, expected in ((0.39, CustomerState.SEEKING_REFUND), (0.40, CustomerState.BROWSING)):
+        sim = DepartmentSim(scripted(refund_goal=0.4))
+        sim.rng_decisions = ConstantRng(u)
+        sim.inject_arrival(1.0)
+        assert [move[1] for move in arrival_moves(monkeypatch, sim)] == [expected]
+    # The shipped department at the extremes: nobody or everybody seeks a refund first.
+    day = shorten(atv_config, days=1)
+    never = arrival_moves(monkeypatch, DepartmentSim(with_refund_goal(day, 0.0), seed=3))
+    always = arrival_moves(monkeypatch, DepartmentSim(with_refund_goal(day, 1.0), seed=3))
+    assert never and always
+    assert {move[1] for move in never} == {CustomerState.BROWSING}
+    assert {move[1] for move in always} == {CustomerState.SEEKING_REFUND}
+
+
+def test_spawn_refund_share_binomial(monkeypatch, ww_config):
+    # About 56k arrivals: the binomial sd of the share at p = 0.1 is about 0.0013.
+    moves = arrival_moves(monkeypatch, DepartmentSim(ww_config, seed=5))
+    assert len(moves) > 50_000
+    refunds = sum(move[1] is CustomerState.SEEKING_REFUND for move in moves)
+    assert abs(refunds / len(moves) - 0.1) < 0.005
+
+
+def test_spawn_starts_clean(monkeypatch, atv_week):
+    moves = arrival_moves(monkeypatch, DepartmentSim(atv_week, seed=9, strict=True))
+    assert moves
+    assert {(move[0], move[2], move[3]) for move in moves} == {
+        (CustomerState.ENTERING, "arrival", 0)
+    }
 
 
 # -- staff service contract ----------------------------------------------------

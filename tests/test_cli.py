@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, determinism, and analysis output."""
 
 import concurrent.futures
+import csv
+import io
 import shutil
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import pytest
 
 from retailsim import experiments
 from retailsim.cli import main, resolve_config_path
-from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results
-from retailsim.results import METRIC_FIELDS, ResultRow, RunMetrics, csv_header
+from retailsim.department import run_replication
+from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results, write_results_csv
+from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
 
 
 @pytest.fixture(scope="module")
@@ -19,17 +22,21 @@ def atv_text():
         return fh.read()
 
 
-@pytest.fixture()
-def short_dir(tmp_path, atv_text):
-    """Copies of both shipped configs shortened to 7 trading days."""
+def shortened_configs(directory, atv_text, days):
+    """Copies of both shipped configs shortened to `days` trading days."""
     with open(resolve_config_path("dept_ww.toml"), encoding="utf-8") as fh:
         ww_text = fh.read()
     for name, text in (("short_atv.toml", atv_text), ("short_ww.toml", ww_text)):
         assert "days = 70" in text
-        (tmp_path / name).write_text(
-            text.replace("days = 70", "days = 7"), encoding="utf-8"
+        (directory / name).write_text(
+            text.replace("days = 70", f"days = {days}"), encoding="utf-8"
         )
-    return tmp_path
+    return directory
+
+
+@pytest.fixture()
+def short_dir(tmp_path, atv_text):
+    return shortened_configs(tmp_path, atv_text, days=7)
 
 
 def result_row(dept, level, rep, transactions, experiment="cashiers"):
@@ -269,7 +276,71 @@ def test_run_writes_one_row_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_run_csv_cells_match_the_sweep_csv(tmp_path, capsys, atv_week):
+    # `run --out` and a sweep's results CSV format the same metrics alike.
+    out_csv = tmp_path / "metrics.csv"
+    argv = [
+        "run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "7",
+        "--out", str(out_csv),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        header, run_cells = list(csv.reader(fh))
+    metrics = run_replication(atv_week, seed=7)
+    sweep_csv = io.StringIO()
+    write_results_csv([ResultRow("cashiers", "A&TV", 3, 1, 7, metrics)], sweep_csv)
+    sweep_header, sweep_cells = list(csv.reader(io.StringIO(sweep_csv.getvalue())))
+    assert header == sweep_header[len(CSV_ID_FIELDS):] == list(METRIC_FIELDS)
+    assert run_cells == sweep_cells[len(CSV_ID_FIELDS):]
+
+
 # -- sweep -----------------------------------------------------------------------
+
+
+# `sweep --experiment empowerment --reps 1` stdout over both shipped departments
+# cut to one trading day, after its first line (the output path).
+ONE_DAY_EMPOWERMENT_TABLES = (
+    "",
+    "mean transactions per cell:",
+    "department      level    n           mean           sd",
+    "A&TV              0.0    1         207.00             ",
+    "A&TV             0.25    1         234.00             ",
+    "A&TV              0.5    1         178.00             ",
+    "A&TV             0.75    1         207.00             ",
+    "A&TV              1.0    1         206.00             ",
+    "WW                0.0    1         394.00             ",
+    "WW               0.25    1         413.00             ",
+    "WW                0.5    1         402.00             ",
+    "WW               0.75    1         422.00             ",
+    "WW                1.0    1         445.00             ",
+    "",
+    "mean cashier utilization per cell:",
+    "department      level    n           mean           sd",
+    "A&TV              0.0    1         0.6451             ",
+    "A&TV             0.25    1         0.6485             ",
+    "A&TV              0.5    1         0.5565             ",
+    "A&TV             0.75    1         0.6189             ",
+    "A&TV              1.0    1         0.6711             ",
+    "WW                0.0    1         0.9115             ",
+    "WW               0.25    1         0.9084             ",
+    "WW                0.5    1         0.8386             ",
+    "WW               0.75    1         0.8425             ",
+    "WW                1.0    1         0.8341             ",
+    "",
+    "mean refund satisfaction per cell:",
+    "department      level    n           mean           sd",
+    "A&TV              0.0    1         108.00             ",
+    "A&TV             0.25    1          80.00             ",
+    "A&TV              0.5    1          82.00             ",
+    "A&TV             0.75    1          82.00             ",
+    "A&TV              1.0    1          90.00             ",
+    "WW                0.0    1         152.00             ",
+    "WW               0.25    1         146.00             ",
+    "WW                0.5    1         150.00             ",
+    "WW               0.75    1         164.00             ",
+    "WW                1.0    1         158.00             ",
+)
 
 
 def sweep_argv(short_dir, out, experiment="empowerment"):
@@ -283,14 +354,12 @@ def sweep_argv(short_dir, out, experiment="empowerment"):
     ]
 
 
-def test_sweep_writes_rows_and_summary(short_dir, tmp_path, capsys):
+def test_sweep_writes_rows_and_summary(tmp_path, atv_text, capsys):
     out = tmp_path / "emp.csv"
-    assert main(sweep_argv(short_dir, out)) == 0
+    assert main(sweep_argv(shortened_configs(tmp_path, atv_text, days=1), out)) == 0
     stdout = capsys.readouterr().out
-    assert "10 replications written to" in stdout
-    assert "mean transactions per cell:" in stdout
-    assert "mean cashier utilization per cell:" in stdout
-    assert "mean refund satisfaction per cell:" in stdout
+    expected = (f"10 replications written to {out}",) + ONE_DAY_EMPOWERMENT_TABLES
+    assert stdout == "\n".join(expected) + "\n"
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(csv_header())
     assert len(lines) == 11

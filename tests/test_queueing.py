@@ -2,17 +2,18 @@
 
 import pytest
 
-from retailsim.agents import CustomerAgent, CustomerGoal, StaffAgent, StaffRole
+from retailsim.agents import CustomerAgent, SatisfactionEvent, StaffAgent, StaffRole
+from retailsim.department import EV_DAY_CLOSE, DepartmentSim
 from retailsim.kernel import RngStream
 from retailsim.queueing import (
     EmpowermentPolicy,
-    QueueEntry,
-    QueueKind,
     ServiceQueue,
     find_idle,
     resolve_refund_path,
 )
 from retailsim.sampling import TriangularParams
+
+from test_department import scripted
 
 
 class ScriptedRng:
@@ -28,64 +29,75 @@ class ScriptedRng:
 
 
 def customer(cid, needs_expert=False):
-    c = CustomerAgent(cid, CustomerGoal.PURCHASE, 0.0)
+    c = CustomerAgent(cid)
     c.needs_expert = needs_expert
     return c
-
-
-def entry(cid, needs_expert=False):
-    return QueueEntry(customer(cid), 0.0, needs_expert)
 
 
 # -- FIFO and skill matching ----------------------------------------------------
 
 
+def queue_of(*customers):
+    q = ServiceQueue()
+    q.entries.extend(customers)
+    return q
+
+
 def test_pop_head_is_fifo():
-    q = ServiceQueue(QueueKind.PAY)
-    entries = [entry(i) for i in range(3)]
-    for e in entries:
-        q.push(e)
-    assert [q.pop_head() for _ in range(3)] == entries
-    assert q.pop_head() is None
+    customers = [customer(i) for i in range(3)]
+    q = queue_of(*customers)
+    assert [q.entries.popleft() for _ in range(3)] == customers
+    assert not q.entries
 
 
 def test_normal_seller_skips_expert_only_entries():
-    q = ServiceQueue(QueueKind.HELP)
-    expert_only = entry(0, needs_expert=True)
-    plain = entry(1)
-    q.push(expert_only)
-    q.push(plain)
+    expert_only = customer(0, needs_expert=True)
+    plain = customer(1)
+    q = queue_of(expert_only, plain)
     assert q.pop_first_servable(can_serve_expert=False) is plain
     assert list(q.entries) == [expert_only]  # head kept its position
     assert q.pop_first_servable(can_serve_expert=False) is None
 
 
+def test_normal_seller_takes_the_oldest_servable_customer():
+    first_plain, second_plain = customer(1), customer(2)
+    q = queue_of(customer(0, needs_expert=True), first_plain, second_plain)
+    assert q.pop_first_servable(can_serve_expert=False) is first_plain
+    assert q.pop_first_servable(can_serve_expert=False) is second_plain
+
+
 def test_expert_takes_the_oldest_entry_outright():
-    q = ServiceQueue(QueueKind.HELP)
-    first = entry(0, needs_expert=True)
-    second = entry(1)
-    q.push(first)
-    q.push(second)
+    first = customer(0, needs_expert=True)
+    q = queue_of(first, customer(1))
     assert q.pop_first_servable(can_serve_expert=True) is first
 
 
+def test_pop_first_servable_on_empty_queue():
+    assert ServiceQueue().pop_first_servable(can_serve_expert=True) is None
+    assert ServiceQueue().pop_first_servable(can_serve_expert=False) is None
+
+
 def test_remove_present_and_absent():
-    q = ServiceQueue(QueueKind.REFUND)
-    e = entry(0)
-    q.push(e)
-    assert q.remove(e) is True
-    assert q.remove(e) is False
-    assert len(q.entries) == 0
+    kept, reneged = customer(0), customer(1)
+    q = queue_of(kept, reneged)
+    q.remove(reneged)
+    assert list(q.entries) == [kept]
+    with pytest.raises(ValueError):
+        q.remove(reneged)
+    assert list(q.entries) == [kept]
 
 
 def test_drain_empties_queue():
-    q = ServiceQueue(QueueKind.PAY)
-    entries = [entry(i) for i in range(4)]
-    for e in entries:
-        q.push(e)
-    q.drain()
-    assert len(q.entries) == 0
-    assert q.pop_head() is None
+    # The day close clears every queue, sending each waiting customer home.
+    sim = DepartmentSim(scripted(cashiers=0, managers=0, patience=1000))
+    for at in (1.0, 2.0, 3.0):
+        sim.inject_arrival(at)
+    sim.cal.schedule(sim.day_end, EV_DAY_CLOSE)
+    sim.cal.run_until(sim.day_end - 1.0, sim._dispatch)
+    assert [c.id for c in sim.pay_q.entries] == [0, 1, 2]
+    sim.cal.run_until(sim.day_end, sim._dispatch)
+    assert not sim.pay_q.entries and not sim.live
+    assert sim.ledger.counts[SatisfactionEvent.PAY_QUEUE_ABANDONED] == 0
 
 
 def test_find_idle_prefers_lowest_id():

@@ -23,7 +23,6 @@ from retailsim.stats import (
     levene_test,
     regularized_incomplete_beta,
     studentized_range_upper_tail,
-    t_two_sided_tail,
     tukey_hsd,
 )
 
@@ -73,7 +72,7 @@ def test_f_tail_monotone_decreasing():
 def test_t_identity_matches_scipy():
     for t in (0.5, 1.0, 2.0, 3.5):
         for df in (1, 4, 30, 190):
-            assert t_two_sided_tail(t, df) == pytest.approx(
+            assert f_upper_tail(t * t, 1.0, df) == pytest.approx(
                 2.0 * scipy.stats.t.sf(t, df), abs=1e-12
             )
 
@@ -342,7 +341,7 @@ def test_studentized_range_k2_reduces_to_two_sided_t():
     for q in (0.5, 1.0, 2.5, 4.0):
         for df in (3, 30, 190):
             assert studentized_range_upper_tail(q, 2, df) == pytest.approx(
-                t_two_sided_tail(q / math.sqrt(2.0), df), abs=1e-10
+                f_upper_tail(q * q / 2.0, 1.0, df), abs=1e-10
             )
 
 
