@@ -154,15 +154,15 @@ class StaffAgent:
         return f"StaffAgent(id={self.id}, role={self.role.name}, busy={self.busy})"
 
 
-def begin_service(staff, customer, duration, calendar, kind):
+def begin_service(staff, customer, duration, calendar, handler):
     """Seize an idle staff member for `customer` and schedule the completion.
 
-    The completion becomes the customer's pending event, so a day close
-    can supersede it.
+    The completion, an event that calls `handler(customer)`, becomes the
+    customer's pending event, so a day close can supersede it.
     """
     staff.begin(calendar.now)
     customer.serving_staff = staff
-    customer.pending = calendar.schedule(calendar.now + duration, kind, customer)
+    customer.pending = calendar.schedule(calendar.now + duration, handler, customer)
 
 
 _DEFAULT_WEIGHTS = {

@@ -114,7 +114,7 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     from .config import ConfigError, load_config
-    from .experiments import MAX_JOBS, format_summary_table, run_sweep, save_results, summarize
+    from .experiments import MAX_JOBS, format_summary_table, run_sweep, save_results
 
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
@@ -141,7 +141,7 @@ def cmd_sweep(args):
     for metric in metrics:
         print()
         print(f"mean {metric.replace('_', ' ')} per cell:")
-        print(format_summary_table(summarize(rows, metric), metric))
+        print(format_summary_table(rows, metric))
     return 0
 
 

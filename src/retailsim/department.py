@@ -6,9 +6,10 @@ through their current activity (purchase counted, help or refund credited)
 and everyone else departs with the satisfaction already accumulated; staff
 busy time never crosses a close, so utilization stays in [0, 1].
 
-Handlers use plain-int event kinds, int-valued states and id-ordered staff
-lists, and each customer holds at most one pending event as a calendar token,
-so nothing is ever cancelled: superseding the token makes the old event stale.
+The calendar schedules each handler itself, and a trace names an event by its
+handler without the `_on_` prefix. States are ints, staff lists id-ordered,
+and each customer holds at most one pending event as a calendar token, so
+nothing is ever cancelled: superseding the token makes the old event stale.
 The service queues hold the waiting customers themselves; handlers append,
 pop and clear their deques directly, and an arrival's single decision draw
 sends it to the refund path or to browsing.
@@ -22,6 +23,7 @@ them without loading this model.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import NamedTuple
 
@@ -38,28 +40,6 @@ from .kernel import EventCalendar, RngStream, SimulationFault
 from .queueing import ServiceQueue, find_idle, resolve_refund_path
 from .results import METRIC_FIELDS, RunMetrics  # perfbench's tracer reads METRIC_FIELDS here
 from .sampling import TriangularParams, sample_interarrival, sample_triangular
-
-EV_ARRIVAL = 0
-EV_DAY_CLOSE = 1
-EV_BROWSE_END = 2
-EV_HELP_END = 3
-EV_PAY_END = 4
-EV_REFUND_END = 5
-EV_REFUND_SERVICE_END = 6
-EV_AUTH_END = 7
-EV_RENEGE = 8
-
-EVENT_NAMES = (
-    "arrival",
-    "day_close",
-    "browse_end",
-    "help_end",
-    "pay_end",
-    "refund_end",
-    "refund_service_end",
-    "auth_end",
-    "renege",
-)
 
 # What settling a customer credits, indexed by the state they are in.
 _CREDIT = tuple(
@@ -177,32 +157,21 @@ class DepartmentSim:
         self.manager_authorizations = 0
         self.autonomous_refunds = 0
 
-        self._handlers = (
-            self._on_arrival,
-            self._on_day_close,
-            self._on_browse_end,
-            self._on_help_end,
-            self._on_pay_end,
-            self._on_refund_end,
-            self._on_refund_service_end,
-            self._on_auth_end,
-            self._on_renege,
-        )
-
     # -- public API ---------------------------------------------------------
 
     def inject_arrival(self, at):
         """Force an arrival at an absolute time (scripted scenarios)."""
-        self.cal.schedule(at, EV_ARRIVAL)
+        self.cal.schedule(at, self._on_arrival)
 
     def run(self):
         cal = self.cal
         horizon = self.day_minutes * self.days
         # Each day close schedules the next one, always ahead of that day's
         # first arrival, so a close precedes every same-time event of its day.
-        cal.schedule(self.day_end, EV_DAY_CLOSE)
+        cal.schedule(self.day_end, self._on_day_close)
         self._chain_arrival(0.0)
-        cal.run_until(horizon, self._dispatch)
+        observed = self.trace is not None or self.strict
+        cal.run_until(horizon, self._observed if observed else operator.call)
         if self.live:
             raise SimulationFault(f"{len(self.live)} customers still in store at horizon")
         for pool in (self.cashiers, self.normal_sellers, self.expert_sellers, self.managers):
@@ -211,14 +180,14 @@ class DepartmentSim:
                     raise SimulationFault(f"{staff!r} still busy at horizon")
         return self._metrics(horizon)
 
-    # -- dispatch -----------------------------------------------------------
+    # -- observers ----------------------------------------------------------
 
-    def _dispatch(self, kind, target):
+    def _observed(self, handler, target):
+        """The dispatcher of a traced or strict run; others call the handler."""
         if self.trace is not None:
-            self.trace.append(
-                (self.cal.now, EVENT_NAMES[kind], None if target is None else target.id)
-            )
-        self._handlers[kind](target)
+            name = handler.__name__.removeprefix("_on_")
+            self.trace.append((self.cal.now, name, None if target is None else target.id))
+        handler(target)
         if self.strict:
             self._check_invariants()
 
@@ -232,7 +201,7 @@ class DepartmentSim:
         # its seq, and a customer holds at most one live entry.
         renege_timers = {
             target.id for _, seq, kind, target in self.cal.heap
-            if kind == EV_RENEGE and target.pending == seq
+            if kind == self._on_renege and target.pending == seq
         }
         queued = set()
         for state, spec in self._queues.items():
@@ -305,7 +274,7 @@ class DepartmentSim:
         gap = sample_interarrival(self.arrivals, self.rng_arrivals.uniform())
         at = now + gap
         if at < self.day_end:
-            self.cal.schedule(at, EV_ARRIVAL)
+            self.cal.schedule(at, self._on_arrival)
 
     def _request(self, customer, staff, start, state):
         """Start service with `staff` if one is idle, else queue in `state`."""
@@ -315,7 +284,7 @@ class DepartmentSim:
         spec = self._queues[state]
         customer.transition(state, spec.enqueue_trigger)
         wait = sample_triangular(spec.patience, self.rng_patience.uniform())
-        customer.pending = self.cal.schedule(self.cal.now + wait, EV_RENEGE, customer)
+        customer.pending = self.cal.schedule(self.cal.now + wait, self._on_renege, customer)
         spec.queue.entries.append(customer)
 
     def _claim(self, customer):
@@ -355,7 +324,7 @@ class DepartmentSim:
 
     def _begin_browse(self, customer, now):
         duration = sample_triangular(self.d_browse, self.rng_service.uniform())
-        customer.pending = self.cal.schedule(now + duration, EV_BROWSE_END, customer)
+        customer.pending = self.cal.schedule(now + duration, self._on_browse_end, customer)
 
     def _on_browse_end(self, customer):
         dec = self.rng_decisions
@@ -377,7 +346,7 @@ class DepartmentSim:
     def _start_help(self, customer, staff):
         customer.transition(BEING_HELPED, "help_start")
         duration = sample_triangular(self.d_help, self.rng_service.uniform())
-        begin_service(staff, customer, duration, self.cal, EV_HELP_END)
+        begin_service(staff, customer, duration, self.cal, self._on_help_end)
 
     def _on_help_end(self, customer):
         staff = customer.serving_staff
@@ -392,7 +361,7 @@ class DepartmentSim:
     def _start_pay(self, customer, cashier):
         customer.transition(PAYING, "pay_start")
         duration = sample_triangular(self.d_pay, self.rng_service.uniform())
-        begin_service(cashier, customer, duration, self.cal, EV_PAY_END)
+        begin_service(cashier, customer, duration, self.cal, self._on_pay_end)
 
     def _on_pay_end(self, customer):
         cashier = customer.serving_staff
@@ -410,13 +379,13 @@ class DepartmentSim:
         )
         if overhead is None:
             self.autonomous_refunds += 1
-            begin_service(cashier, customer, duration, self.cal, EV_REFUND_END)
+            begin_service(cashier, customer, duration, self.cal, self._on_refund_end)
             return
         self.manager_authorizations += 1
         customer.refund_overhead = overhead
         if not self.hold_cashier:
             # The cashier does the service part alone; the manager signs off after.
-            begin_service(cashier, customer, duration, self.cal, EV_REFUND_SERVICE_END)
+            begin_service(cashier, customer, duration, self.cal, self._on_refund_service_end)
             return
         cashier.begin(self.cal.now)
         customer.serving_staff = cashier
@@ -436,7 +405,7 @@ class DepartmentSim:
         manager.begin(now)
         customer.auth_manager = manager
         customer.pending = self.cal.schedule(
-            now + customer.refund_overhead, EV_AUTH_END, customer
+            now + customer.refund_overhead, self._on_auth_end, customer
         )
 
     def _on_auth_end(self, customer):
@@ -446,7 +415,7 @@ class DepartmentSim:
             manager.finish(now)
             customer.auth_manager = None
             customer.pending = self.cal.schedule(
-                now + customer.refund_base, EV_REFUND_END, customer
+                now + customer.refund_base, self._on_refund_end, customer
             )
         else:
             self._settle(customer, now)
@@ -493,7 +462,7 @@ class DepartmentSim:
         self.day_index += 1
         if self.day_index < self.days:
             self.day_end = (self.day_index + 1) * self.day_minutes
-            self.cal.schedule(self.day_end, EV_DAY_CLOSE)
+            self.cal.schedule(self.day_end, self._on_day_close)
             self._chain_arrival(now)
 
     # -- metrics ------------------------------------------------------------

@@ -8,20 +8,22 @@ order, and result CSVs are written with round-trip float formatting so a
 repeated sweep is byte-identical. A replication that fails inside a sweep is
 reported as a SimulationFault naming its department, level, replication and
 seed, so it can be rerun on its own. The CSV schema, its reader and the
-atomic file replacement live in `results`, which the analysis shares.
+atomic file replacement live in `results`, which the analysis shares; the
+sweep's per-cell summary table groups rows with the ANOVA's own
+`results_to_cells`.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import math
-from dataclasses import dataclass
 
 from .config import StaffingPlan
 from .department import run_replication
 from .kernel import SimulationFault, hash_seed
-from .results import METRIC_FIELDS, ResultRow, csv_header, format_value, replaced_atomically
+from .results import (
+    METRIC_FIELDS, ResultRow, csv_header, format_value, replaced_atomically, results_to_cells,
+)
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -136,83 +138,22 @@ def save_results(rows, path):
 # Summaries
 
 
-class RunningStat:
-    """Welford accumulator: numerically stable single-pass mean and sd."""
+def format_summary_table(rows, metric):
+    """Plain-text table of each cell's mean and sample sd of one metric.
 
-    __slots__ = ("n", "mean", "_m2")
+    Cells come in `results_to_cells` order. Utilizations get 4 decimals,
+    counts 2, and the sd is left empty for a cell with one replication.
+    """
+    import statistics  # loads fractions and decimal, which only this table needs
 
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def push(self, x):
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def sd(self):
-        """Sample standard deviation (n - 1); None below 2 observations."""
-        if self.n < 2:
-            return None
-        return math.sqrt(self._m2 / (self.n - 1))
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    experiment: str
-    department: str
-    level: object
-    n: int
-    mean: float
-    sd: object  # None with a single replication
-
-
-def summarize(rows, metric):
-    """Per-cell mean and sample sd of one metric, in row encounter order."""
-    if not rows:
-        raise ValueError("no result rows to summarize")
-    if metric not in METRIC_FIELDS:
-        raise ValueError(f"unknown metric {metric!r}; pick from {METRIC_FIELDS}")
-    order = []
-    stats = {}
-    for row in rows:
-        key = (row.experiment, row.department, row.level)
-        acc = stats.get(key)
-        if acc is None:
-            acc = RunningStat()
-            stats[key] = acc
-            order.append(key)
-        value = getattr(row.metrics, metric)
-        if value is None:
-            raise ValueError(
-                f"metric {metric!r} is absent for cell "
-                f"{row.department}/{row.level} (role not staffed)"
-            )
-        acc.push(value)
-    return [
-        CellSummary(
-            experiment=key[0],
-            department=key[1],
-            level=key[2],
-            n=stats[key].n,
-            mean=stats[key].mean,
-            sd=stats[key].sd,
-        )
-        for key in order
-    ]
-
-
-def format_summary_table(summaries, metric):
-    """Plain-text per-cell table; utilizations get 4 decimals, counts 2."""
+    departments, levels, data = results_to_cells(rows, metric)
     places = 4 if "utilization" in metric else 2
     lines = [f"{'department':<12} {'level':>8} {'n':>4} {'mean':>14} {'sd':>12}"]
-    for s in summaries:
-        sd = "" if s.sd is None else f"{s.sd:.{places}f}"
-        lines.append(
-            f"{s.department:<12} {s.level!s:>8} {s.n:>4} {s.mean:>14.{places}f} {sd:>12}"
-        )
+    for department, cells in zip(departments, data):
+        for level, values in zip(levels, cells):
+            sd = f"{statistics.stdev(values):.{places}f}" if len(values) > 1 else ""
+            mean = statistics.fmean(values)
+            lines.append(
+                f"{department:<12} {level!s:>8} {len(values):>4} {mean:>14.{places}f} {sd:>12}"
+            )
     return "\n".join(lines)
-

@@ -1,7 +1,8 @@
 """Discrete-event kernel: simulation clock, future event list, RNG substreams.
 
 The calendar keeps a heap of (fire_time, seq, kind, target) tuples, so
-simultaneous events dispatch in insertion (FIFO) order. `schedule` returns the
+simultaneous events dispatch in insertion (FIFO) order. `kind` is opaque
+here; the model puts each event's handler there. `schedule` returns the
 event's seq as a token. A target holds at most one pending event: the owner
 stores the token in `target.pending`, and an event whose target no longer
 holds its token is stale and is dropped when popped. Superseding or clearing
@@ -61,7 +62,7 @@ class EventCalendar:
         `dispatcher(kind, target)`. The clock equals the event's fire time
         while the dispatcher runs and is left at t_end afterwards. A
         dispatcher exception aborts the run wrapped in SimulationFault naming
-        the clock value and event kind.
+        the clock value and the event kind, by its `__name__` if it has one.
         """
         if t_end < self.now:
             raise SimulationFault(f"run_until into the past: {t_end} < now={self.now}")
@@ -79,8 +80,9 @@ class EventCalendar:
             except SimulationFault:
                 raise
             except Exception as exc:
+                name = getattr(kind, "__name__", kind)
                 raise SimulationFault(
-                    f"dispatcher failed at t={at} on event kind={kind!r}: {exc}"
+                    f"dispatcher failed at t={at} on event {name!r}: {exc}"
                 ) from exc
         self.now = t_end
         return self.now
@@ -104,6 +106,9 @@ def derive_substream_seed(master_seed, name):
     return hash_seed(f"{master_seed}:{name}")
 
 
+_BLOCK = 1024  # draws fetched from numpy per refill
+
+
 class RngStream:
     """Named deterministic uniform stream backed by PCG64.
 
@@ -112,20 +117,17 @@ class RngStream:
     list pop.
     """
 
-    __slots__ = ("name", "seed", "_gen", "_buf", "_block")
+    __slots__ = ("_gen", "_buf")
 
-    def __init__(self, master_seed, name, block=1024):
+    def __init__(self, master_seed, name):
         import numpy as np
 
-        self.name = name
-        self.seed = derive_substream_seed(master_seed, name)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._block = block
+        self._gen = np.random.Generator(np.random.PCG64(derive_substream_seed(master_seed, name)))
         self._buf = []
 
     def uniform(self):
         try:
             return self._buf.pop()
         except IndexError:
-            self._buf = self._gen.random(self._block)[::-1].tolist()
+            self._buf = self._gen.random(_BLOCK)[::-1].tolist()
             return self._buf.pop()

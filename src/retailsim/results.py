@@ -151,7 +151,7 @@ def load_results(path):
 
 
 def results_to_cells(rows, metric):
-    """Arrange rows as (departments, levels, values) for the two-way ANOVA.
+    """Arrange rows as (departments, levels, values): the ANOVA's and the sweep summary's cells.
 
     Departments keep first-seen order, levels sort ascending, and every
     (department, level) cell must hold the same number of replications.

@@ -7,6 +7,7 @@ scoreboard even when everything passes.
 
 import hashlib
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy.stats
 
 from retailsim.cli import main
 from retailsim.department import DepartmentSim
-from retailsim.experiments import save_results, summarize
+from retailsim.experiments import save_results
 from retailsim.kernel import RngStream
 from retailsim.results import METRIC_FIELDS, load_results, results_to_cells
 from retailsim.sampling import TriangularParams, sample_bernoulli, sample_triangular
@@ -36,11 +37,8 @@ def verdict(capsys, number, label, ok):
 
 def cell_means(rows, metric):
     """{department: [mean per ascending level]} over the replications."""
-    summaries = summarize(rows, metric)
-    out = {}
-    for s in sorted(summaries, key=lambda s: (s.department, s.level)):
-        out.setdefault(s.department, []).append(s.mean)
-    return out
+    departments, _, data = results_to_cells(rows, metric)
+    return {d: [statistics.fmean(cell) for cell in cells] for d, cells in zip(departments, data)}
 
 
 def unimodal_or_plateau_peak(means):
@@ -51,13 +49,28 @@ def unimodal_or_plateau_peak(means):
     return peak if rising and falling else None
 
 
+# sha256 of the cashier sweep's stdout after its first line, which names the
+# output path: the per-cell summary table of transactions.
+GOLDEN_SWEEP_SUMMARY_SHA256 = "620b65a44e711a3e28b0be0cf8c300c0e2057ef0e29eee11d4f2535c2feaf959"
+
+
 def test_criterion_01_sweep_determinism_and_runtime(cashier_sweep, capsys):
     # The first sweep is serial and the second runs at --jobs 2.
-    (bytes_a, secs_a, _), (bytes_b, secs_b, _) = cashier_sweep
-    ok = bytes_a == bytes_b and len(bytes_a) > 0 and secs_a <= 300 and secs_b <= 300
+    (bytes_a, secs_a, _, out_a), (bytes_b, secs_b, _, out_b) = cashier_sweep
+    summary_a = out_a.split("\n", 1)[1]
+    summary_b = out_b.split("\n", 1)[1]
+    ok = (
+        bytes_a == bytes_b
+        and len(bytes_a) > 0
+        and secs_a <= 300
+        and secs_b <= 300
+        and summary_a == summary_b
+        and hashlib.sha256(summary_a.encode()).hexdigest() == GOLDEN_SWEEP_SUMMARY_SHA256
+    )
     assert verdict(
         capsys, 1,
-        f"byte-identical 200-rep sweeps, serial and --jobs 2 ({secs_a:.0f}s, {secs_b:.0f}s)",
+        f"byte-identical 200-rep sweeps and summaries, serial and --jobs 2 "
+        f"({secs_a:.0f}s, {secs_b:.0f}s)",
         ok,
     )
 

@@ -1,6 +1,7 @@
 """Customer statechart legality, satisfaction accounting, staff service contract."""
 
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -244,17 +245,17 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
     cal = EventCalendar()
     staff = StaffAgent(0, StaffRole.CASHIER)
     customer = fresh()
-    begin_service(staff, customer, 4.0, cal, "pay_end")
-    assert staff.busy and customer.serving_staff is staff
-    assert customer.pending is not None
     fired = []
 
-    def handler(kind, target):
-        fired.append((cal.now, kind, target))
+    def on_pay_end(target):
+        fired.append((cal.now, target))
         staff.finish(cal.now)
 
-    cal.run_until(10.0, handler)
-    assert fired == [(4.0, "pay_end", customer)]
+    begin_service(staff, customer, 4.0, cal, on_pay_end)
+    assert staff.busy and customer.serving_staff is staff
+    assert customer.pending is not None
+    cal.run_until(10.0, operator.call)
+    assert fired == [(4.0, customer)]
     assert customer.pending is None
     assert staff.busy_minutes == 4.0
     assert not staff.busy
@@ -263,9 +264,13 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
 def test_begin_service_on_busy_staff_faults():
     cal = EventCalendar()
     staff = StaffAgent(0, StaffRole.NORMAL_SELLER)
-    begin_service(staff, fresh(), 2.0, cal, "help_end")
+
+    def on_help_end(target):
+        pass
+
+    begin_service(staff, fresh(), 2.0, cal, on_help_end)
     with pytest.raises(RuntimeError, match="not idle"):
-        begin_service(staff, fresh(), 2.0, cal, "help_end")
+        begin_service(staff, fresh(), 2.0, cal, on_help_end)
 
 
 def test_staff_saturated_all_day():

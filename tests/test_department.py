@@ -1,6 +1,7 @@
 """Department simulation: determinism, scripted scenarios, and run invariants."""
 
 import dataclasses
+import hashlib
 import tomllib
 
 import pytest
@@ -8,8 +9,11 @@ import pytest
 from retailsim.agents import SatisfactionEvent
 from retailsim.config import StaffingPlan, build_config
 from retailsim.department import DepartmentSim, run_replication, utilization
+from retailsim.kernel import SimulationFault
 from retailsim.results import METRIC_FIELDS
 from retailsim.sampling import ArrivalProfile
+
+from conftest import shorten
 
 SCRIPT_TEMPLATE = """\
 label = "SCRIPT"
@@ -100,6 +104,41 @@ def test_different_seeds_diverge(atv_week):
 
 def test_run_replication_matches_sim_object(atv_week):
     assert run_replication(atv_week, seed=11) == DepartmentSim(atv_week, seed=11).run()
+
+
+# sha256 of repr(trace) for a strict, traced 3-day run of each shipped
+# department at seed 11. Any change to the order of events, to their names
+# or to the RNG draws moves them.
+GOLDEN_TRACE_SHA256 = {
+    "A&TV": "7494e6e966781a3384c56f4955418285f1b168c757e2c410fe2d4a3af7178822",
+    "WW": "907f3f0e6e5d4c7440b5fdb5dd581170821b03677196824b1973a1b646a2b0d8",
+}
+
+
+def test_strict_three_day_traces_match_golden_digests(atv_config, ww_config):
+    digests = {}
+    for config in (atv_config, ww_config):
+        trace = []
+        DepartmentSim(shorten(config, days=3), seed=11, trace=trace, strict=True).run()
+        digests[config.label] = hashlib.sha256(repr(trace).encode()).hexdigest()
+    assert digests == GOLDEN_TRACE_SHA256
+
+
+class JammedTill(DepartmentSim):
+    def _on_pay_end(self, customer):
+        raise ValueError("till jammed")
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "traced-strict"])
+def test_handler_fault_names_the_handler_and_the_clock(observed):
+    trace = [] if observed else None
+    sim = JammedTill(scripted(pay=4), seed=0, trace=trace, strict=observed)
+    sim.inject_arrival(1.0)  # browses for 2 minutes, then pays for 4
+    with pytest.raises(SimulationFault) as excinfo:
+        sim.run()
+    msg = str(excinfo.value)
+    assert "t=7.0" in msg and "'_on_pay_end'" in msg and "till jammed" in msg
+    assert "0x" not in msg
 
 
 # -- strict runs ------------------------------------------------------------------

@@ -1,12 +1,8 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
 import concurrent.futures
-import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from retailsim import experiments
 from retailsim.config import StaffingPlan
@@ -15,13 +11,11 @@ from retailsim.experiments import (
     CASHIER_LEVELS,
     EMPOWERMENT_LEVELS,
     MAX_JOBS,
-    RunningStat,
     cashier_fill_plan,
     derive_cell_seed,
     format_summary_table,
     run_sweep,
     save_results,
-    summarize,
 )
 from retailsim.results import (
     METRIC_FIELDS,
@@ -265,39 +259,15 @@ def test_absent_utilization_round_trips_as_none(tmp_path):
     save_results(rows, path)
     assert load_results(path) == rows
     with pytest.raises(ValueError, match="absent for cell A/1"):
-        summarize(rows, "cashier_utilization")
+        format_summary_table(rows, "cashier_utilization")
 
 
 # -- summaries ---------------------------------------------------------------------
 
 
-def test_running_stat_matches_numpy():
-    values = [3.0, -1.5, 4.25, 0.0, 2.5, 2.5, -7.0]
-    acc = RunningStat()
-    for v in values:
-        acc.push(v)
-    assert acc.n == len(values)
-    assert acc.mean == pytest.approx(np.mean(values), rel=1e-14)
-    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-14)
-
-
-def test_running_stat_small_counts():
-    acc = RunningStat()
-    assert acc.n == 0 and acc.sd is None
-    acc.push(42.0)
-    assert acc.mean == 42.0
-    assert acc.sd is None
-    acc.push(42.0)
-    assert acc.sd == 0.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-def test_running_stat_streams_any_list(values):
-    acc = RunningStat()
-    for v in values:
-        acc.push(v)
-    assert acc.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-    assert acc.sd == pytest.approx(np.std(values, ddof=1), rel=1e-9, abs=1e-6)
+def summary_fields(rows, metric):
+    """The whitespace-split fields of each data line of the summary table."""
+    return [line.split() for line in format_summary_table(rows, metric).splitlines()[1:]]
 
 
 def test_summarize_mean_and_sd():
@@ -306,36 +276,49 @@ def test_summarize_mean_and_sd():
         mk_row("A", 1, 2, transactions=4),
         mk_row("A", 2, 1, transactions=5),
         mk_row("A", 2, 2, transactions=5),
-        mk_row("A", 2, 3, transactions=5),
+        mk_row("B", 2, 1, transactions=0),
+        mk_row("B", 2, 2, transactions=10),
+        mk_row("B", 1, 1, transactions=1),
+        mk_row("B", 1, 2, transactions=1),
     ]
-    s1, s2 = summarize(rows, "transactions")
-    assert (s1.n, s1.mean) == (2, 3.0)
-    assert s1.sd == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert (s2.n, s2.mean, s2.sd) == (3, 5.0, 0.0)
+    header = format_summary_table(rows, "transactions").splitlines()[0]
+    assert header.split() == ["department", "level", "n", "mean", "sd"]
+    # Departments in first-seen order, levels ascending: the ANOVA's cell order.
+    assert summary_fields(rows, "transactions") == [
+        ["A", "1", "2", "3.00", "1.41"],  # sd sqrt(2)
+        ["A", "2", "2", "5.00", "0.00"],
+        ["B", "1", "2", "1.00", "0.00"],
+        ["B", "2", "2", "5.00", "7.07"],  # sd sqrt(50)
+    ]
 
 
 def test_summarize_single_replication_has_no_sd():
-    (summary,) = summarize([mk_row("A", 1, 1, transactions=7)], "transactions")
-    assert summary.sd is None
-    table = format_summary_table([summary], "transactions")
-    lines = table.splitlines()
-    assert "7.00" in lines[1]
-    assert lines[1].rstrip().endswith("7.00")  # sd column left empty
+    rows = [mk_row("A", 1, 1, transactions=7), mk_row("A", 2, 1, transactions=9)]
+    lines = format_summary_table(rows, "transactions").splitlines()
+    assert summary_fields(rows, "transactions") == [
+        ["A", "1", "1", "7.00"],
+        ["A", "2", "1", "9.00"],
+    ]
+    # The empty sd column is still padded to the header's width.
+    assert {len(line) for line in lines} == {len(lines[0])}
 
 
 def test_summarize_validation():
-    with pytest.raises(ValueError, match="no result rows"):
-        summarize([], "transactions")
     with pytest.raises(ValueError, match="unknown metric 'bogus'"):
-        summarize([mk_row("A", 1, 1)], "bogus")
+        format_summary_table([mk_row("A", 1, 1)], "bogus")
+    with pytest.raises(ValueError, match="absent for cell A/2"):
+        rows = [mk_row("A", 1, 1), mk_row("A", 2, 1, seller_utilization=None)]
+        format_summary_table(rows, "seller_utilization")
+    missing_b2 = [mk_row("A", 1, 1), mk_row("A", 2, 1), mk_row("B", 1, 1)]
+    for rows in (missing_b2, []):
+        with pytest.raises(ValueError, match="not a balanced department x level grid"):
+            format_summary_table(rows, "transactions")
 
 
 def test_format_summary_table_decimal_places():
     rows = [mk_row("A", 1, r, cashier_utilization=v) for r, v in ((1, 0.5), (2, 0.25))]
-    table = format_summary_table(summarize(rows, "cashier_utilization"), "cashier_utilization")
-    assert "0.3750" in table
-    counts = format_summary_table(summarize(rows, "transactions"), "transactions")
-    assert "0.00" in counts
+    assert summary_fields(rows, "cashier_utilization") == [["A", "1", "2", "0.3750", "0.1768"]]
+    assert summary_fields(rows, "transactions") == [["A", "1", "2", "0.00", "0.00"]]
 
 
 # -- ANOVA layout -------------------------------------------------------------------

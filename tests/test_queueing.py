@@ -1,9 +1,11 @@
 """Queue discipline, skill matching, idle-staff selection, refund path policy."""
 
+import operator
+
 import pytest
 
 from retailsim.agents import CustomerAgent, SatisfactionEvent, StaffAgent, StaffRole
-from retailsim.department import EV_DAY_CLOSE, DepartmentSim
+from retailsim.department import DepartmentSim
 from retailsim.kernel import RngStream
 from retailsim.queueing import (
     EmpowermentPolicy,
@@ -92,10 +94,10 @@ def test_drain_empties_queue():
     sim = DepartmentSim(scripted(cashiers=0, managers=0, patience=1000))
     for at in (1.0, 2.0, 3.0):
         sim.inject_arrival(at)
-    sim.cal.schedule(sim.day_end, EV_DAY_CLOSE)
-    sim.cal.run_until(sim.day_end - 1.0, sim._dispatch)
+    sim.cal.schedule(sim.day_end, sim._on_day_close)
+    sim.cal.run_until(sim.day_end - 1.0, operator.call)
     assert [c.id for c in sim.pay_q.entries] == [0, 1, 2]
-    sim.cal.run_until(sim.day_end, sim._dispatch)
+    sim.cal.run_until(sim.day_end, operator.call)
     assert not sim.pay_q.entries and not sim.live
     assert sim.ledger.counts[SatisfactionEvent.PAY_QUEUE_ABANDONED] == 0
 
