@@ -8,6 +8,7 @@ patience, and leaves; the run ends with overall satisfaction exactly -4
 
 import tomllib
 
+from retailsim.agents import SatisfactionEvent
 from retailsim.config import build_config
 from retailsim.department import DepartmentSim
 
@@ -64,10 +65,10 @@ def main():
         print(f"  {time:6.1f}  {event:<14} {who}")
     print()
     print("satisfaction ledger (event counts):")
-    for kind, count in sim.ledger.counts.items():
+    for kind, count in zip(SatisfactionEvent, sim.event_counts):
         if count:
             print(f"  {kind.name}: {count}")
-    print(f"  total: {sim.ledger.total:+d}")
+    print(f"  total: {sim.ledger_sum:+d}")
     print()
     print(f"abandoned refunds:     {metrics.abandoned_refund}")
     print(f"overall satisfaction:  {metrics.overall_satisfaction:+d}")

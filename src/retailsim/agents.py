@@ -1,18 +1,18 @@
-"""Customer and staff agents, the customer statechart, satisfaction ledger.
+"""Customer and staff agents, the customer statechart, satisfaction weights.
 
 Customers are passive records driven by the department's event handlers; the
 statechart here only polices that each transition is legal, so a handler bug
-surfaces as an IllegalTransition naming the state and trigger instead of
-silently corrupting counters. A customer holds only what some handler reads
-back; why they came in (to buy or to return an item) is decided by the
-arrival handler's branch and not stored, and a queued customer is its own
-queue entry.
+surfaces as an IllegalTransition naming both states instead of silently
+corrupting counters. The event that made the move is named by the handler
+running it, which the kernel's fault message and a trace both report. A
+customer holds only what some handler reads back; why they came in (to buy
+or to return an item) is decided by the arrival handler's branch and not
+stored, and a queued customer is its own queue entry.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class CustomerState(enum.IntEnum):
@@ -111,11 +111,10 @@ class CustomerAgent:
         self.refund_overhead = 0.0
         self.auth_manager = None
 
-    def transition(self, new_state, trigger):
+    def transition(self, new_state):
         if not _ALLOWED[self.state] >> new_state & 1:
             raise IllegalTransition(
-                f"customer {self.id}: illegal transition "
-                f"{self.state.name} -> {new_state.name} on trigger {trigger!r}"
+                f"customer {self.id}: illegal transition {self.state.name} -> {new_state.name}"
             )
         self.state = new_state
 
@@ -158,7 +157,8 @@ def begin_service(staff, customer, duration, calendar, handler):
     """Seize an idle staff member for `customer` and schedule the completion.
 
     The completion, an event that calls `handler(customer)`, becomes the
-    customer's pending event, so a day close can supersede it.
+    customer's pending event: it supersedes a queued customer's renege
+    timer, and a day close can supersede it in turn.
     """
     staff.begin(calendar.now)
     customer.serving_staff = staff
@@ -176,41 +176,23 @@ _DEFAULT_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class SatisfactionWeights:
-    """Integer weight per satisfaction event kind, a tuple indexed by event."""
+def satisfaction_weights(mapping):
+    """Weight per event kind, a tuple indexed by event, from {event-name: int}.
 
-    weights: tuple
-
-    @classmethod
-    def from_mapping(cls, mapping):
-        """Build from {event-name: int}; unknown kinds or non-ints are errors."""
-        merged = dict(_DEFAULT_WEIGHTS)
-        by_name = {e.name.lower(): e for e in SatisfactionEvent}
-        for key, value in mapping.items():
-            event = by_name.get(key)
-            if event is None:
-                raise ValueError(
-                    f"unknown satisfaction event kind {key!r}; "
-                    f"known kinds: {sorted(by_name)}"
-                )
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"satisfaction weight for {key!r} must be an integer, got {value!r}"
-                )
-            merged[event] = value
-        return cls(tuple(merged[e] for e in SatisfactionEvent))
-
-
-class SatisfactionLedger:
-    """Run-wide record of satisfaction events: per-kind counts plus exact sum."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self):
-        self.counts = {kind: 0 for kind in SatisfactionEvent}
-        self.total = 0
-
-    def record(self, kind, weight):
-        self.counts[kind] += 1
-        self.total += weight
+    Kinds the mapping omits keep their defaults; an unknown kind or a
+    non-integer weight is a ValueError.
+    """
+    merged = dict(_DEFAULT_WEIGHTS)
+    by_name = {e.name.lower(): e for e in SatisfactionEvent}
+    for key, value in mapping.items():
+        event = by_name.get(key)
+        if event is None:
+            raise ValueError(
+                f"unknown satisfaction event kind {key!r}; known kinds: {sorted(by_name)}"
+            )
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"satisfaction weight for {key!r} must be an integer, got {value!r}"
+            )
+        merged[event] = value
+    return tuple(merged[e] for e in SatisfactionEvent)

@@ -28,6 +28,8 @@ from .stats import anova_two_way, levene_test, tukey_hsd
 CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
 DEFAULT_CONFIG_FILES = ("dept_atv.toml", "dept_ww.toml")
 PACKAGED_CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
+# The staffing keys `run` can override, one --flag each (config's StaffingPlan fields).
+STAFF_ROLES = ("cashiers", "normal_sellers", "expert_sellers", "section_managers")
 
 
 def resolve_config_path(name, extra_dir=None):
@@ -78,17 +80,11 @@ def cmd_run(args):
 
     path = resolve_config_path(args.config)
     config = load_config(path)
-    staffing = config.staffing
-    overrides = {
-        "cashiers": args.cashiers,
-        "normal_sellers": args.normal_sellers,
-        "expert_sellers": args.expert_sellers,
-        "section_managers": args.section_managers,
-    }
-    supplied = {k: v for k, v in overrides.items() if v is not None}
+    supplied = {r: getattr(args, r) for r in STAFF_ROLES if getattr(args, r) is not None}
     if supplied:
-        staffing = dataclasses.replace(staffing, **supplied)
+        staffing = dataclasses.replace(config.staffing, **supplied)
         check_referrals(config.empowerment, staffing, os.path.basename(path))
+        config = dataclasses.replace(config, staffing=staffing)
     if args.weeks is not None:
         try:
             horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)
@@ -100,7 +96,7 @@ def cmd_run(args):
     else:
         seed = int.from_bytes(os.urandom(8), "big") >> 1
     print(f"seed: {seed}")
-    metrics = run_replication(config, staffing=staffing, seed=seed)
+    metrics = run_replication(config, seed=seed)
     for name in METRIC_FIELDS:
         print(f"{name}: {_fmt_metric(getattr(metrics, name))}")
     if args.out:
@@ -141,7 +137,9 @@ def cmd_sweep(args):
     for metric in metrics:
         print()
         print(f"mean {metric.replace('_', ' ')} per cell:")
-        print(format_summary_table(rows, metric))
+        # A utilization is absent when the department fields nobody in the role.
+        absent = any(getattr(row.metrics, metric) is None for row in rows)
+        print("n/a" if absent else format_summary_table(rows, metric))
     return 0
 
 
@@ -275,10 +273,9 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run one replication and print its metrics")
     p_run.add_argument("--config", required=True, help="config file path or name")
-    p_run.add_argument("--cashiers", type=int, help="override staffing.cashiers")
-    p_run.add_argument("--normal-sellers", type=int, dest="normal_sellers")
-    p_run.add_argument("--expert-sellers", type=int, dest="expert_sellers")
-    p_run.add_argument("--section-managers", type=int, dest="section_managers")
+    for role in STAFF_ROLES:
+        flag = "--" + role.replace("_", "-")
+        p_run.add_argument(flag, type=int, help=f"override staffing.{role}")
     p_run.add_argument(
         "--weeks", type=int, default=None,
         help="horizon in 7-day trading weeks (default: the config horizon, 10 weeks)",

@@ -6,9 +6,10 @@ is read into one frozen record: `[arrivals]` into `sampling.ArrivalProfile`,
 below. A record's field names are its section's keys, its field defaults the
 defaults of omitted keys, and its `__post_init__` holds every bound; the one
 reader, `_record`, walks the fields. `[satisfaction_weights]` is read by
-`agents.SatisfactionWeights.from_mapping`, keyed by event name. A duration is
-a min/mode/max table or a bare number for a fixed duration. Every number must
-be finite, and every error names the file and the field.
+`agents.satisfaction_weights`, keyed by event name, into a tuple indexed by
+event. A duration is a min/mode/max table or a bare number for a fixed
+duration. Every number must be finite, and every error names the file and
+the field. A run simulates its config's `staffing`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import tomllib
 from dataclasses import MISSING, dataclass, fields
 
-from .agents import SatisfactionWeights
+from .agents import satisfaction_weights
 from .queueing import EmpowermentPolicy
 from .sampling import ArrivalProfile, TriangularParams
 
@@ -167,7 +168,7 @@ class DepartmentConfig:
     arrivals: ArrivalProfile
     durations: Durations
     probabilities: Probabilities
-    weights: SatisfactionWeights
+    weights: tuple
     staffing: StaffingPlan
     empowerment: EmpowermentPolicy
     horizon: Horizon
@@ -271,7 +272,7 @@ def build_config(root, source="<config>"):
     elif not isinstance(weights, dict):
         raise ConfigError(f"{source}: [satisfaction_weights] must be a section, got {weights!r}")
     try:
-        weights = SatisfactionWeights.from_mapping(weights)
+        weights = satisfaction_weights(weights)
     except ValueError as exc:
         raise ConfigError(f"{source}: satisfaction_weights: {exc}") from None
 

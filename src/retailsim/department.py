@@ -9,10 +9,12 @@ busy time never crosses a close, so utilization stays in [0, 1].
 The calendar schedules each handler itself, and a trace names an event by its
 handler without the `_on_` prefix. States are ints, staff lists id-ordered,
 and each customer holds at most one pending event as a calendar token, so
-nothing is ever cancelled: superseding the token makes the old event stale.
-The service queues hold the waiting customers themselves; handlers append,
-pop and clear their deques directly, and an arrival's single decision draw
-sends it to the refund path or to browsing.
+nothing is ever cancelled: superseding the token makes the old event stale,
+as starting a queued customer's service does to its renege timer. The service
+queues hold the waiting customers themselves; handlers append, pop and clear
+their deques directly, and an arrival's single decision draw sends it to the
+refund path or to browsing. The ledger is `event_counts`, indexed by
+`SatisfactionEvent`, and `ledger_sum`.
 A 10-week WW replication (about 56k customers and 190k events) runs in about
 0.65 s on one core of a 2-vCPU VM, which the experiment harness relies on.
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import NamedTuple
 
 from .agents import (  # enum members as plain names: cheap on the hot path
     BEING_HELPED, BROWSING, IN_HELP_QUEUE, IN_PAY_QUEUE, IN_REFUND_QUEUE, LEAVING, PAYING,
@@ -33,13 +34,12 @@ from .agents import (  # enum members as plain names: cheap on the hot path
     CASHIER, EXPERT_SELLER, NORMAL_SELLER, SECTION_MANAGER,
     HELP_QUEUE_ABANDONED, HELP_RECEIVED, LEFT_WITHOUT_PURCHASE, PAY_QUEUE_ABANDONED,
     PURCHASE_COMPLETED, REFUND_GRANTED, REFUND_QUEUE_ABANDONED,
-    CustomerAgent, CustomerState, SatisfactionEvent, SatisfactionLedger, StaffAgent,
-    begin_service,
+    CustomerAgent, CustomerState, SatisfactionEvent, StaffAgent, begin_service,
 )
 from .kernel import EventCalendar, RngStream, SimulationFault
 from .queueing import ServiceQueue, find_idle, resolve_refund_path
 from .results import METRIC_FIELDS, RunMetrics  # perfbench's tracer reads METRIC_FIELDS here
-from .sampling import TriangularParams, sample_interarrival, sample_triangular
+from .sampling import sample_interarrival, sample_triangular
 
 # What settling a customer credits, indexed by the state they are in.
 _CREDIT = tuple(
@@ -52,16 +52,6 @@ _CREDIT = tuple(
 )
 
 
-class _QueueSpec(NamedTuple):
-    """One service queue and its reneging rule."""
-
-    queue: ServiceQueue
-    patience: TriangularParams
-    abandoned: SatisfactionEvent
-    enqueue_trigger: str
-    renege_trigger: str
-
-
 def utilization(busy_minutes, headcount, trading_minutes):
     """Busy fraction of total paid minutes; None when nobody holds the role."""
     if headcount == 0:
@@ -72,9 +62,8 @@ def utilization(busy_minutes, headcount, trading_minutes):
 class DepartmentSim:
     """One seeded replication; build, optionally inject arrivals, then run()."""
 
-    def __init__(self, config, staffing=None, seed=0, trace=None, strict=False):
-        if staffing is None:
-            staffing = config.staffing
+    def __init__(self, config, seed=0, trace=None, strict=False):
+        staffing = config.staffing
         self.cal = EventCalendar()
         self.trace = trace
         self.strict = strict
@@ -100,22 +89,11 @@ class DepartmentSim:
                 sid += 1
 
         d = config.durations
-        self.help_q = ServiceQueue()
-        self.pay_q = ServiceQueue()
-        self.refund_q = ServiceQueue()
+        self.help_q = ServiceQueue(d.patience_help, HELP_QUEUE_ABANDONED)
+        self.pay_q = ServiceQueue(d.patience_pay, PAY_QUEUE_ABANDONED)
+        self.refund_q = ServiceQueue(d.patience_refund, REFUND_QUEUE_ABANDONED)
         self._queues = {
-            IN_HELP_QUEUE: _QueueSpec(
-                self.help_q, d.patience_help, HELP_QUEUE_ABANDONED,
-                "help_enqueue", "help_renege",
-            ),
-            IN_PAY_QUEUE: _QueueSpec(
-                self.pay_q, d.patience_pay, PAY_QUEUE_ABANDONED,
-                "pay_enqueue", "pay_renege",
-            ),
-            IN_REFUND_QUEUE: _QueueSpec(
-                self.refund_q, d.patience_refund, REFUND_QUEUE_ABANDONED,
-                "refund_enqueue", "refund_renege",
-            ),
+            IN_HELP_QUEUE: self.help_q, IN_PAY_QUEUE: self.pay_q, IN_REFUND_QUEUE: self.refund_q,
         }
         self._cashier_dispatch = tuple(
             (self.refund_q.entries, self._start_refund)
@@ -126,8 +104,9 @@ class DepartmentSim:
         self.auth_wait = deque()
 
         self.live = {}
-        self.ledger = SatisfactionLedger()
-        self.weights = config.weights.weights
+        self.event_counts = [0] * len(SatisfactionEvent)
+        self.ledger_sum = 0
+        self.weights = config.weights
 
         # Hot-path copies of config values.
         self.arrivals = config.arrivals
@@ -204,8 +183,8 @@ class DepartmentSim:
             if kind == self._on_renege and target.pending == seq
         }
         queued = set()
-        for state, spec in self._queues.items():
-            for c in spec.queue.entries:
+        for state, queue in self._queues.items():
+            for c in queue.entries:
                 if c.id in queued:
                     raise SimulationFault(f"customer {c.id} present in two queues")
                 queued.add(c.id)
@@ -242,7 +221,8 @@ class DepartmentSim:
     def _apply(self, customer, kind):
         w = self.weights[kind]
         customer.satisfaction += w
-        self.ledger.record(kind, w)
+        self.event_counts[kind] += 1
+        self.ledger_sum += w
 
     def _settle(self, customer, now):
         """Release the staff the customer holds; credit the service they are in.
@@ -261,8 +241,8 @@ class DepartmentSim:
         if kind is not None:
             self._apply(customer, kind)
 
-    def _depart(self, customer, trigger):
-        customer.transition(LEAVING, trigger)
+    def _depart(self, customer):
+        customer.transition(LEAVING)
         self.departed += 1
         sat = customer.satisfaction
         self.overall_satisfaction += sat
@@ -281,23 +261,18 @@ class DepartmentSim:
         if staff is not None:
             start(customer, staff)
             return
-        spec = self._queues[state]
-        customer.transition(state, spec.enqueue_trigger)
-        wait = sample_triangular(spec.patience, self.rng_patience.uniform())
+        queue = self._queues[state]
+        customer.transition(state)
+        wait = sample_triangular(queue.patience, self.rng_patience.uniform())
         customer.pending = self.cal.schedule(self.cal.now + wait, self._on_renege, customer)
-        spec.queue.entries.append(customer)
-
-    def _claim(self, customer):
-        """Take a queued customer for service; makes the renege timer stale."""
-        customer.pending = None
-        return customer
+        queue.entries.append(customer)
 
     def _staff_freed(self, staff):
         role = staff.role
         if role is CASHIER:
             for queue, starter in self._cashier_dispatch:
                 if queue:
-                    starter(self._claim(queue.popleft()), staff)
+                    starter(queue.popleft(), staff)
                     return
         elif role is SECTION_MANAGER:
             if self.auth_wait:
@@ -305,7 +280,7 @@ class DepartmentSim:
         else:
             customer = self.help_q.pop_first_servable(role is EXPERT_SELLER)
             if customer is not None:
-                self._start_help(self._claim(customer), staff)
+                self._start_help(customer, staff)
 
     # -- customer flow ------------------------------------------------------
 
@@ -315,10 +290,10 @@ class DepartmentSim:
         self.entered = cid + 1
         customer = self.live[cid] = CustomerAgent(cid)
         if self.rng_decisions.uniform() < self.p_refund_goal:
-            customer.transition(SEEKING_REFUND, "arrival")
+            customer.transition(SEEKING_REFUND)
             self._request(customer, find_idle(self.cashiers), self._start_refund, IN_REFUND_QUEUE)
         else:
-            customer.transition(BROWSING, "arrival")
+            customer.transition(BROWSING)
             self._begin_browse(customer, now)
         self._chain_arrival(now)
 
@@ -329,7 +304,7 @@ class DepartmentSim:
     def _on_browse_end(self, customer):
         dec = self.rng_decisions
         if dec.uniform() < self.p_need_help:
-            customer.transition(SEEKING_HELP, "browse_exit_help")
+            customer.transition(SEEKING_HELP)
             customer.needs_expert = dec.uniform() < self.p_needs_expert
             if customer.needs_expert:
                 staff = find_idle(self.expert_sellers)
@@ -337,14 +312,14 @@ class DepartmentSim:
                 staff = find_idle(self.normal_sellers) or find_idle(self.expert_sellers)
             self._request(customer, staff, self._start_help, IN_HELP_QUEUE)
         elif dec.uniform() < self.p_buy_browse:
-            customer.transition(SEEKING_PAY, "browse_exit_buy")
+            customer.transition(SEEKING_PAY)
             self._request(customer, find_idle(self.cashiers), self._start_pay, IN_PAY_QUEUE)
         else:
             self._apply(customer, LEFT_WITHOUT_PURCHASE)
-            self._depart(customer, "browse_exit_leave")
+            self._depart(customer)
 
     def _start_help(self, customer, staff):
-        customer.transition(BEING_HELPED, "help_start")
+        customer.transition(BEING_HELPED)
         duration = sample_triangular(self.d_help, self.rng_service.uniform())
         begin_service(staff, customer, duration, self.cal, self._on_help_end)
 
@@ -352,27 +327,27 @@ class DepartmentSim:
         staff = customer.serving_staff
         self._settle(customer, self.cal.now)
         if self.rng_decisions.uniform() < self.p_buy_after_help:
-            customer.transition(SEEKING_PAY, "help_exit_buy")
+            customer.transition(SEEKING_PAY)
             self._request(customer, find_idle(self.cashiers), self._start_pay, IN_PAY_QUEUE)
         else:
-            self._depart(customer, "help_exit_leave")
+            self._depart(customer)
         self._staff_freed(staff)
 
     def _start_pay(self, customer, cashier):
-        customer.transition(PAYING, "pay_start")
+        customer.transition(PAYING)
         duration = sample_triangular(self.d_pay, self.rng_service.uniform())
         begin_service(cashier, customer, duration, self.cal, self._on_pay_end)
 
     def _on_pay_end(self, customer):
         cashier = customer.serving_staff
         self._settle(customer, self.cal.now)
-        self._depart(customer, "pay_done")
+        self._depart(customer)
         self._staff_freed(cashier)
 
     # -- refunds ------------------------------------------------------------
 
     def _start_refund(self, customer, cashier):
-        customer.transition(REFUND_PROCESSING, "refund_start")
+        customer.transition(REFUND_PROCESSING)
         base = sample_triangular(self.d_refund, self.rng_service.uniform())
         duration, overhead = resolve_refund_path(
             self.policy, base, self.rng_decisions, self.rng_service
@@ -398,6 +373,7 @@ class DepartmentSim:
         if manager is not None:
             self._begin_auth(customer, manager)
         else:
+            customer.pending = None  # one just taken from the queue holds a renege timer
             self.auth_wait.append(customer)
 
     def _begin_auth(self, customer, manager):
@@ -437,27 +413,26 @@ class DepartmentSim:
 
     def _after_refund(self, customer):
         if self.rng_decisions.uniform() < self.p_repurchase:
-            customer.transition(BROWSING, "refund_repurchase")
+            customer.transition(BROWSING)
             self._begin_browse(customer, self.cal.now)
         else:
-            self._depart(customer, "refund_done")
+            self._depart(customer)
 
     # -- reneging and day close ---------------------------------------------
 
     def _on_renege(self, customer):
-        spec = self._queues[customer.state]
-        spec.queue.remove(customer)
-        self._apply(customer, spec.abandoned)
-        self._depart(customer, spec.renege_trigger)
+        queue = self._queues[customer.state]
+        queue.remove(customer)
+        self._apply(customer, queue.abandoned)
+        self._depart(customer)
 
     def _on_day_close(self, _):
         now = self.cal.now
         for customer in list(self.live.values()):
             self._settle(customer, now)
-            self._depart(customer, "day_close")
-        self.help_q.entries.clear()
-        self.pay_q.entries.clear()
-        self.refund_q.entries.clear()
+            self._depart(customer)
+        for queue in self._queues.values():
+            queue.entries.clear()
         self.auth_wait.clear()
         self.day_index += 1
         if self.day_index < self.days:
@@ -474,7 +449,7 @@ class DepartmentSim:
         )
         manager_busy = sum(s.busy_minutes for s in self.managers)
         sellers = len(self.normal_sellers) + len(self.expert_sellers)
-        counts = self.ledger.counts
+        counts = self.event_counts
         refund_kinds = (REFUND_GRANTED, REFUND_QUEUE_ABANDONED)
         return RunMetrics(
             transactions=counts[PURCHASE_COMPLETED],
@@ -492,10 +467,10 @@ class DepartmentSim:
             refunds_completed=counts[REFUND_GRANTED],
             manager_authorizations=self.manager_authorizations,
             autonomous_refunds=self.autonomous_refunds,
-            satisfaction_ledger_sum=self.ledger.total,
+            satisfaction_ledger_sum=self.ledger_sum,
         )
 
 
-def run_replication(config, staffing=None, seed=0, trace=None, strict=False):
+def run_replication(config, seed=0, trace=None, strict=False):
     """Run one deterministic replication; same arguments, same RunMetrics."""
-    return DepartmentSim(config, staffing=staffing, seed=seed, trace=trace, strict=strict).run()
+    return DepartmentSim(config, seed=seed, trace=trace, strict=strict).run()

@@ -55,17 +55,17 @@ def cashier_fill_plan(cashiers, total=10, expert_sellers=1, section_managers=1):
 
 
 def _cell_config(experiment, config, level):
-    """Config and staffing actually simulated for one cell."""
+    """The config actually simulated for one cell."""
     if experiment == "cashiers":
-        return config, cashier_fill_plan(level)
+        return dataclasses.replace(config, staffing=cashier_fill_plan(level))
     empowerment = dataclasses.replace(config.empowerment, p_empowered=level)
-    return dataclasses.replace(config, empowerment=empowerment), config.staffing
+    return dataclasses.replace(config, empowerment=empowerment)
 
 
 def _run_cell(task):
-    config, staffing, department, level, replication, seed = task
+    config, department, level, replication, seed = task
     try:
-        return run_replication(config, staffing=staffing, seed=seed)
+        return run_replication(config, seed=seed)
     except Exception as exc:
         raise SimulationFault(
             f"sweep cell department={department!r} level={level!r} "
@@ -94,10 +94,10 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     tasks = []
     for dept, config in configs.items():
         for level in levels:
-            cell_cfg, staffing = _cell_config(experiment, config, level)
+            cell_cfg = _cell_config(experiment, config, level)
             for rep in range(1, replications + 1):
                 seed = derive_cell_seed(base_seed, dept, level, rep)
-                tasks.append((cell_cfg, staffing, dept, level, rep, seed))
+                tasks.append((cell_cfg, dept, level, rep, seed))
     if len({task[-1] for task in tasks}) != len(tasks):
         raise ValueError("seed derivation collided across cells; change base_seed")
     workers = min(jobs, len(tasks))
@@ -111,7 +111,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         outcomes = [_run_cell(t) for t in tasks]
     return [
         ResultRow(experiment, dept, level, rep, seed, metrics)
-        for (_, _, dept, level, rep, seed), metrics in zip(tasks, outcomes)
+        for (_, dept, level, rep, seed), metrics in zip(tasks, outcomes)
     ]
 
 

@@ -1,11 +1,12 @@
-"""FIFO service queues with reneging hooks, skill matching, empowerment policy.
+"""FIFO service queues with reneging rules, skill matching, empowerment policy.
 
-A queue holds the waiting `CustomerAgent`s themselves. Each queued
-customer's renege timer is the event whose calendar token it holds as its
-pending event, so claiming the customer for service only has to clear that
-token. A freed expert seller takes the oldest help customer outright, a freed
-normal seller the oldest one who does not need an expert, so service order is
-FIFO within each compatibility class.
+A queue holds the waiting `CustomerAgent`s themselves and its reneging rule.
+Each queued customer's renege timer is the event whose calendar token it
+holds as its pending event, so starting the customer's service, which
+schedules a new pending event, supersedes the timer. A freed expert seller
+takes the oldest help customer outright, a freed normal seller the oldest one
+who does not need an expert, so service order is FIFO within each
+compatibility class.
 """
 
 from __future__ import annotations
@@ -13,20 +14,24 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .sampling import TriangularParams, sample_bernoulli, sample_triangular
+from .sampling import TriangularParams, sample_triangular
 
 
 class ServiceQueue:
-    """FIFO queue of waiting customers for one service.
+    """FIFO queue of waiting customers for one service, and its reneging rule.
 
-    The department appends to, pops from and clears `entries` itself; the
-    two methods here are the scans that pick a customer out of the middle.
+    A customer waits at most a draw from `patience`, then reneges and is
+    charged the `abandoned` event. The department appends to, pops from and
+    clears `entries` itself; the two methods here are the scans that pick a
+    customer out of the middle.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "patience", "abandoned")
 
-    def __init__(self):
+    def __init__(self, patience, abandoned):
         self.entries = deque()
+        self.patience = patience
+        self.abandoned = abandoned
 
     def pop_first_servable(self, can_serve_expert):
         """Oldest customer a staff member of the given qualification may take.
@@ -92,11 +97,12 @@ class EmpowermentPolicy:
 def resolve_refund_path(policy, base_duration, decision_rng, service_rng):
     """Decide how a refund that just seized a cashier proceeds.
 
-    Draws the empowerment decision and, for referrals, the authorization
-    overhead. Returns (duration, overhead): the cashier's service time, and
-    the manager's authorization time, which is None when the cashier settles
-    the refund alone.
+    Draws the empowerment decision, empowered iff the draw is below
+    p_empowered (so 0 always refers and 1 never does), and, for referrals,
+    the authorization overhead. Returns (duration, overhead): the cashier's
+    service time, and the manager's authorization time, which is None when
+    the cashier settles the refund alone.
     """
-    if sample_bernoulli(policy.p_empowered, decision_rng.uniform()):
+    if decision_rng.uniform() < policy.p_empowered:
         return base_duration * policy.empowered_duration_multiplier, None
     return base_duration, sample_triangular(policy.manager_overhead, service_rng.uniform())

@@ -1,8 +1,9 @@
-"""Stochastic primitives: triangular durations, Bernoulli decisions, arrivals.
+"""Stochastic primitives: triangular durations and arrivals.
 
-All samplers are pure functions of (params, u) with u a uniform draw in
+Both samplers are pure functions of (params, u) with u a uniform draw in
 [0, 1), so every random choice in the simulator is reproducible from the
-named substreams in `kernel`.
+named substreams in `kernel`. A yes/no decision with probability p is the
+inline test `u < p` at its caller, so p = 0 never fires and p = 1 always does.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ def sample_triangular(params, u):
         return mode if x > mode else x
     x = params.high - math.sqrt((1.0 - u) * span * params.right)
     return mode if x < mode else x
-
-
-def sample_bernoulli(p, u):
-    """True iff u < p, so p = 0 never fires and p = 1 always does (u < 1)."""
-    return u < p
 
 
 def sample_interarrival(profile, u):

@@ -465,8 +465,6 @@ def studentized_range_upper_tail(q, k, df):
 class TukeyResult:
     group_i: int
     group_j: int
-    mean_i: float
-    mean_j: float
     diff: float
     q_stat: float
     p_value: float
@@ -500,8 +498,6 @@ def tukey_hsd(means, n_per_group, ms_within, df_within, alpha=0.05):
                 TukeyResult(
                     group_i=i,
                     group_j=j,
-                    mean_i=float(means[i]),
-                    mean_j=float(means[j]),
                     diff=diff,
                     q_stat=q,
                     p_value=p,

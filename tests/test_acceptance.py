@@ -18,7 +18,7 @@ from retailsim.department import DepartmentSim
 from retailsim.experiments import save_results
 from retailsim.kernel import RngStream
 from retailsim.results import METRIC_FIELDS, load_results, results_to_cells
-from retailsim.sampling import TriangularParams, sample_bernoulli, sample_triangular
+from retailsim.sampling import TriangularParams, sample_triangular
 from retailsim.stats import (
     anova_two_way,
     f_upper_tail,
@@ -88,7 +88,7 @@ def test_criterion_02_sampler_monte_carlo(capsys):
     mean = total / n
     var = total_sq / n - mean * mean
     decisions = RngStream(2026, "decisions")
-    hits = sum(sample_bernoulli(0.37, decisions.uniform()) for _ in range(n))
+    hits = sum(decisions.uniform() < 0.37 for _ in range(n))
     freq = hits / n
     ok = (
         abs(mean - 23.0 / 3.0) <= 0.02
@@ -110,8 +110,8 @@ class RecordingSim(DepartmentSim):
         super().__init__(*args, **kwargs)
         self.final_states = {}
 
-    def _depart(self, customer, trigger):
-        super()._depart(customer, trigger)
+    def _depart(self, customer):
+        super()._depart(customer)
         self.final_states[customer.id] = customer.state
 
 

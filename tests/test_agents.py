@@ -12,10 +12,10 @@ from retailsim.agents import (
     CustomerState,
     IllegalTransition,
     SatisfactionEvent,
-    SatisfactionWeights,
     StaffAgent,
     StaffRole,
     begin_service,
+    satisfaction_weights,
 )
 from retailsim.department import DepartmentSim
 from retailsim.kernel import EventCalendar
@@ -38,41 +38,43 @@ def allowed(state):
 
 def test_purchase_walk_through_pay_queue():
     c = fresh()
-    for state, trigger in (
-        (CustomerState.BROWSING, "arrival"),
-        (CustomerState.SEEKING_PAY, "browse_exit_buy"),
-        (CustomerState.IN_PAY_QUEUE, "pay_enqueue"),
-        (CustomerState.PAYING, "pay_start"),
-        (CustomerState.LEAVING, "pay_done"),
+    for state in (
+        CustomerState.BROWSING,
+        CustomerState.SEEKING_PAY,
+        CustomerState.IN_PAY_QUEUE,
+        CustomerState.PAYING,
+        CustomerState.LEAVING,
     ):
-        c.transition(state, trigger)
+        c.transition(state)
     assert c.state is CustomerState.LEAVING
 
 
 def test_refund_goal_enters_refund_path_directly():
     c = fresh()
-    c.transition(CustomerState.SEEKING_REFUND, "arrival")
-    c.transition(CustomerState.REFUND_PROCESSING, "refund_start")
-    c.transition(CustomerState.BROWSING, "refund_repurchase")
+    c.transition(CustomerState.SEEKING_REFUND)
+    c.transition(CustomerState.REFUND_PROCESSING)
+    c.transition(CustomerState.BROWSING)
     assert c.state is CustomerState.BROWSING
 
 
-def test_illegal_transition_names_state_and_trigger():
+def test_illegal_transition_names_both_states():
+    # The event is named by the handler that runs it, in the kernel's fault message.
     c = fresh()
     with pytest.raises(IllegalTransition) as excinfo:
-        c.transition(CustomerState.PAYING, "impatient")
+        c.transition(CustomerState.PAYING)
     msg = str(excinfo.value)
-    assert "ENTERING" in msg and "PAYING" in msg and "impatient" in msg
+    assert "ENTERING" in msg and "PAYING" in msg
+    assert msg == "customer 0: illegal transition ENTERING -> PAYING"
     assert c.state is CustomerState.ENTERING  # state untouched on failure
 
 
 def test_leaving_is_absorbing():
     c = fresh()
-    c.transition(CustomerState.BROWSING, "arrival")
-    c.transition(CustomerState.LEAVING, "browse_exit_leave")
+    c.transition(CustomerState.BROWSING)
+    c.transition(CustomerState.LEAVING)
     for target in CustomerState:
         with pytest.raises(IllegalTransition):
-            c.transition(target, "anything")
+            c.transition(target)
 
 
 def test_every_state_reaches_leaving():
@@ -97,7 +99,7 @@ def test_fuzz_one_million_legal_steps_never_fault():
         if not options:
             c = fresh()
             continue
-        c.transition(rng.choice(sorted(options, key=lambda s: s.name)), "fuzz")
+        c.transition(rng.choice(sorted(options, key=lambda s: s.name)))
         steps += 1
 
 
@@ -105,31 +107,32 @@ def test_fuzz_one_million_legal_steps_never_fault():
 
 
 def test_default_weights_match_documented_values():
-    w = SatisfactionWeights.from_mapping({})
-    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
-    assert w.weights[SatisfactionEvent.HELP_RECEIVED] == 1
-    assert w.weights[SatisfactionEvent.REFUND_GRANTED] == 2
-    assert w.weights[SatisfactionEvent.HELP_QUEUE_ABANDONED] == -2
-    assert w.weights[SatisfactionEvent.PAY_QUEUE_ABANDONED] == -3
-    assert w.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
-    assert w.weights[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 0
+    w = satisfaction_weights({})
+    assert w == (2, 1, 2, -2, -3, -4, 0)  # a tuple indexed by event
+    assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 2
+    assert w[SatisfactionEvent.HELP_RECEIVED] == 1
+    assert w[SatisfactionEvent.REFUND_GRANTED] == 2
+    assert w[SatisfactionEvent.HELP_QUEUE_ABANDONED] == -2
+    assert w[SatisfactionEvent.PAY_QUEUE_ABANDONED] == -3
+    assert w[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
+    assert w[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 0
 
 
 def test_weights_from_mapping_overrides_and_validates():
-    w = SatisfactionWeights.from_mapping({"purchase_completed": 5})
-    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 5
-    assert w.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4  # untouched default
+    w = satisfaction_weights({"purchase_completed": 5})
+    assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 5
+    assert w[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4  # untouched default
     with pytest.raises(ValueError, match="unknown satisfaction event"):
-        SatisfactionWeights.from_mapping({"applause": 1})
+        satisfaction_weights({"applause": 1})
     with pytest.raises(ValueError, match="integer"):
-        SatisfactionWeights.from_mapping({"help_received": 1.5})
+        satisfaction_weights({"help_received": 1.5})
     with pytest.raises(ValueError, match="integer"):
-        SatisfactionWeights.from_mapping({"help_received": True})
+        satisfaction_weights({"help_received": True})
 
 
 def test_satisfaction_event_arithmetic(atv_config):
     # The department applies each event's weight to the customer's index.
-    assert atv_config.weights == SatisfactionWeights.from_mapping({})
+    assert atv_config.weights == satisfaction_weights({})
     sim = DepartmentSim(atv_config)
     c = fresh()
     sim._apply(c, SatisfactionEvent.REFUND_QUEUE_ABANDONED)
@@ -144,7 +147,8 @@ def test_satisfaction_event_arithmetic(atv_config):
 
 def test_ledger_tracks_counts_and_exact_total(atv_config):
     sim = DepartmentSim(atv_config)
-    assert sim.ledger.total == 0
+    assert sim.ledger_sum == 0
+    assert sim.event_counts == [0] * len(SatisfactionEvent)
     c = fresh()
     kinds = [
         SatisfactionEvent.HELP_RECEIVED,
@@ -154,24 +158,24 @@ def test_ledger_tracks_counts_and_exact_total(atv_config):
     ]
     for kind in kinds:
         sim._apply(c, kind)
-    ledger = sim.ledger
-    assert ledger.counts[SatisfactionEvent.HELP_RECEIVED] == 2
-    assert ledger.counts[SatisfactionEvent.PURCHASE_COMPLETED] == 1
-    assert ledger.total == 1 + 2 + 1 - 4
-    assert ledger.total == c.satisfaction
+    counts = sim.event_counts
+    assert counts[SatisfactionEvent.HELP_RECEIVED] == 2
+    assert counts[SatisfactionEvent.PURCHASE_COMPLETED] == 1
+    assert sim.ledger_sum == 1 + 2 + 1 - 4
+    assert sim.ledger_sum == c.satisfaction
 
 
 def test_purchase_without_abandonment_never_negative():
     # Non-abandon events all have non-negative default weights, so any event
     # multiset containing PurchaseCompleted and no *Abandoned sums >= 0.
-    w = SatisfactionWeights.from_mapping({})
+    w = satisfaction_weights({})
     abandons = {
         SatisfactionEvent.HELP_QUEUE_ABANDONED,
         SatisfactionEvent.PAY_QUEUE_ABANDONED,
         SatisfactionEvent.REFUND_QUEUE_ABANDONED,
     }
-    assert all(w.weights[k] >= 0 for k in SatisfactionEvent if k not in abandons)
-    assert w.weights[SatisfactionEvent.PURCHASE_COMPLETED] > 0
+    assert all(w[k] >= 0 for k in SatisfactionEvent if k not in abandons)
+    assert w[SatisfactionEvent.PURCHASE_COMPLETED] > 0
 
 
 # -- spawning: the arrival handler's refund-or-browse branch -------------------
@@ -186,14 +190,19 @@ class ConstantRng:
 
 
 def arrival_moves(monkeypatch, sim):
-    """Run `sim`; each customer's first move as (from, to, trigger, satisfaction)."""
+    """Run `sim`; each customer's first move as (from, to, event, satisfaction).
+
+    The event is the name of the traced handler that made the move, or None
+    when `sim` keeps no trace.
+    """
     first = {}
     transition = CustomerAgent.transition
 
-    def record(customer, new_state, trigger):
+    def record(customer, new_state):
         if customer.id not in first:
-            first[customer.id] = (customer.state, new_state, trigger, customer.satisfaction)
-        transition(customer, new_state, trigger)
+            event = None if sim.trace is None else sim.trace[-1][1]
+            first[customer.id] = (customer.state, new_state, event, customer.satisfaction)
+        transition(customer, new_state)
 
     monkeypatch.setattr(CustomerAgent, "transition", record)
     sim.run()
@@ -231,7 +240,7 @@ def test_spawn_refund_share_binomial(monkeypatch, ww_config):
 
 
 def test_spawn_starts_clean(monkeypatch, atv_week):
-    moves = arrival_moves(monkeypatch, DepartmentSim(atv_week, seed=9, strict=True))
+    moves = arrival_moves(monkeypatch, DepartmentSim(atv_week, seed=9, trace=[], strict=True))
     assert moves
     assert {(move[0], move[2], move[3]) for move in moves} == {
         (CustomerState.ENTERING, "arrival", 0)

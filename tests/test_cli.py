@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import csv
+import dataclasses
+import hashlib
 import io
 import shutil
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 from retailsim import experiments
 from retailsim.cli import main, resolve_config_path
+from retailsim.config import StaffingPlan
 from retailsim.department import run_replication
 from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results, write_results_csv
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
@@ -228,6 +231,16 @@ def test_run_rejects_a_staffing_override_beyond_the_ceiling(capsys):
     assert "staffing.cashiers must be at most" in capsys.readouterr().err
 
 
+def test_run_staffing_flags_each_document_their_key(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    # Every [staffing] key has its flag.
+    for role in (field.name for field in dataclasses.fields(StaffingPlan)):
+        flag = "--" + role.replace("_", "-")
+        assert f"{flag} {role.upper()} override staffing.{role}" in out
+
+
 def test_run_staffing_override_shows_in_metrics(capsys):
     argv = [
         "run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "3",
@@ -365,6 +378,29 @@ def test_sweep_writes_rows_and_summary(tmp_path, atv_text, capsys):
     assert len(lines) == 11
 
 
+def test_sweep_without_cashiers_prints_na_for_their_utilization(tmp_path, atv_text, capsys):
+    # A department with nobody at the till has no cashier utilization.
+    text = atv_text.replace("cashiers = 3", "cashiers = 0").replace("days = 70", "days = 1")
+    (tmp_path / "no_cashiers.toml").write_text(text, encoding="utf-8")
+    out = tmp_path / "emp.csv"
+    argv = [
+        "sweep", "--experiment", "empowerment", "--reps", "2", "--out", str(out),
+        "--configs", str(tmp_path / "no_cashiers.toml"),
+    ]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert "\nmean cashier utilization per cell:\nn/a\n\nmean refund satisfaction" in stdout
+    assert "mean transactions per cell:\ndepartment" in stdout
+    rows = list(csv.DictReader(out.open(encoding="utf-8", newline="")))
+    assert len(rows) == 10
+    assert {row["cashier_utilization"] for row in rows} == {""}
+    assert {row["transactions"] for row in rows} == {"0"}
+    # sha256 of the CSV, recorded before the summary printed n/a: n/a changes only stdout.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e88617c54a5e1460e0a3947718955ff018e100c690ee8e53547a589568fcc296"
+    )
+
+
 def test_sweep_is_byte_identical_across_runs(short_dir, tmp_path, capsys):
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
@@ -407,10 +443,10 @@ def test_sweep_fault_exits_1_naming_the_cell(short_dir, tmp_path, capsys, monkey
     bad_seed = derive_cell_seed(1, "WW", 0.5, 1)
     original = experiments.run_replication
 
-    def faulty(config, staffing=None, seed=None):
+    def faulty(config, seed=None):
         if seed == bad_seed:
             raise ZeroDivisionError("injected failure")
-        return original(config, staffing=staffing, seed=seed)
+        return original(config, seed=seed)
 
     monkeypatch.setattr(experiments, "run_replication", faulty)
     out = tmp_path / "emp.csv"

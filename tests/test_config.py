@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import triangular_mean, triangular_variance
-from retailsim.agents import SatisfactionEvent, SatisfactionWeights
+from retailsim.agents import SatisfactionEvent, satisfaction_weights
 from retailsim.cli import main, resolve_config_path
 from retailsim.config import (
     MAX_HORIZON_MINUTES,
@@ -178,7 +178,7 @@ def test_shipped_atv_values(atv_config):
     assert cfg.staffing == StaffingPlan(3, 5, 1, 1)
     assert cfg.staffing.total() == 10
     assert cfg.horizon == Horizon(600.0, 70)
-    assert cfg.weights.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
+    assert cfg.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
 
 
 def test_shipped_ww_contrasts_with_atv(atv_config, ww_config):
@@ -214,7 +214,7 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert cfg.empowerment.hold_cashier_during_referral is True
     assert cfg.horizon == Horizon(600.0, 70)
     assert cfg.cashier_priority == ("refund", "pay")
-    assert cfg.weights.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
+    assert cfg.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
     # Every defaulted block leaves a provenance note.
     notes = " ".join(r.message for r in caplog.records)
     assert "satisfaction_weights" in notes
@@ -407,7 +407,7 @@ def test_readme_reference_lists_every_key_with_its_default():
             assert default == "required", key
         elif isinstance(field.default, (bool, int, float, tuple)):
             assert default == f"`{toml_text(field.default)}`", key
-    weights = SatisfactionWeights.from_mapping({}).weights
+    weights = satisfaction_weights({})
     for event in SatisfactionEvent:
         key = f"satisfaction_weights.{event.name.lower()}"
         assert key in rows, f"README configuration reference lacks `{key}`"
@@ -508,7 +508,7 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
         else:
             expected = field.default
         assert value == expected and type(value) is type(expected), (section, field.name)
-    assert config.weights == SatisfactionWeights.from_mapping(root.get("satisfaction_weights", {}))
+    assert config.weights == satisfaction_weights(root.get("satisfaction_weights", {}))
     one_day = dataclasses.replace(
         config, horizon=Horizon(config.horizon.trading_day_minutes, 1)
     )

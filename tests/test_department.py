@@ -179,9 +179,8 @@ def test_zero_arrivals_zero_everything():
 
 
 def test_zero_cashiers_no_transactions(atv_week):
-    m = DepartmentSim(
-        atv_week, staffing=StaffingPlan(0, 5, 1, 1), seed=0, strict=True
-    ).run()
+    no_cashiers = dataclasses.replace(atv_week, staffing=StaffingPlan(0, 5, 1, 1))
+    m = DepartmentSim(no_cashiers, seed=0, strict=True).run()
     assert m.transactions == 0
     assert m.refunds_completed == 0
     assert m.cashier_utilization is None
@@ -237,7 +236,7 @@ def test_browse_exit_leaves_with_zero_satisfaction():
     assert m.transactions == 0
     assert m.satisfied_customers == 0
     assert m.overall_satisfaction == 0
-    assert sim.ledger.counts[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 1
+    assert sim.event_counts[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 1
 
 
 def test_pay_queue_renege_penalty():
@@ -287,7 +286,7 @@ def test_day_close_credits_help_in_progress():
     sim.inject_arrival(0.0)
     m = sim.run()
     # Help started at 2 would end at 12; the close credits it and frees the seller.
-    assert sim.ledger.counts[SatisfactionEvent.HELP_RECEIVED] == 1
+    assert sim.event_counts[SatisfactionEvent.HELP_RECEIVED] == 1
     assert m.overall_satisfaction == 1
     assert m.transactions == 0
     assert sim.normal_sellers[0].busy_minutes == 3.0
@@ -328,8 +327,8 @@ def test_day_close_sends_browsing_customer_home_without_ledger_event():
     m = sim.run()
     assert m.overall_satisfaction == 0
     assert m.satisfied_customers == 0
-    assert sum(sim.ledger.counts.values()) == 0
-    assert sim.ledger.total == 0
+    assert sum(sim.event_counts) == 0
+    assert sim.ledger_sum == 0
     assert m.customers_left == 1
 
 
@@ -375,6 +374,32 @@ def test_empowered_refund_skips_manager_and_scales_duration():
     assert sim.managers[0].busy_minutes == 0.0
 
 
+def test_held_refund_taken_from_the_queue_waits_for_a_manager_without_reneging():
+    # Two cashiers, one manager, every refund referred with the cashier held.
+    # #0 takes the manager 0-10; #1 parks cashier 1 from 0.5; #2 queues at 1
+    # with 15 minutes' patience. At 10 the manager takes #1 (10-20); at 12
+    # cashier 0 takes #2 from the queue, which then waits for the manager
+    # past minute 16, when its patience ran out, and is authorized 20-30.
+    trace = []
+    sim = DepartmentSim(
+        scripted(refund_goal=1.0, p_empowered=0.0, hold="true", cashiers=2, auth=10,
+                 patience=15),
+        seed=0, trace=trace, strict=True,
+    )
+    for at in (0.0, 0.5, 1.0):
+        sim.inject_arrival(at)
+    m = sim.run()
+    events = [(t, name, cid) for t, name, cid in trace if cid is not None]
+    assert events == [
+        (10.0, "auth_end", 0), (12.0, "refund_end", 0), (20.0, "auth_end", 1),
+        (22.0, "refund_end", 1), (30.0, "auth_end", 2), (32.0, "refund_end", 2),
+    ]
+    assert m.abandoned_refund == 0
+    assert m.refunds_completed == m.manager_authorizations == 3
+    assert sim.managers[0].busy_minutes == 30.0
+    assert sim.cashiers[0].busy_minutes == 12.0 + 20.0
+
+
 def test_refund_then_repurchase_continues_shopping():
     sim = refund_sim(repurchase=1.0)
     m = sim.run()
@@ -401,8 +426,8 @@ def test_pay_queue_is_first_come_first_served():
 def test_ledger_reconciles_with_metrics(atv_week):
     sim = DepartmentSim(atv_week, seed=13, strict=True)
     m = sim.run()
-    counts = sim.ledger.counts
-    assert m.overall_satisfaction == m.satisfaction_ledger_sum == sim.ledger.total
+    counts = sim.event_counts
+    assert m.overall_satisfaction == m.satisfaction_ledger_sum == sim.ledger_sum
     assert counts[SatisfactionEvent.PURCHASE_COMPLETED] == m.transactions
     assert counts[SatisfactionEvent.REFUND_GRANTED] == m.refunds_completed
     assert counts[SatisfactionEvent.HELP_QUEUE_ABANDONED] == m.abandoned_help

@@ -165,10 +165,12 @@ def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
     bad_seed = derive_cell_seed(1, "A&TV", 3, 2)
     original = experiments.run_replication
 
-    def faulty(config, staffing=None, seed=None):
+    def faulty(config, seed=None):
         if seed == bad_seed:
+            # The cell's config carries the staffing its level simulates.
+            assert config.staffing == cashier_fill_plan(3)
             raise RuntimeError("injected failure")
-        return original(config, staffing=staffing, seed=seed)
+        return original(config, seed=seed)
 
     # Worker processes are forked, so they inherit the patched function.
     monkeypatch.setattr(experiments, "run_replication", faulty)

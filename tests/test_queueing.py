@@ -4,7 +4,13 @@ import operator
 
 import pytest
 
-from retailsim.agents import CustomerAgent, SatisfactionEvent, StaffAgent, StaffRole
+from retailsim.agents import (
+    CustomerAgent,
+    CustomerState,
+    SatisfactionEvent,
+    StaffAgent,
+    StaffRole,
+)
 from retailsim.department import DepartmentSim
 from retailsim.kernel import RngStream
 from retailsim.queueing import (
@@ -39,10 +45,30 @@ def customer(cid, needs_expert=False):
 # -- FIFO and skill matching ----------------------------------------------------
 
 
+PATIENCE = TriangularParams(1, 5, 9)
+
+
 def queue_of(*customers):
-    q = ServiceQueue()
+    q = ServiceQueue(PATIENCE, SatisfactionEvent.PAY_QUEUE_ABANDONED)
     q.entries.extend(customers)
     return q
+
+
+def test_queue_carries_its_reneging_rule():
+    q = queue_of()
+    assert q.patience is PATIENCE
+    assert q.abandoned is SatisfactionEvent.PAY_QUEUE_ABANDONED
+    assert not q.entries
+    # The department keys each queue by the state its customers wait in.
+    sim = DepartmentSim(scripted(patience=7))
+    for state, queue, abandoned in (
+        (CustomerState.IN_HELP_QUEUE, sim.help_q, SatisfactionEvent.HELP_QUEUE_ABANDONED),
+        (CustomerState.IN_PAY_QUEUE, sim.pay_q, SatisfactionEvent.PAY_QUEUE_ABANDONED),
+        (CustomerState.IN_REFUND_QUEUE, sim.refund_q, SatisfactionEvent.REFUND_QUEUE_ABANDONED),
+    ):
+        assert sim._queues[state] is queue
+        assert queue.abandoned is abandoned
+        assert queue.patience == TriangularParams.constant(7)
 
 
 def test_pop_head_is_fifo():
@@ -75,8 +101,8 @@ def test_expert_takes_the_oldest_entry_outright():
 
 
 def test_pop_first_servable_on_empty_queue():
-    assert ServiceQueue().pop_first_servable(can_serve_expert=True) is None
-    assert ServiceQueue().pop_first_servable(can_serve_expert=False) is None
+    assert queue_of().pop_first_servable(can_serve_expert=True) is None
+    assert queue_of().pop_first_servable(can_serve_expert=False) is None
 
 
 def test_remove_present_and_absent():
@@ -99,7 +125,7 @@ def test_drain_empties_queue():
     assert [c.id for c in sim.pay_q.entries] == [0, 1, 2]
     sim.cal.run_until(sim.day_end, operator.call)
     assert not sim.pay_q.entries and not sim.live
-    assert sim.ledger.counts[SatisfactionEvent.PAY_QUEUE_ABANDONED] == 0
+    assert sim.event_counts[SatisfactionEvent.PAY_QUEUE_ABANDONED] == 0
 
 
 def test_find_idle_prefers_lowest_id():

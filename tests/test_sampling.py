@@ -1,4 +1,8 @@
-"""Triangular, Bernoulli, and interarrival samplers: exact points and properties."""
+"""Triangular, Bernoulli, and interarrival samplers: exact points and properties.
+
+A Bernoulli decision is the inline test `u < p` at its caller; its tests
+drive the empowerment decision of `queueing.resolve_refund_path`.
+"""
 
 import math
 
@@ -7,11 +11,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import triangular_mean, triangular_variance
+from test_agents import ConstantRng
 from retailsim.kernel import RngStream
+from retailsim.queueing import EmpowermentPolicy, resolve_refund_path
 from retailsim.sampling import (
     ArrivalProfile,
     TriangularParams,
-    sample_bernoulli,
     sample_interarrival,
     sample_triangular,
 )
@@ -111,23 +116,34 @@ def test_triangular_is_a_pure_function(tri, u):
 # -- Bernoulli ----------------------------------------------------------------
 
 
+def empowered(p, u):
+    """Whether a refund with empowerment probability p and decision draw u is empowered."""
+    policy = EmpowermentPolicy(TriangularParams(1, 3, 6), p)
+    _, overhead = resolve_refund_path(policy, 2.0, ConstantRng(u), ConstantRng(0.5))
+    return overhead is None
+
+
 def test_bernoulli_degenerate_probabilities():
     for u in (0.0, 0.17, 0.999999):
-        assert sample_bernoulli(0.0, u) is False
-        assert sample_bernoulli(1.0, u) is True
+        assert empowered(0.0, u) is False
+        assert empowered(1.0, u) is True
 
 
 def test_bernoulli_threshold_is_strict():
-    assert sample_bernoulli(0.5, 0.5) is False
-    assert sample_bernoulli(0.5, 0.49999999) is True
-    assert sample_bernoulli(0.37, 0.1) is True
+    # Empowered iff u < p: a draw at p is referred, one just below it is not.
+    assert empowered(0.5, 0.5) is False
+    assert empowered(0.5, 0.49999999) is True
+    assert empowered(0.5, math.nextafter(0.5, 0.0)) is True
+    assert empowered(0.37, 0.1) is True
+    assert empowered(0.0, 0.0) is False
+    assert empowered(1.0, math.nextafter(1.0, 0.0)) is True
 
 
 def test_bernoulli_frequency_tracks_binomial_error():
     stream = RngStream(7, "decisions")
     n = 100_000
     p = 0.37
-    hits = sum(sample_bernoulli(p, stream.uniform()) for _ in range(n))
+    hits = sum(empowered(p, stream.uniform()) for _ in range(n))
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 4 * se
 
