@@ -13,16 +13,13 @@ imports the config, model and sweep modules it needs when it runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
 import sys
 
 from .kernel import SimulationFault
-from .results import (
-    METRIC_FIELDS, format_value, load_results, replaced_atomically, results_to_cells,
-)
+from .results import METRIC_FIELDS, format_value, load_results, results_to_cells, write_csv
 from .stats import anova_two_way, levene_test, tukey_hsd
 
 CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
@@ -100,10 +97,7 @@ def cmd_run(args):
     for name in METRIC_FIELDS:
         print(f"{name}: {_fmt_metric(getattr(metrics, name))}")
     if args.out:
-        with replaced_atomically(args.out) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(METRIC_FIELDS)
-            writer.writerow([format_value(getattr(metrics, n)) for n in METRIC_FIELDS])
+        write_csv(args.out, METRIC_FIELDS, [[getattr(metrics, n) for n in METRIC_FIELDS]])
         print(f"metrics written to {args.out}")
     return 0
 
@@ -215,36 +209,17 @@ def cmd_analyze(args):
 
 
 def _write_analysis_csv(path, metric, table, lev, tukey, levels):
-    with replaced_atomically(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["section", "name", "ss", "df1", "df2", "ms", "statistic", "p", "significant"]
+    df_w = table.within.df
+    rows = [["anova", e.name, e.ss, e.df, df_w, e.ms, e.f, e.p, ""] for e in table.effects()]
+    rows.append(["anova", "within", table.within.ss, df_w, "", table.within.ms, "", "", ""])
+    rows.append(["levene", f"{metric} cells", "", lev.df1, lev.df2, "", lev.w, lev.p, ""])
+    for r in tukey or ():
+        rows.append(
+            ["tukey", f"{levels[r.group_i]} vs {levels[r.group_j]}", "", "", "", "",
+             r.q_stat, r.p_value, str(r.significant).lower()]
         )
-
-        def num(x):
-            if x is None or (isinstance(x, float) and math.isnan(x)):
-                return ""
-            return repr(float(x))
-
-        df_w = table.within.df
-        for effect in table.effects():
-            writer.writerow(
-                ["anova", effect.name, num(effect.ss), effect.df, df_w,
-                 num(effect.ms), num(effect.f), num(effect.p), ""]
-            )
-        writer.writerow(
-            ["anova", "within", num(table.within.ss), df_w, "",
-             num(table.within.ms), "", "", ""]
-        )
-        writer.writerow(
-            ["levene", f"{metric} cells", "", lev.df1, lev.df2, "",
-             num(lev.w), num(lev.p), ""]
-        )
-        for r in tukey or ():
-            writer.writerow(
-                ["tukey", f"{levels[r.group_i]} vs {levels[r.group_j]}", "", "", "",
-                 "", num(r.q_stat), num(r.p_value), str(r.significant).lower()]
-            )
+    header = ["section", "name", "ss", "df1", "df2", "ms", "statistic", "p", "significant"]
+    write_csv(path, header, rows)
 
 
 def cmd_validate(args):

@@ -7,23 +7,19 @@ stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
 repeated sweep is byte-identical. A replication that fails inside a sweep is
 reported as a SimulationFault naming its department, level, replication and
-seed, so it can be rerun on its own. The CSV schema, its reader and the
-atomic file replacement live in `results`, which the analysis shares; the
-sweep's per-cell summary table groups rows with the ANOVA's own
-`results_to_cells`.
+seed, so it can be rerun on its own. The CSV schema, its reader and its
+atomic writer live in `results`, which the analysis shares; the sweep's
+per-cell summary table groups rows with the ANOVA's own `results_to_cells`.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 
 from .config import StaffingPlan
 from .department import run_replication
 from .kernel import SimulationFault, hash_seed
-from .results import (
-    METRIC_FIELDS, ResultRow, csv_header, format_value, replaced_atomically, results_to_cells,
-)
+from .results import ResultRow, csv_header, results_to_cells, write_csv
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -106,7 +102,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks, chunksize=8))
+            outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(t) for t in tasks]
     return [
@@ -119,19 +115,8 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
 # Writing results
 
 
-def write_results_csv(rows, fh):
-    """Write rows to an open text file (newline='' per csv docs)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(csv_header())
-    for row in rows:
-        record = [row.experiment, row.department, row.level, row.replication, row.seed]
-        record += [getattr(row.metrics, name) for name in METRIC_FIELDS]
-        writer.writerow([format_value(v) for v in record])
-
-
 def save_results(rows, path):
-    with replaced_atomically(path) as fh:
-        write_results_csv(rows, fh)
+    write_csv(path, csv_header(), (row.cells() for row in rows))
 
 
 # ---------------------------------------------------------------------------

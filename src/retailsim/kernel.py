@@ -36,7 +36,7 @@ class EventCalendar:
         self._seq = 0
 
     def __len__(self):
-        # Counts stale-but-unpopped entries too; only used for diagnostics.
+        # Counts stale-but-unpopped entries too; perfbench's tracer reads it.
         return len(self.heap)
 
     def schedule(self, at, kind, target=None):

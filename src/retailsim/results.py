@@ -3,8 +3,10 @@
 `RunMetrics` is one replication's outcome and `ResultRow` tags it with its
 sweep cell. A results CSV holds the cell columns, then one column per metric,
 with round-trip float formatting; `load_results` reads one back and names the
-line and column of any bad cell. Files are written beside their target and
-moved into place, so no reader sees half of one.
+line and column of any bad cell. `write_csv` writes every CSV the CLI makes,
+results, `run --out` and analysis files alike: one dialect, one cell format,
+and each file is written beside its target and moved into place, so no reader
+sees half of one.
 
 This module imports only the standard library, so `analyze` reads results
 without loading the simulation model.
@@ -63,17 +65,22 @@ class ResultRow:
     seed: int
     metrics: RunMetrics
 
+    def cells(self):
+        """This row's values in `csv_header` order."""
+        return [self.experiment, self.department, self.level, self.replication, self.seed,
+                *(getattr(self.metrics, name) for name in METRIC_FIELDS)]
+
 
 def csv_header():
     return list(CSV_ID_FIELDS) + list(METRIC_FIELDS)
 
 
 def format_value(value):
-    """One CSV cell: None is empty, a float its round-trip repr."""
+    """One CSV cell: None and NaN are empty, a float its round-trip repr."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 
@@ -93,6 +100,14 @@ def replaced_atomically(path):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write `header`, then `rows` with each cell through `format_value`, atomically."""
+    with replaced_atomically(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)
 
 
 def _finite(value):

@@ -136,7 +136,6 @@ class AnovaTable:
     factor_b: EffectTest
     interaction: EffectTest
     within: EffectTest
-    ss_total: float
     degenerate: bool
 
     def effects(self):
@@ -177,7 +176,6 @@ def anova_two_way(data, factor_names=("A", "B")):
     ss_b = float(a * n * np.sum((col - grand) ** 2))
     ss_ab = float(n * np.sum((cell - row[:, None] - col[None, :] + grand) ** 2))
     ss_within = float(np.sum((arr - cell[:, :, None]) ** 2))
-    ss_total = float(np.sum((arr - grand) ** 2))
 
     df_a = a - 1
     df_b = b - 1
@@ -205,7 +203,6 @@ def anova_two_way(data, factor_names=("A", "B")):
         factor_b=effect(name_b, ss_b, df_b, ms_b),
         interaction=effect(f"{name_a} x {name_b}", ss_ab, df_ab, ms_ab),
         within=EffectTest("within", ss_within, df_within, ms_within, math.nan, math.nan),
-        ss_total=ss_total,
         degenerate=degenerate,
     )
 

@@ -4,7 +4,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
-import io
 import shutil
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from retailsim import experiments
 from retailsim.cli import main, resolve_config_path
 from retailsim.config import StaffingPlan
 from retailsim.department import run_replication
-from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results, write_results_csv
+from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
 
 
@@ -301,9 +300,10 @@ def test_run_csv_cells_match_the_sweep_csv(tmp_path, capsys, atv_week):
     with open(out_csv, newline="", encoding="utf-8") as fh:
         header, run_cells = list(csv.reader(fh))
     metrics = run_replication(atv_week, seed=7)
-    sweep_csv = io.StringIO()
-    write_results_csv([ResultRow("cashiers", "A&TV", 3, 1, 7, metrics)], sweep_csv)
-    sweep_header, sweep_cells = list(csv.reader(io.StringIO(sweep_csv.getvalue())))
+    sweep_csv = tmp_path / "sweep.csv"
+    save_results([ResultRow("cashiers", "A&TV", 3, 1, 7, metrics)], sweep_csv)
+    with open(sweep_csv, newline="", encoding="utf-8") as fh:
+        sweep_header, sweep_cells = list(csv.reader(fh))
     assert header == sweep_header[len(CSV_ID_FIELDS):] == list(METRIC_FIELDS)
     assert run_cells == sweep_cells[len(CSV_ID_FIELDS):]
 

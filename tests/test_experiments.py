@@ -4,7 +4,7 @@ import concurrent.futures
 
 import pytest
 
-from retailsim import experiments
+from retailsim import experiments, results
 from retailsim.config import StaffingPlan
 from retailsim.kernel import SimulationFault
 from retailsim.experiments import (
@@ -244,13 +244,21 @@ def test_failed_write_leaves_the_existing_file_intact(tmp_path, monkeypatch):
     save_results([mk_row("A", 1, 1)], path)
     before = path.read_bytes()
 
-    def write_half_then_fail(rows, fh):
-        fh.write("experiment,department\n")
-        raise OSError("disk full")
+    # Fail inside the writer partway through the second row, once the header
+    # and the first row have gone to the temporary file.
+    format_value = results.format_value
+    formatted = []
 
-    monkeypatch.setattr(experiments, "write_results_csv", write_half_then_fail)
+    def format_then_fail(value):
+        if len(formatted) == len(csv_header()) + 7:
+            raise OSError("disk full")
+        formatted.append(value)
+        return format_value(value)
+
+    monkeypatch.setattr(results, "format_value", format_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        save_results([mk_row("B", 2, 1)], path)
+        save_results([mk_row("B", 2, 1), mk_row("B", 2, 2)], path)
+    assert formatted[:2] == ["cashiers", "B"]
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 

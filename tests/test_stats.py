@@ -94,7 +94,13 @@ def test_worked_example_decomposition_is_exact():
     assert table.factor_b.ss == 2.0
     assert table.interaction.ss == 0.0
     assert table.within.ss == 8.0
-    assert table.ss_total == 42.0
+    grand = sum(x for dept in WORKED for cell in dept for x in cell) / 8
+    ss_total = sum((x - grand) ** 2 for dept in WORKED for cell in dept for x in cell)
+    assert ss_total == 42.0
+    assert (
+        table.factor_a.ss + table.factor_b.ss + table.interaction.ss + table.within.ss
+        == ss_total
+    )
     assert (table.factor_a.df, table.factor_b.df) == (1, 1)
     assert (table.interaction.df, table.within.df) == (1, 4)
     assert table.factor_a.f == pytest.approx(16.0, rel=1e-9)
@@ -185,7 +191,8 @@ def test_anova_decomposition_identity(seed, a, b, n):
     parts = (
         table.factor_a.ss + table.factor_b.ss + table.interaction.ss + table.within.ss
     )
-    assert parts == pytest.approx(table.ss_total, rel=1e-9, abs=1e-9)
+    ss_total = float(np.sum((data - data.mean()) ** 2))
+    assert parts == pytest.approx(ss_total, rel=1e-9, abs=1e-9)
     for eff in table.effects():
         assert eff.ss >= 0.0
         if not table.degenerate:
