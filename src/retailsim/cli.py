@@ -22,30 +22,20 @@ from .kernel import SimulationFault
 from .results import METRIC_FIELDS, format_value, load_results, results_to_cells, write_csv
 from .stats import anova_two_way, levene_test, tukey_hsd
 
-CONFIG_DIR_ENV = "RETAILSIM_CONFIG_DIR"
 DEFAULT_CONFIG_FILES = ("dept_atv.toml", "dept_ww.toml")
 PACKAGED_CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
 # The staffing keys `run` can override, one --flag each (config's StaffingPlan fields).
 STAFF_ROLES = ("cashiers", "normal_sellers", "expert_sellers", "section_managers")
 
 
-def resolve_config_path(name, extra_dir=None):
-    """Find a config by path or name: cwd, --config-dir, env dir, packaged."""
-    tried = []
-    names = [name] if name.endswith(".toml") else [name, name + ".toml"]
-    dirs = [None]
-    if extra_dir:
-        dirs.append(extra_dir)
-    env_dir = os.environ.get(CONFIG_DIR_ENV)
-    if env_dir:
-        dirs.append(env_dir)
-    dirs.append(PACKAGED_CONFIG_DIR)
-    for candidate_dir in dirs:
-        for base in names:
-            path = os.path.join(candidate_dir, base) if candidate_dir else base
-            if os.path.isfile(path):
-                return path
-            tried.append(path)
+def resolve_config_path(name):
+    """Find a config: `name` as a path, then with `.toml` appended, then packaged."""
+    tried = [name] if name.endswith(".toml") else [name, name + ".toml"]
+    if not os.path.dirname(name):  # a name with a directory part is a path only
+        tried.append(os.path.join(PACKAGED_CONFIG_DIR, tried[-1]))
+    for path in tried:
+        if os.path.isfile(path):
+            return path
     from .config import ConfigError
 
     raise ConfigError(f"config {name!r} not found; tried: {', '.join(tried)}")
@@ -112,7 +102,7 @@ def cmd_sweep(args):
         raise ConfigError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     configs = {}
     for name in args.configs:
-        cfg = load_config(resolve_config_path(name, args.config_dir))
+        cfg = load_config(resolve_config_path(name))
         if cfg.label in configs:
             raise ConfigError(f"duplicate department label {cfg.label!r} in sweep configs")
         configs[cfg.label] = cfg
@@ -271,8 +261,6 @@ def build_parser():
                          help="results CSV path (default results.csv)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes (default 1)")
-    p_sweep.add_argument("--config-dir", dest="config_dir",
-                         help="directory searched for config files first")
     p_sweep.add_argument(
         "--configs", nargs="+", default=list(DEFAULT_CONFIG_FILES),
         help="department config files (default: the two shipped departments)",
@@ -299,7 +287,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)  # run, sweep and analyze write one file
     try:
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"--out {out}: no directory {os.path.dirname(out)}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

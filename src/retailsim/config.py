@@ -205,17 +205,16 @@ def _read(value, kind, where, source):
         return tuple(value)
     if not kind.startswith("TriangularParams"):
         return value
-    # A duration: {min, mode, max} for a spread, a bare number for a constant.
+    # A duration: {min, mode, max}, or a bare number v for the fixed (v, v, v).
     if not isinstance(value, dict):
-        return TriangularParams.constant(_read(value, "float", where, source))
+        v = _read(value, "float", where, source)
+        return TriangularParams(v, v, v)
     keys = ("min", "mode", "max")
     _check_known(value, keys, where, source)
     missing = [key for key in keys if key not in value]
     if missing:
         raise ConfigError(f"{source}: missing required key {where}.{missing[0]}")
     low, mode, high = (_read(value[key], "float", f"{where}.{key}", source) for key in keys)
-    if low == mode == high:
-        return TriangularParams.constant(low)
     try:
         return TriangularParams(low, mode, high)
     except ValueError as exc:

@@ -89,16 +89,19 @@ def replaced_atomically(path):
     """Text file open for writing beside `path`, moved onto it once complete.
 
     Until the block finishes, an existing `path` keeps its old bytes; if the
-    block raises, the partial file is removed and `path` is left alone.
+    block raises, the partial file is removed and `path` is left alone. An
+    OSError names `path`, the file the caller asked for, not the temp file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -1,9 +1,11 @@
 """Stochastic primitives: triangular durations and arrivals.
 
-Both samplers are pure functions of (params, u) with u a uniform draw in
-[0, 1), so every random choice in the simulator is reproducible from the
-named substreams in `kernel`. A yes/no decision with probability p is the
-inline test `u < p` at its caller, so p = 0 never fires and p = 1 always does.
+A duration is one three-point estimate, `TriangularParams(low, mode, high)`,
+and low == high is a fixed duration. Both samplers are pure functions of
+(params, u) with u a uniform draw in [0, 1), so every random choice in the
+simulator is reproducible from the named substreams in `kernel`. A yes/no
+decision with probability p is the inline test `u < p` at its caller, so
+p = 0 never fires and p = 1 always does.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass, field
 class TriangularParams:
     """Three-point duration estimate (minutes): low <= mode <= high.
 
-    A zero-width distribution is only constructible through `constant`,
-    so a config typo like min == max is caught at load time. `span`, `left`
-    and `right` (high - low, mode - low, high - mode) are derived once here
-    for the sampler.
+    low == high is a fixed duration. `span`, `left` and `right` (high - low,
+    mode - low, high - mode) are derived once here for the sampler.
     """
 
     low: float
@@ -35,27 +35,9 @@ class TriangularParams:
                 f"triangular params must satisfy low <= mode <= high, "
                 f"got ({self.low}, {self.mode}, {self.high})"
             )
-        if self.low == self.high:
-            raise ValueError(
-                f"degenerate triangular (low == high == {self.low}); "
-                f"use TriangularParams.constant() if a fixed duration is intended"
-            )
-        self._derive()
-
-    def _derive(self):
         object.__setattr__(self, "span", self.high - self.low)
         object.__setattr__(self, "left", self.mode - self.low)
         object.__setattr__(self, "right", self.high - self.mode)
-
-    @classmethod
-    def constant(cls, value):
-        """Explicit fixed-duration escape hatch (low == mode == high)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "low", float(value))
-        object.__setattr__(obj, "mode", float(value))
-        object.__setattr__(obj, "high", float(value))
-        obj._derive()
-        return obj
 
 
 @dataclass(frozen=True)
@@ -70,10 +52,12 @@ class ArrivalProfile:
 
 
 def sample_triangular(params, u):
-    """Inverse-CDF triangular sample; monotone in u, bounded by [low, high]."""
+    """Inverse-CDF triangular sample; monotone in u, bounded by [low, high].
+
+    A zero span needs no branch of its own: the second formula gives `high`,
+    which is `low`, for every u.
+    """
     span = params.span
-    if span == 0.0:
-        return params.low
     left = params.left
     mode = params.mode
     # Roundoff can land a hair on the wrong side of the mode near the branch

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import sys
 import pytest
 
 from retailsim import experiments
-from retailsim.cli import main, resolve_config_path
-from retailsim.config import StaffingPlan
+from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
+from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
 from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
@@ -362,8 +363,7 @@ def sweep_argv(short_dir, out, experiment="empowerment"):
         "--experiment", experiment,
         "--reps", "1",
         "--out", str(out),
-        "--config-dir", str(short_dir),
-        "--configs", "short_atv.toml", "short_ww.toml",
+        "--configs", str(short_dir / "short_atv.toml"), str(short_dir / "short_ww.toml"),
     ]
 
 
@@ -412,17 +412,13 @@ def test_sweep_is_byte_identical_across_runs(short_dir, tmp_path, capsys):
 
 def test_sweep_rejects_bad_usage(short_dir, tmp_path, capsys):
     out = tmp_path / "x.csv"
+    atv = str(short_dir / "short_atv.toml")
     zero_reps = [
-        "sweep", "--experiment", "cashiers", "--reps", "0", "--out", str(out),
-        "--config-dir", str(short_dir), "--configs", "short_atv.toml",
+        "sweep", "--experiment", "cashiers", "--reps", "0", "--out", str(out), "--configs", atv,
     ]
     assert main(zero_reps) == 2
     assert "--reps" in capsys.readouterr().err
-    dup = [
-        "sweep", "--experiment", "cashiers", "--out", str(out),
-        "--config-dir", str(short_dir),
-        "--configs", "short_atv.toml", "short_atv.toml",
-    ]
+    dup = ["sweep", "--experiment", "cashiers", "--out", str(out), "--configs", atv, atv]
     assert main(dup) == 2
     assert "duplicate department label" in capsys.readouterr().err
 
@@ -457,6 +453,43 @@ def test_sweep_fault_exits_1_naming_the_cell(short_dir, tmp_path, capsys, monkey
         f"seed={bad_seed}: injected failure\n"
     )
     assert not out.exists()
+
+
+def test_sweep_out_in_a_missing_directory_fails_before_any_work(
+    short_dir, tmp_path, capsys, monkeypatch
+):
+    calls = []
+
+    def failing(config, seed=None):
+        calls.append(seed)
+        raise ZeroDivisionError("must not run")
+
+    monkeypatch.setattr(experiments, "run_replication", failing)
+    out = tmp_path / "nodir" / "emp.csv"
+    assert main(sweep_argv(short_dir, out) + ["--jobs", "1"]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: no directory {out.parent}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_out_errors_name_the_path_not_a_temp_file(tmp_path, capsys, command):
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    argv = {
+        "run": ["run", "--config", "dept_ww", "--weeks", "1", "--seed", "1"],
+        "analyze": ["analyze", "--results", str(results)],
+    }[command]
+    missing = tmp_path / "nodir" / "out.csv"
+    assert main(argv + ["--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {missing}" in err and ".tmp" not in err
+    # A write that fails after the work, here onto a directory, names the target.
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    assert main(argv + ["--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert f"'{target}'" in err and ".tmp" not in err
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # -- analyze ----------------------------------------------------------------------
@@ -571,10 +604,35 @@ def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
 # -- config resolution ----------------------------------------------------------------
 
 
-def test_env_config_dir_and_suffix_fallback(short_dir, monkeypatch, capsys):
-    monkeypatch.setenv("RETAILSIM_CONFIG_DIR", str(short_dir))
-    assert main(["validate", "--config", "short_atv"]) == 0
+def test_config_path_suffix_fallback(short_dir, capsys):
+    assert main(["validate", "--config", str(short_dir / "short_atv")]) == 0
     assert "7 days" in capsys.readouterr().out
+
+
+def test_config_lookup_tries_path_then_suffix_then_packaged(short_dir, monkeypatch):
+    monkeypatch.chdir(short_dir)
+    path = str(short_dir / "short_atv.toml")
+    assert resolve_config_path(path) == path
+    assert resolve_config_path(path[: -len(".toml")]) == path
+    assert resolve_config_path("short_ww") == "short_ww.toml"
+    packaged = os.path.join(PACKAGED_CONFIG_DIR, "dept_ww.toml")
+    assert resolve_config_path("dept_ww") == packaged
+    assert resolve_config_path("dept_ww.toml") == packaged
+
+
+def test_config_lookup_error_lists_exactly_the_paths_tried(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    packaged = os.path.join(PACKAGED_CONFIG_DIR, "nope.toml")
+    with pytest.raises(ConfigError) as bare:
+        resolve_config_path("nope")
+    assert str(bare.value) == f"config 'nope' not found; tried: nope, nope.toml, {packaged}"
+    with pytest.raises(ConfigError) as suffixed:
+        resolve_config_path("nope.toml")
+    assert str(suffixed.value) == f"config 'nope.toml' not found; tried: nope.toml, {packaged}"
+    # A name with a directory part is a path only.
+    with pytest.raises(ConfigError) as pathed:
+        resolve_config_path("sub/nope")
+    assert str(pathed.value) == "config 'sub/nope' not found; tried: sub/nope, sub/nope.toml"
 
 
 def test_installed_entry_point_runs():

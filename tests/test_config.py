@@ -248,14 +248,20 @@ def test_scalar_duration_becomes_constant(tmp_path):
     )
     assert text != MINIMAL
     cfg = load_text(tmp_path, text)
-    assert cfg.durations.pay_service == TriangularParams.constant(3.0)
+    assert cfg.durations.pay_service == TriangularParams(3.0, 3.0, 3.0)
     assert triangular_variance(cfg.durations.pay_service) == 0.0
 
 
 def test_constant_table_duration_allowed(tmp_path):
     text = MINIMAL.replace("min = 1\nmode = 3\nmax = 6", "min = 3\nmode = 3\nmax = 3")
     cfg = load_text(tmp_path, text)
-    assert cfg.durations.pay_service == TriangularParams.constant(3.0)
+    assert cfg.durations.pay_service == TriangularParams(3.0, 3.0, 3.0)
+    # The table and the bare number are one duration, so the records are equal.
+    scalar = MINIMAL.replace(
+        "[durations.pay_service]\nmin = 1\nmode = 3\nmax = 6\n",
+        "[durations]\npay_service = 3\n",
+    )
+    assert load_text(tmp_path, scalar, "scalar.toml") == cfg
 
 
 @pytest.mark.parametrize(
@@ -475,9 +481,8 @@ def valid_configs(draw):
 def expected_value(field, value):
     if field.type.startswith("TriangularParams"):
         if not isinstance(value, dict):
-            return TriangularParams.constant(value)
-        low, mode, high = (float(value[k]) for k in ("min", "mode", "max"))
-        return TriangularParams.constant(low) if low == high else TriangularParams(low, mode, high)
+            value = dict.fromkeys(("min", "mode", "max"), value)
+        return TriangularParams(*(float(value[k]) for k in ("min", "mode", "max")))
     if field.type == "float":
         return float(value)
     if field.type == "tuple":

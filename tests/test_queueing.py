@@ -68,7 +68,7 @@ def test_queue_carries_its_reneging_rule():
     ):
         assert sim._queues[state] is queue
         assert queue.abandoned is abandoned
-        assert queue.patience == TriangularParams.constant(7)
+        assert queue.patience == TriangularParams(7.0, 7.0, 7.0)
 
 
 def test_pop_head_is_fifo():
@@ -162,7 +162,7 @@ def test_empowered_refund_scales_duration_and_skips_service_draw():
 
 
 def test_referred_refund_draws_overhead_and_finds_idle_manager():
-    policy = EmpowermentPolicy(TriangularParams.constant(3.0), 0.0)
+    policy = EmpowermentPolicy(TriangularParams(3.0, 3.0, 3.0), 0.0)
     managers = [StaffAgent(0, StaffRole.SECTION_MANAGER), StaffAgent(1, StaffRole.SECTION_MANAGER)]
     managers[0].begin(0.0)
     decision = ScriptedRng([0.4])
@@ -174,7 +174,7 @@ def test_referred_refund_draws_overhead_and_finds_idle_manager():
 
 
 def test_referred_refund_with_all_managers_busy():
-    policy = EmpowermentPolicy(TriangularParams.constant(2.0), 0.0)
+    policy = EmpowermentPolicy(TriangularParams(2.0, 2.0, 2.0), 0.0)
     manager = StaffAgent(0, StaffRole.SECTION_MANAGER)
     manager.begin(0.0)
     assert resolve_refund_path(policy, 4.0, ScriptedRng([0.0]), ScriptedRng([0.5])) == (4.0, 2.0)

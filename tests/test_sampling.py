@@ -47,17 +47,14 @@ def test_triangular_rejects_mode_above_max():
         TriangularParams(1, 20, 15)
 
 
-def test_triangular_rejects_degenerate_span():
-    with pytest.raises(ValueError):
-        TriangularParams(5, 5, 5)
-
-
 def test_constant_duration_constructor():
-    const = TriangularParams.constant(4.0)
+    # low == mode == high is a fixed duration; every u samples it, as a float.
+    const = TriangularParams(4.0, 4.0, 4.0)
     assert triangular_mean(const) == 4.0
     assert triangular_variance(const) == 0.0
-    for u in (0.0, 0.3, 0.999999):
-        assert sample_triangular(const, u) == 4.0
+    for u in (0.0, 0.3, 1.0 - 2**-53):
+        x = sample_triangular(const, u)
+        assert x == 4.0 and type(x) is float
 
 
 def test_closed_form_mean_and_variance():
