@@ -128,11 +128,7 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
-    try:
-        rows = load_results(args.results)
-    except OSError as exc:
-        print(f"error: cannot read {args.results}: {exc}", file=sys.stderr)
-        return 1
+    rows = load_results(args.results)
     if not rows:
         raise ValueError(f"{args.results} holds no result rows")
     experiments = {row.experiment for row in rows}
@@ -289,6 +285,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)  # run, sweep and analyze write one file
     try:
+        if out and os.path.isdir(out):
+            raise ValueError(f"--out {out}: is a directory")
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise ValueError(f"--out {out}: no directory {os.path.dirname(out)}")
         return args.func(args)

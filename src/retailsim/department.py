@@ -95,10 +95,12 @@ class DepartmentSim:
         self._queues = {
             IN_HELP_QUEUE: self.help_q, IN_PAY_QUEUE: self.pay_q, IN_REFUND_QUEUE: self.refund_q,
         }
+        # Plain functions, not bound methods, so the model holds no cycle.
+        cls = type(self)
         self._cashier_dispatch = tuple(
-            (self.refund_q.entries, self._start_refund)
+            (self.refund_q.entries, cls._start_refund)
             if name == "refund"
-            else (self.pay_q.entries, self._start_pay)
+            else (self.pay_q.entries, cls._start_pay)
             for name in config.cashier_priority
         )
         self.auth_wait = deque()
@@ -151,6 +153,9 @@ class DepartmentSim:
         self._chain_arrival(0.0)
         observed = self.trace is not None or self.strict
         cal.run_until(horizon, self._observed if observed else operator.call)
+        # Stale renege timers left in the heap hold bound handlers; dropping
+        # them breaks the last cycle, so the replication is freed on return.
+        cal.heap.clear()
         if self.live:
             raise SimulationFault(f"{len(self.live)} customers still in store at horizon")
         for pool in (self.cashiers, self.normal_sellers, self.expert_sellers, self.managers):
@@ -272,7 +277,7 @@ class DepartmentSim:
         if role is CASHIER:
             for queue, starter in self._cashier_dispatch:
                 if queue:
-                    starter(queue.popleft(), staff)
+                    starter(self, queue.popleft(), staff)
                     return
         elif role is SECTION_MANAGER:
             if self.auth_wait:

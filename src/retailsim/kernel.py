@@ -11,14 +11,20 @@ holds its token is stale and is dropped when popped. Superseding or clearing
 Time is a float in model minutes. The kernel knows nothing about trading
 days; callers impose day structure by scheduling their own close events.
 
-numpy is imported when the first `RngStream` is built, not with the module:
-the CLI imports the kernel for every command, and only commands that
-simulate draw random numbers.
+Each `RngStream` is NumPy's `Generator(PCG64(seed)).random()` stream, bit
+for bit, but the kernel generates it itself: NumPy's `SeedSequence` seeding
+runs in Python ints, and the PCG64 steps on numpy's uint64 arrays, so no
+process loads `numpy.random` (or, through it, OpenSSL). numpy is imported
+when the first `RngStream` is built, not with the module: the CLI imports
+the kernel for every command, and only commands that simulate draw random
+numbers. Reference: O'Neill (2014), PCG, HMC-CS-2014-0905.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import sys
 
 
 class SimulationFault(RuntimeError):
@@ -92,13 +98,19 @@ def hash_seed(text):
     """The first 64 bits of sha256(text) as an unsigned int.
 
     sha256 keeps distinct texts statistically independent and makes the
-    mapping stable across platforms and Python hash randomization. hashlib
-    is imported here, not at module level, because it loads OpenSSL and
-    only commands that simulate derive seeds.
+    mapping stable across platforms and Python hash randomization. It comes
+    from CPython's own module (`_sha2` from 3.12, `_sha256` before), which
+    does not load OpenSSL as hashlib does; hashlib serves a build without it.
     """
-    import hashlib
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
-    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+    return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 def derive_substream_seed(master_seed, name):
@@ -106,28 +118,166 @@ def derive_substream_seed(master_seed, name):
     return hash_seed(f"{master_seed}:{name}")
 
 
-_BLOCK = 1024  # draws fetched from numpy per refill
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_sequence_words(entropy):
+    """NumPy's `SeedSequence(entropy).generate_state(8)`, for entropy < 2**128.
+
+    O'Neill's `seed_seq_fe` with a pool of four uint32 words: the entropy's
+    little-endian words are hashed into the pool, each pool word is mixed
+    into every other, and the output hashes the pool cyclically.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix((entropy >> shift) & _MASK32) for shift in (0, 32, 64, 96)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixed = (0xCA01F9DD * pool[i_dst] - 0x4973F715 * hashmix(pool[i_src])) & _MASK32
+                pool[i_dst] = mixed ^ (mixed >> 16)
+    words, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    return words
+
+
+def _pcg64_seed(entropy):
+    """The 128-bit (state, increment) that `PCG64(entropy)` starts from."""
+    w = seed_sequence_words(entropy)
+    # The words pair little-endian into four uint64s.
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[i] | (w[i + 1] << 32) for i in range(0, 8, 2))
+    inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+    # setseq seeding: step from 0, add the seed, step again.
+    return ((inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+_BLOCK = 2048  # draws per refill, one per lane
+
+
+class _Lanes:
+    """PCG64 run `_BLOCK` steps at a time on numpy's uint64 arrays.
+
+    After n steps from s0 the state is s_n = M**n * s0 + G_n * inc, where
+    G_n = 1 + M + ... + M**(n-1); as M**n = (M - 1) * G_n + 1, also
+    s_n = G_n * ((M - 1) * s0 + inc) + s0. Lane j of a stream starts at
+    s_(j+1), one multiply-add of `geo`, the G_(j+1) of every lane, and each
+    refill moves every lane on by `_BLOCK` steps, one multiply-add by
+    `jump` = M**_BLOCK. A 128-bit lane is a (hi, lo) pair of uint64 arrays.
+    Every constant is an np.uint64, so no arithmetic here is promoted to
+    float under numpy 1.x's value-based casting. Each step writes into the
+    lanes or into a few arrays allocated per call, so no state is shared
+    between streams.
+    """
+
+    def __init__(self, np):
+        self.np = np
+        u64 = self.u64 = np.uint64
+        self.mask32, self.shift32, self.shift11 = u64(_MASK32), u64(32), u64(11)
+        self.shift58, self.bits, self.mask6 = u64(58), u64(64), u64(63)
+        geo = [0]
+        for _ in range(_BLOCK):
+            geo.append((geo[-1] * _PCG_MULT + 1) & _MASK128)  # G_(n+1) = M * G_n + 1
+        self.geo_block = geo[-1]
+        self.jump = ((_PCG_MULT - 1) * geo[-1] + 1) & _MASK128
+        self.geo = (
+            np.array([g >> 64 for g in geo[1:]], dtype=u64),
+            np.array([g & _MASK64 for g in geo[1:]], dtype=u64),
+        )
+
+    def mul_add(self, hi, lo, k, c):
+        """Set the lanes (hi, lo) to (hi, lo) * k + c mod 2**128; k, c are ints.
+
+        numpy has no 64 x 64 -> 128-bit multiply, so the high word of
+        lo * (k mod 2**64) is summed from the products of 32-bit halves.
+        """
+        np, u64, m32, s32 = self.np, self.u64, self.mask32, self.shift32
+        k_lo, c_lo = u64(k & _MASK64), u64(c & _MASK64)
+        k0, k1 = u64(k & _MASK32), u64((k >> 32) & _MASK32)
+        # The cross terms, which reach only the high word.
+        hi *= k_lo
+        hi += lo * u64(k >> 64)
+        # The high word of lo * k_lo, from the 32-bit halves a1:a0 and k1:k0.
+        a0, a1 = lo & m32, lo >> s32
+        p01, p10 = a0 * k1, a1 * k0
+        a1 *= k1  # p11
+        hi += a1
+        hi += np.right_shift(p01, s32, out=a1)
+        hi += np.right_shift(p10, s32, out=a1)
+        a0 *= k0  # p00
+        a0 >>= s32
+        p01 &= m32
+        p10 &= m32
+        a0 += p01
+        a0 += p10  # the middle column, whose carry reaches the high word
+        a0 >>= s32
+        hi += a0
+        # The low word, then c with the carry out of its low word.
+        lo *= k_lo
+        lo += c_lo
+        hi += u64(c >> 64)
+        hi += lo < c_lo
+
+    def uniforms(self, hi, lo):
+        """Each lane's XSL-RR output as `(x >> 11) * 2**-53`, last lane first."""
+        np = self.np
+        x = hi ^ lo
+        rot = hi >> self.shift58
+        right = x >> rot
+        np.subtract(self.bits, rot, out=rot)
+        rot &= self.mask6
+        x <<= rot
+        x |= right
+        x >>= self.shift11
+        return (x * 2.0**-53)[::-1].tolist()
+
+
+@functools.cache
+def _lanes():
+    """The process's one `_Lanes`, built when the first RngStream is."""
+    import numpy
+
+    return _Lanes(numpy)
 
 
 class RngStream:
-    """Named deterministic uniform stream backed by PCG64.
+    """Named deterministic uniform stream: `Generator(PCG64(seed)).random()`.
 
-    Draws are generated in blocks and kept as a list of Python floats in
-    reverse order, so uniform() hands out the next float64 in [0, 1) with one
-    list pop.
+    The seed is `derive_substream_seed(master_seed, name)`. Lane j of the
+    `_BLOCK` lanes yields draws j, j + _BLOCK, .... A refill turns the lanes
+    into a list of Python floats in reverse order, so uniform() hands out the
+    next float64 in [0, 1) with one list pop, and jumps every lane `_BLOCK`
+    steps ahead.
     """
 
-    __slots__ = ("_gen", "_buf")
+    __slots__ = ("_hi", "_lo", "_jump_add", "_buf")
 
     def __init__(self, master_seed, name):
-        import numpy as np
-
-        self._gen = np.random.Generator(np.random.PCG64(derive_substream_seed(master_seed, name)))
+        lanes = _lanes()
+        state, inc = _pcg64_seed(derive_substream_seed(master_seed, name))
+        self._hi, self._lo = lanes.geo[0].copy(), lanes.geo[1].copy()
+        lanes.mul_add(self._hi, self._lo, ((_PCG_MULT - 1) * state + inc) & _MASK128, state)
+        self._jump_add = (lanes.geo_block * inc) & _MASK128
         self._buf = []
 
     def uniform(self):
         try:
             return self._buf.pop()
         except IndexError:
-            self._buf = self._gen.random(_BLOCK)[::-1].tolist()
+            lanes = _lanes()
+            self._buf = lanes.uniforms(self._hi, self._lo)
+            lanes.mul_add(self._hi, self._lo, lanes.jump, self._jump_add)
             return self._buf.pop()

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import hashlib
 import os
 import shutil
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from retailsim import experiments
+from retailsim import department, experiments
 from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
 from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
@@ -471,8 +472,31 @@ def test_sweep_out_in_a_missing_directory_fails_before_any_work(
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_a_directory_fails_before_any_work(
+    short_dir, tmp_path, capsys, monkeypatch, command
+):
+    calls = []
+
+    def failing(config, seed=None):
+        calls.append(seed)
+        raise ZeroDivisionError("must not run")
+
+    monkeypatch.setattr(department, "run_replication", failing)
+    monkeypatch.setattr(experiments, "run_replication", failing)
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    argv = {
+        "run": ["run", "--config", "dept_ww", "--weeks", "1", "--seed", "1", "--out", str(target)],
+        "sweep": sweep_argv(short_dir, target) + ["--jobs", "1"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out {target}: is a directory\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["run", "analyze"])
-def test_out_errors_name_the_path_not_a_temp_file(tmp_path, capsys, command):
+def test_out_errors_name_the_path_not_a_temp_file(tmp_path, capsys, monkeypatch, command):
     results = tmp_path / "worked.csv"
     write_worked_example(results)
     argv = {
@@ -483,12 +507,17 @@ def test_out_errors_name_the_path_not_a_temp_file(tmp_path, capsys, command):
     assert main(argv + ["--out", str(missing)]) == 2
     err = capsys.readouterr().err
     assert f"--out {missing}" in err and ".tmp" not in err
-    # A write that fails after the work, here onto a directory, names the target.
-    target = tmp_path / "a_directory"
-    target.mkdir()
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
+
+    # A write that fails after the work, here at the final move, names the target.
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "out.csv"
     assert main(argv + ["--out", str(target)]) == 1
     err = capsys.readouterr().err
-    assert f"'{target}'" in err and ".tmp" not in err
+    assert err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{target}'\n"
+    assert not target.exists()
     assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -567,8 +596,9 @@ def test_analyze_rejects_mixed_experiments(tmp_path, capsys):
 
 
 def test_analyze_missing_results_file(tmp_path, capsys):
-    assert main(["analyze", "--results", str(tmp_path / "nope.csv")]) == 1
-    assert "cannot read" in capsys.readouterr().err
+    missing = tmp_path / "nope.csv"
+    assert main(["analyze", "--results", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_analyze_empty_results(tmp_path, capsys):
@@ -657,12 +687,16 @@ def test_module_entry_point_runs():
     assert "OK" in proc.stdout
 
 
-# Modules no analysis or validation needs: scipy is a test oracle only,
-# hashlib loads OpenSSL for seed derivation, the process pool serves
-# `sweep --jobs N` with N > 1, and secrets serves nothing.
-NOT_FOR_ANALYSIS = ("scipy", "hashlib", "concurrent.futures.process", "secrets")
-# What loaded_by reports: numpy too, which only simulating and analysing need.
-WATCHED = NOT_FOR_ANALYSIS + ("numpy",)
+# What loaded_by reports. No command loads the first five: scipy is a test
+# oracle only, and the kernel generates PCG64 itself and takes sha256 from
+# CPython's own module, so neither numpy.random (which loads secrets) nor
+# hashlib (which loads OpenSSL as _hashlib) is needed. The process pool
+# serves only `sweep --jobs N` with N > 1, and numpy only simulating and
+# analysing.
+WATCHED = (
+    "scipy", "numpy.random", "secrets", "hashlib", "_hashlib",
+    "concurrent.futures.process", "numpy",
+)
 # The simulation model and what only it needs: analysis reads results
 # without it, and computes its quadrature nodes without numpy.polynomial.
 MODEL = (
@@ -705,16 +739,10 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     assert "retailsim.department" not in loaded
     assert "retailsim.experiments" not in loaded
     lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"])
-    rc, *loaded = lines[-1].split()
-    assert rc == "0"
-    assert "numpy" in loaded
-    # A serial sweep derives seeds (and numpy.random loads secrets) but
-    # starts no pool.
+    assert lines[-1] == "0 numpy"
+    # A serial sweep starts no pool either.
     lines = loaded_by(sweep_argv(short_dir, tmp_path / "emp.csv") + ["--jobs", "1"])
-    rc, *loaded = lines[-1].split()
-    assert rc == "0"
-    assert "hashlib" in loaded
-    assert "concurrent.futures.process" not in loaded
+    assert lines[-1] == "0 numpy"
 
 
 @pytest.mark.parametrize(

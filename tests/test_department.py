@@ -1,8 +1,10 @@
 """Department simulation: determinism, scripted scenarios, and run invariants."""
 
 import dataclasses
+import gc
 import hashlib
 import tomllib
+import weakref
 
 import pytest
 
@@ -161,6 +163,22 @@ def test_strict_run_with_referrals_and_release(atv_week):
         cfg = dataclasses.replace(atv_week, empowerment=policy)
         m = run_replication(cfg, seed=5, strict=True)
         assert m.refunds_completed > 0
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["bare", "strict"])
+def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_week, strict):
+    # Refcounting alone must free a replication once run() returns: no
+    # handler the model or its calendar still holds may point back at it.
+    gc.disable()
+    try:
+        for config in (atv_week, ww_week):
+            sim = DepartmentSim(config, seed=3, strict=strict)
+            sim.run()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None, config.label
+    finally:
+        gc.enable()
 
 
 # -- degenerate staffing and arrivals ---------------------------------------------

@@ -1,19 +1,26 @@
-"""The RNG layer against a from-spec reference that shares no code with numpy.
+"""The RNG layer against a from-spec reference and against numpy itself.
 
 Every seeded output rests on this chain: sha256 of "master:name" gives a
-64-bit stream seed; numpy's `SeedSequence` pools it (O'Neill's `seed_seq_fe`
-hashmix and mix, as the NumPy `SeedSequence` documentation gives them) into
-the 128-bit state and increment of a PCG64 `setseq` generator; each draw is
-the XSL-RR output of one LCG step, mapped to [0, 1) as `(x >> 11) * 2**-53`.
-If a numpy upgrade changed any link, these tests name the layer at fault
-before any digest does. Reference: O'Neill (2014), HMC-CS-2014-0905.
+64-bit stream seed; the kernel's port of numpy's `SeedSequence` pools it
+(O'Neill's `seed_seq_fe` hashmix and mix, as the NumPy `SeedSequence`
+documentation gives them) into the 128-bit state and increment of a PCG64
+`setseq` generator; each draw is the XSL-RR output of one LCG step, mapped to
+[0, 1) as `(x >> 11) * 2**-53`. The kernel computes all of it itself, PCG64
+included, so it is the code under test here. The reference below shares no
+code with numpy or the kernel and names the layer at fault before any digest
+does; the oracle tests check the same streams against `numpy.random`, whose
+`Generator(PCG64(seed)).random()` the kernel reproduces bit for bit.
+Reference: O'Neill (2014), HMC-CS-2014-0905.
 """
 
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
-from retailsim.kernel import _BLOCK, RngStream, derive_substream_seed
+from retailsim import kernel
+from retailsim.kernel import _BLOCK, RngStream, derive_substream_seed, hash_seed
 
 MASK32 = 0xFFFFFFFF
 MASK128 = (1 << 128) - 1
@@ -98,3 +105,50 @@ def test_uniform_matches_the_spec_across_two_block_boundaries(master_seed, name)
 def test_substream_seed_is_the_first_64_bits_of_sha256(master_seed, name):
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     assert derive_substream_seed(master_seed, name) == int.from_bytes(digest[:8], "big")
+
+
+# Twenty master seeds: the edges of the 64-bit range, small values and
+# arbitrary ones; each stream below is read across three block boundaries.
+ORACLE_SEEDS = [
+    0, 1, 2, 3, 7, 42, 1000, 12345, 2**31 - 1, 2**32, 2**32 + 1, 2**53 + 1,
+    2**62, 2**63 - 1, 2**63, 0x0123456789ABCDEF, 0xDEADBEEFCAFEF00D,
+    2**64 - 2**32, 2**64 - 2, 2**64 - 1,
+]
+STREAM_NAMES = ("arrivals", "decisions", "service", "patience")
+
+
+@pytest.mark.parametrize("master_seed", ORACLE_SEEDS)
+def test_stream_is_numpys_pcg64_generator(master_seed):
+    name = STREAM_NAMES[master_seed % len(STREAM_NAMES)]
+    count = 3 * _BLOCK + 7
+    stream = RngStream(master_seed, name)
+    oracle = np.random.Generator(np.random.PCG64(derive_substream_seed(master_seed, name)))
+    assert [stream.uniform() for _ in range(count)] == oracle.random(count).tolist()
+
+
+@pytest.mark.parametrize(
+    "entropy",
+    [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 0x9E3779B97F4A7C15, 2**96 + 5, 2**128 - 1],
+)
+def test_seed_sequence_words_are_numpys(entropy):
+    expected = np.random.SeedSequence(entropy).generate_state(8).tolist()
+    assert kernel.seed_sequence_words(entropy) == expected
+    if entropy < 2**64:  # the reference pools at most two words
+        assert seed_sequence_words(entropy, 8) == expected
+
+
+def test_hash_seed_falls_back_to_hashlib(monkeypatch):
+    calls = []
+
+    def spy(data):
+        calls.append(data)
+        return hashlib.new("sha256", data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    expected = int.from_bytes(hashlib.new("sha256", b"7:arrivals").digest()[:8], "big")
+    assert hash_seed("7:arrivals") == expected
+    assert calls == []  # CPython's own sha256 served it
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert hash_seed("7:arrivals") == expected
+    assert calls == [b"7:arrivals"]
