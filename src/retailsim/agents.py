@@ -1,4 +1,4 @@
-"""Customer and staff agents, the customer statechart, satisfaction weights.
+"""Customer and staff agents, the customer statechart, satisfaction events.
 
 Customers are passive records driven by the department's event handlers; the
 statechart here only polices that each transition is legal, so a handler bug
@@ -163,36 +163,3 @@ def begin_service(staff, customer, duration, calendar, handler):
     staff.begin(calendar.now)
     customer.serving_staff = staff
     customer.pending = calendar.schedule(calendar.now + duration, handler, customer)
-
-
-_DEFAULT_WEIGHTS = {
-    PURCHASE_COMPLETED: 2,
-    HELP_RECEIVED: 1,
-    REFUND_GRANTED: 2,
-    HELP_QUEUE_ABANDONED: -2,
-    PAY_QUEUE_ABANDONED: -3,
-    REFUND_QUEUE_ABANDONED: -4,
-    LEFT_WITHOUT_PURCHASE: 0,
-}
-
-
-def satisfaction_weights(mapping):
-    """Weight per event kind, a tuple indexed by event, from {event-name: int}.
-
-    Kinds the mapping omits keep their defaults; an unknown kind or a
-    non-integer weight is a ValueError.
-    """
-    merged = dict(_DEFAULT_WEIGHTS)
-    by_name = {e.name.lower(): e for e in SatisfactionEvent}
-    for key, value in mapping.items():
-        event = by_name.get(key)
-        if event is None:
-            raise ValueError(
-                f"unknown satisfaction event kind {key!r}; known kinds: {sorted(by_name)}"
-            )
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"satisfaction weight for {key!r} must be an integer, got {value!r}"
-            )
-        merged[event] = value
-    return tuple(merged[e] for e in SatisfactionEvent)

@@ -62,7 +62,7 @@ def _fmt_f(f):
 
 
 def cmd_run(args):
-    from .config import ConfigError, check_referrals, load_config
+    from .config import ConfigError, load_config
     from .department import run_replication
 
     path = resolve_config_path(args.config)
@@ -70,8 +70,10 @@ def cmd_run(args):
     supplied = {r: getattr(args, r) for r in STAFF_ROLES if getattr(args, r) is not None}
     if supplied:
         staffing = dataclasses.replace(config.staffing, **supplied)
-        check_referrals(config.empowerment, staffing, os.path.basename(path))
-        config = dataclasses.replace(config, staffing=staffing)
+        try:  # the new staffing must still serve the file's [empowerment]
+            config = dataclasses.replace(config, staffing=staffing)
+        except ValueError as exc:
+            raise ConfigError(f"{os.path.basename(path)}: {exc}") from None
     if args.weeks is not None:
         try:
             horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)

@@ -1,15 +1,14 @@
-"""Department configuration: the record dataclasses are the schema.
+"""Department configuration: a config is its sections, one record each.
 
-Config files are TOML, read with the standard library's tomllib. Each section
-is read into one frozen record: `[arrivals]` into `sampling.ArrivalProfile`,
-`[empowerment]` into `queueing.EmpowermentPolicy`, the rest into the records
-below. A record's field names are its section's keys, its field defaults the
-defaults of omitted keys, and its `__post_init__` holds every bound; the one
-reader, `_record`, walks the fields. `[satisfaction_weights]` is read by
-`agents.satisfaction_weights`, keyed by event name, into a tuple indexed by
-event. A duration is a min/mode/max table or a bare number for a fixed
-duration. Every number must be finite, and every error names the file and
-the field. A run simulates its config's `staffing`.
+Config files are TOML, read with the standard library's tomllib. Each field
+of `DepartmentConfig` after `label` is a section, read into the frozen record
+its annotation names: `sampling.ArrivalProfile`, `queueing.EmpowermentPolicy`
+or one below. A record's fields are its section's keys, their defaults those
+of omitted keys, and its `__post_init__` holds every bound; the one reader,
+`_record`, walks the fields. The rule across sections, that referred refunds
+need a manager on staff, is `DepartmentConfig.__post_init__`, so a config
+changed in code obeys it too. A duration is a min/mode/max table or a bare
+number for a fixed one. Numbers must be finite; errors name file and field.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import sys
 import tomllib
 from dataclasses import MISSING, dataclass, fields
 
-from .agents import satisfaction_weights
 from .queueing import EmpowermentPolicy
 from .sampling import ArrivalProfile, TriangularParams
 
@@ -163,16 +161,42 @@ class Queues:
 
 
 @dataclass(frozen=True)
+class SatisfactionWeights:
+    """Points per `SatisfactionEvent`, one field for each, named in lower case."""
+
+    purchase_completed: int = 2
+    help_received: int = 1
+    refund_granted: int = 2
+    help_queue_abandoned: int = -2
+    pay_queue_abandoned: int = -3
+    refund_queue_abandoned: int = -4
+    left_without_purchase: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"satisfaction_weights.{f.name} must be an integer, got {v!r}")
+
+
+@dataclass(frozen=True)
 class DepartmentConfig:
     label: str
     arrivals: ArrivalProfile
     durations: Durations
     probabilities: Probabilities
-    weights: tuple
+    satisfaction_weights: SatisfactionWeights
     staffing: StaffingPlan
     empowerment: EmpowermentPolicy
     horizon: Horizon
-    cashier_priority: tuple
+    queues: Queues
+
+    def __post_init__(self):
+        if self.staffing.section_managers == 0 and self.empowerment.p_empowered < 1.0:
+            raise ValueError(
+                f"empowerment.p_empowered = {self.empowerment.p_empowered} can refer refunds "
+                f"to a manager but staffing.section_managers is 0"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +245,19 @@ def _read(value, kind, where, source):
         raise ConfigError(f"{source}: {where}: {exc}") from None
 
 
-def _record(cls, root, section, source, **given):
+def _record(cls, root, section, source):
     """Read [section] into the record `cls`, taking the section out of `root`.
 
-    The fields of `cls`, less those `given`, are the section's keys. An
-    omitted key takes its field's default, which is logged.
+    The fields of `cls` are the section's keys. An omitted key takes its
+    field's default, which is logged.
     """
     present = section in root
     table = root.pop(section, {})
     if not isinstance(table, dict):
         raise ConfigError(f"{source}: [{section}] must be a section, got {table!r}")
-    keys = [f for f in fields(cls) if f.name not in given]
+    keys = fields(cls)
     _check_known(table, [f.name for f in keys], section, source)
-    values = dict(given)
+    values = {}
     defaulted = []
     for f in keys:
         where = f"{section}.{f.name}"
@@ -259,51 +283,21 @@ def build_config(root, source="<config>"):
     """Validate a parsed config tree and build the DepartmentConfig."""
     if not isinstance(root, dict):
         raise ConfigError(f"{source}: config root must be a table")
-    rest = dict(root)  # each reader takes its section; what is left is unknown
+    rest = dict(root)  # each record takes its section; what is left is unknown
     label = rest.pop("label", None)
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{source}: top-level 'label' must be a non-empty string")
-
-    weights = rest.pop("satisfaction_weights", None)
-    if weights is None:
-        log.info("%s: [satisfaction_weights] omitted; using default weights", source)
-        weights = {}
-    elif not isinstance(weights, dict):
-        raise ConfigError(f"{source}: [satisfaction_weights] must be a section, got {weights!r}")
-    try:
-        weights = satisfaction_weights(weights)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: satisfaction_weights: {exc}") from None
-
-    durations = _record(Durations, rest, "durations", source)
-    config = DepartmentConfig(
-        label=label,
-        arrivals=_record(ArrivalProfile, rest, "arrivals", source),
-        durations=durations,
-        probabilities=_record(Probabilities, rest, "probabilities", source),
-        weights=weights,
-        staffing=_record(StaffingPlan, rest, "staffing", source),
-        # The manager's sign-off time is a duration, read with the others.
-        empowerment=_record(
-            EmpowermentPolicy, rest, "empowerment", source,
-            manager_overhead=durations.manager_authorization,
-        ),
-        horizon=_record(Horizon, rest, "horizon", source),
-        cashier_priority=_record(Queues, rest, "queues", source).cashier_priority,
-    )
+    # A section's annotation is the name of its record class in this module.
+    sections = {
+        f.name: _record(globals()[f.type], rest, f.name, source)
+        for f in fields(DepartmentConfig)[1:]
+    }
     if rest:
         raise ConfigError(f"{source}: unknown key {min(rest)!r}")
-    check_referrals(config.empowerment, config.staffing, source)
-    return config
-
-
-def check_referrals(empowerment, staffing, source):
-    """A policy that can refer refunds to a manager needs a manager on staff."""
-    if staffing.section_managers == 0 and empowerment.p_empowered < 1.0:
-        raise ConfigError(
-            f"{source}: empowerment.p_empowered = {empowerment.p_empowered} can refer "
-            f"refunds to a manager but staffing.section_managers is 0"
-        )
+    try:
+        return DepartmentConfig(label, **sections)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_config(path):

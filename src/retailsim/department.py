@@ -101,14 +101,15 @@ class DepartmentSim:
             (self.refund_q.entries, cls._start_refund)
             if name == "refund"
             else (self.pay_q.entries, cls._start_pay)
-            for name in config.cashier_priority
+            for name in config.queues.cashier_priority
         )
         self.auth_wait = deque()
 
         self.live = {}
         self.event_counts = [0] * len(SatisfactionEvent)
         self.ledger_sum = 0
-        self.weights = config.weights
+        weights = config.satisfaction_weights
+        self.weights = tuple(getattr(weights, e.name.lower()) for e in SatisfactionEvent)
 
         # Hot-path copies of config values.
         self.arrivals = config.arrivals
@@ -123,6 +124,7 @@ class DepartmentSim:
         self.d_help = d.help
         self.d_pay = d.pay_service
         self.d_refund = d.refund_service
+        self.d_auth = d.manager_authorization
         self.policy = config.empowerment
         self.hold_cashier = config.empowerment.hold_cashier_during_referral
 
@@ -355,7 +357,7 @@ class DepartmentSim:
         customer.transition(REFUND_PROCESSING)
         base = sample_triangular(self.d_refund, self.rng_service.uniform())
         duration, overhead = resolve_refund_path(
-            self.policy, base, self.rng_decisions, self.rng_service
+            self.policy, self.d_auth, base, self.rng_decisions, self.rng_service
         )
         if overhead is None:
             self.autonomous_refunds += 1

@@ -24,6 +24,8 @@ from .results import ResultRow, csv_header, results_to_cells, write_csv
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
 EMPOWERMENT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _LEVELS = {"cashiers": CASHIER_LEVELS, "empowerment": EMPOWERMENT_LEVELS}
+# The cashier sweep's headcount, and the expert sellers and managers within it.
+CASHIER_SWEEP_STAFF, CASHIER_SWEEP_EXPERTS, CASHIER_SWEEP_MANAGERS = 10, 1, 1
 # Most worker processes a sweep may ask for. The pool forks all of its
 # workers at the first task and each holds a replication in memory, so a
 # typo such as --jobs 100000 must be refused, not attempted.
@@ -35,19 +37,19 @@ def derive_cell_seed(base_seed, department, level, replication):
     return hash_seed(f"{base_seed}|{department}|{level!r}|{replication}") >> 1
 
 
-def cashier_fill_plan(cashiers, total=10, expert_sellers=1, section_managers=1):
+def cashier_fill_plan(cashiers):
     """Staffing for the cashier sweep: a fixed headcount reallocated.
 
-    The department always fields `total` staff including one expert seller
-    and one section manager; whoever is not a cashier sells.
+    The department always fields `CASHIER_SWEEP_STAFF` staff including one
+    expert seller and one section manager; whoever is not a cashier sells.
     """
-    normal = total - cashiers - expert_sellers - section_managers
+    normal = CASHIER_SWEEP_STAFF - cashiers - CASHIER_SWEEP_EXPERTS - CASHIER_SWEEP_MANAGERS
     if cashiers < 1 or normal < 0:
         raise ValueError(
-            f"cannot staff {cashiers} cashiers from {total} total "
-            f"(needs {expert_sellers} expert + {section_managers} manager)"
+            f"cannot staff {cashiers} cashiers from {CASHIER_SWEEP_STAFF} total "
+            f"(needs {CASHIER_SWEEP_EXPERTS} expert + {CASHIER_SWEEP_MANAGERS} manager)"
         )
-    return StaffingPlan(cashiers, normal, expert_sellers, section_managers)
+    return StaffingPlan(cashiers, normal, CASHIER_SWEEP_EXPERTS, CASHIER_SWEEP_MANAGERS)
 
 
 def _cell_config(experiment, config, level):
@@ -90,7 +92,10 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     tasks = []
     for dept, config in configs.items():
         for level in levels:
-            cell_cfg = _cell_config(experiment, config, level)
+            try:
+                cell_cfg = _cell_config(experiment, config, level)
+            except ValueError as exc:
+                raise ValueError(f"sweep cell department={dept!r} level={level!r}: {exc}") from None
             for rep in range(1, replications + 1):
                 seed = derive_cell_seed(base_seed, dept, level, rep)
                 tasks.append((cell_cfg, dept, level, rep, seed))

@@ -6,7 +6,9 @@ holds as its pending event, so starting the customer's service, which
 schedules a new pending event, supersedes the timer. A freed expert seller
 takes the oldest help customer outright, a freed normal seller the oldest one
 who does not need an expert, so service order is FIFO within each
-compatibility class.
+compatibility class. `EmpowermentPolicy` is a config's [empowerment]
+section; the manager's sign-off time is its `durations.manager_authorization`,
+which the department passes to `resolve_refund_path` with the policy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .sampling import TriangularParams, sample_triangular
+from .sampling import sample_triangular
 
 
 class ServiceQueue:
@@ -34,7 +36,7 @@ class ServiceQueue:
         self.abandoned = abandoned
 
     def pop_first_servable(self, can_serve_expert):
-        """Oldest customer a staff member of the given qualification may take.
+        """Oldest customer a staff member of this qualification may take.
 
         Experts may take anyone; a normal seller skips customers who need an
         expert but otherwise respects arrival order.
@@ -69,15 +71,13 @@ class EmpowermentPolicy:
 
     With probability p_empowered the serving cashier settles the refund alone
     (duration scaled by empowered_duration_multiplier); otherwise a section
-    manager must sign off, costing manager_overhead on top of the refund
+    manager must sign off, costing an authorization time on top of the refund
     service. While hold_cashier_during_referral is true the cashier stays
     occupied through the wait and authorization; when false the cashier is
     released after the service portion and the customer alone waits for the
-    manager. The config's [empowerment] section holds the other fields;
-    manager_overhead is its durations.manager_authorization.
+    manager.
     """
 
-    manager_overhead: TriangularParams
     p_empowered: float = 1.0
     hold_cashier_during_referral: bool = True
     empowered_duration_multiplier: float = 1.0
@@ -94,15 +94,16 @@ class EmpowermentPolicy:
             )
 
 
-def resolve_refund_path(policy, base_duration, decision_rng, service_rng):
+def resolve_refund_path(policy, authorization, base_duration, decision_rng, service_rng):
     """Decide how a refund that just seized a cashier proceeds.
 
     Draws the empowerment decision, empowered iff the draw is below
     p_empowered (so 0 always refers and 1 never does), and, for referrals,
-    the authorization overhead. Returns (duration, overhead): the cashier's
-    service time, and the manager's authorization time, which is None when
-    the cashier settles the refund alone.
+    the manager's time from the `authorization` duration. Returns
+    (duration, overhead): the cashier's service time, and the manager's
+    authorization time, which is None when the cashier settles the refund
+    alone.
     """
     if decision_rng.uniform() < policy.p_empowered:
         return base_duration * policy.empowered_duration_multiplier, None
-    return base_duration, sample_triangular(policy.manager_overhead, service_rng.uniform())
+    return base_duration, sample_triangular(authorization, service_rng.uniform())

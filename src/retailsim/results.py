@@ -127,12 +127,7 @@ def _parse_level(text):
 
 
 def _parse_metric(text):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return _finite(float(text))
+    return None if text == "" else _parse_level(text)
 
 
 _ID_PARSERS = (str, str, _parse_level, int, int)

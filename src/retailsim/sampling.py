@@ -71,7 +71,7 @@ def sample_triangular(params, u):
 
 
 def sample_interarrival(profile, u):
-    """Exponential gap in minutes for a rate given per hour.
+    """Exponential gap in minutes for a rate per hour.
 
     Returns math.inf when the rate is 0: the caller should simply not
     schedule a next arrival.

@@ -469,7 +469,7 @@ class TukeyResult:
 
 
 def tukey_hsd(means, n_per_group, ms_within, df_within, alpha=0.05):
-    """All-pairs Tukey HSD given cell means and the ANOVA error term.
+    """All-pairs Tukey HSD from cell means and the ANOVA error term.
 
     q = |mean_i - mean_j| / sqrt(ms_within / n); p from the studentized
     range with k = len(means) groups and the ANOVA within df.

@@ -15,8 +15,9 @@ from retailsim.agents import (
     StaffAgent,
     StaffRole,
     begin_service,
-    satisfaction_weights,
 )
+from retailsim.cli import resolve_config_path
+from retailsim.config import ConfigError, SatisfactionWeights, load_config
 from retailsim.department import DepartmentSim
 from retailsim.kernel import EventCalendar
 
@@ -106,8 +107,23 @@ def test_fuzz_one_million_legal_steps_never_fault():
 # -- satisfaction -------------------------------------------------------------
 
 
-def test_default_weights_match_documented_values():
-    w = satisfaction_weights({})
+def weights_config(tmp_path, section):
+    """The shipped A&TV config with `section` as its whole [satisfaction_weights]."""
+    with open(resolve_config_path("dept_atv"), encoding="utf-8") as fh:
+        text = fh.read()
+    head, rest = text.split("[satisfaction_weights]\n")
+    path = tmp_path / "weights.toml"
+    path.write_text(f"{head}[satisfaction_weights]\n{section}\n\n{rest[rest.index('['):]}")
+    return load_config(path)
+
+
+def test_default_weights_match_documented_values(tmp_path):
+    # The record has one field per event, in event order, named in lower case.
+    names = [f.name for f in dataclasses.fields(SatisfactionWeights)]
+    assert names == [e.name.lower() for e in SatisfactionEvent]
+    config = weights_config(tmp_path, "")
+    assert config.satisfaction_weights == SatisfactionWeights()
+    w = DepartmentSim(config).weights
     assert w == (2, 1, 2, -2, -3, -4, 0)  # a tuple indexed by event
     assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 2
     assert w[SatisfactionEvent.HELP_RECEIVED] == 1
@@ -118,21 +134,25 @@ def test_default_weights_match_documented_values():
     assert w[SatisfactionEvent.LEFT_WITHOUT_PURCHASE] == 0
 
 
-def test_weights_from_mapping_overrides_and_validates():
-    w = satisfaction_weights({"purchase_completed": 5})
+def test_weights_from_mapping_overrides_and_validates(tmp_path):
+    w = DepartmentSim(weights_config(tmp_path, "purchase_completed = 5")).weights
     assert w[SatisfactionEvent.PURCHASE_COMPLETED] == 5
     assert w[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4  # untouched default
-    with pytest.raises(ValueError, match="unknown satisfaction event"):
-        satisfaction_weights({"applause": 1})
-    with pytest.raises(ValueError, match="integer"):
-        satisfaction_weights({"help_received": 1.5})
-    with pytest.raises(ValueError, match="integer"):
-        satisfaction_weights({"help_received": True})
+    # Each error names the file and the field.
+    not_int = "weights.toml: satisfaction_weights.help_received must be an integer, got"
+    for section, message in [
+        ("applause = 1", "weights.toml: unknown key 'satisfaction_weights.applause'"),
+        ("help_received = 1.5", f"{not_int} 1.5"),
+        ("help_received = true", f"{not_int} True"),
+    ]:
+        with pytest.raises(ConfigError) as excinfo:
+            weights_config(tmp_path, section)
+        assert str(excinfo.value) == message
 
 
 def test_satisfaction_event_arithmetic(atv_config):
     # The department applies each event's weight to the customer's index.
-    assert atv_config.weights == satisfaction_weights({})
+    assert atv_config.satisfaction_weights == SatisfactionWeights()
     sim = DepartmentSim(atv_config)
     c = fresh()
     sim._apply(c, SatisfactionEvent.REFUND_QUEUE_ABANDONED)
@@ -165,10 +185,11 @@ def test_ledger_tracks_counts_and_exact_total(atv_config):
     assert sim.ledger_sum == c.satisfaction
 
 
-def test_purchase_without_abandonment_never_negative():
+def test_purchase_without_abandonment_never_negative(atv_config):
     # Non-abandon events all have non-negative default weights, so any event
     # multiset containing PurchaseCompleted and no *Abandoned sums >= 0.
-    w = satisfaction_weights({})
+    assert atv_config.satisfaction_weights == SatisfactionWeights()
+    w = DepartmentSim(atv_config).weights
     abandons = {
         SatisfactionEvent.HELP_QUEUE_ABANDONED,
         SatisfactionEvent.PAY_QUEUE_ABANDONED,

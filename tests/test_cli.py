@@ -277,6 +277,35 @@ def test_run_without_managers_when_fully_empowered(tmp_path, capsys, atv_text):
     assert "manager_utilization: n/a" in out
 
 
+def test_empowerment_sweep_refuses_cells_with_no_manager(tmp_path, capsys, monkeypatch, atv_text):
+    # The config is valid at p_empowered = 1.0, but the sweep's cells below 1
+    # would refer refunds to a manager nobody staffs.
+    text = atv_text.replace("section_managers = 1", "section_managers = 0", 1)
+    text = text.replace("p_empowered = 0.5", "p_empowered = 1.0", 1)
+    text = text.replace("days = 70", "days = 1")
+    path = tmp_path / "no_manager.toml"
+    path.write_text(text, encoding="utf-8")
+    calls = []
+
+    def spy(config, seed=None):
+        calls.append(seed)
+        return run_replication(config, seed=seed)
+
+    monkeypatch.setattr(experiments, "run_replication", spy)
+    out = tmp_path / "emp.csv"
+    argv = [
+        "sweep", "--experiment", "empowerment", "--reps", "1", "--configs", str(path),
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep cell department='A&TV' level=0.0: empowerment.p_empowered = 0.0 can "
+        "refer refunds to a manager but staffing.section_managers is 0\n"
+    )
+    assert calls == []
+    assert not out.exists()
+
+
 def test_run_writes_one_row_csv(tmp_path, capsys):
     out_csv = tmp_path / "metrics.csv"
     argv = [

@@ -11,49 +11,36 @@ import pathlib
 import tempfile
 import textwrap
 import tomllib
+import typing
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import triangular_mean, triangular_variance
-from retailsim.agents import SatisfactionEvent, satisfaction_weights
 from retailsim.cli import main, resolve_config_path
 from retailsim.config import (
     MAX_HORIZON_MINUTES,
     MAX_STAFF_PER_ROLE,
     ConfigError,
-    Durations,
+    DepartmentConfig,
     Horizon,
     Probabilities,
-    Queues,
     StaffingPlan,
     build_config,
     load_config,
 )
 from retailsim.department import run_replication
-from retailsim.queueing import EmpowermentPolicy
-from retailsim.sampling import ArrivalProfile, TriangularParams
+from retailsim.sampling import TriangularParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
-# Each config section and the record it is read into.
-RECORDS = {
-    "arrivals": ArrivalProfile,
-    "durations": Durations,
-    "probabilities": Probabilities,
-    "staffing": StaffingPlan,
-    "empowerment": EmpowermentPolicy,
-    "horizon": Horizon,
-    "queues": Queues,
-}
-# empowerment.manager_overhead is read as durations.manager_authorization.
-GIVEN = {("empowerment", "manager_overhead")}
+# Each config section and the record it is read into: the fields of
+# DepartmentConfig after `label`, and their annotations.
+RECORD_OF = typing.get_type_hints(DepartmentConfig)
+RECORDS = {f.name: RECORD_OF[f.name] for f in dataclasses.fields(DepartmentConfig)[1:]}
 CONFIG_KEYS = [
-    (section, field)
-    for section, record in RECORDS.items()
-    for field in dataclasses.fields(record)
-    if (section, field.name) not in GIVEN
+    (section, field) for section, record in RECORDS.items() for field in dataclasses.fields(record)
 ]
 
 MINIMAL = textwrap.dedent(
@@ -124,7 +111,7 @@ def test_parser_handles_sections_scalars_arrays_comments(tmp_path):
     )
     cfg = load_text(tmp_path, text)
     assert cfg.label == "X"
-    assert cfg.cashier_priority == ("pay", "refund")
+    assert cfg.queues.cashier_priority == ("pay", "refund")
     assert cfg.horizon == Horizon(480.5, 7)
 
 
@@ -178,7 +165,7 @@ def test_shipped_atv_values(atv_config):
     assert cfg.staffing == StaffingPlan(3, 5, 1, 1)
     assert cfg.staffing.total() == 10
     assert cfg.horizon == Horizon(600.0, 70)
-    assert cfg.weights[SatisfactionEvent.REFUND_QUEUE_ABANDONED] == -4
+    assert cfg.satisfaction_weights.refund_queue_abandoned == -4
 
 
 def test_shipped_ww_contrasts_with_atv(atv_config, ww_config):
@@ -213,8 +200,8 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert cfg.empowerment.p_empowered == 1.0
     assert cfg.empowerment.hold_cashier_during_referral is True
     assert cfg.horizon == Horizon(600.0, 70)
-    assert cfg.cashier_priority == ("refund", "pay")
-    assert cfg.weights[SatisfactionEvent.PURCHASE_COMPLETED] == 2
+    assert cfg.queues.cashier_priority == ("refund", "pay")
+    assert cfg.satisfaction_weights.purchase_completed == 2
     # Every defaulted block leaves a provenance note.
     notes = " ".join(r.message for r in caplog.records)
     assert "satisfaction_weights" in notes
@@ -327,9 +314,19 @@ def test_managers_allowed_zero_when_fully_empowered(tmp_path):
     assert cfg.empowerment.p_empowered == 1.0
 
 
+def test_referral_rule_holds_for_a_config_changed_in_code(tmp_path):
+    cfg = load_text(tmp_path, MINIMAL.replace("section_managers = 1", "section_managers = 0"))
+    referring = dataclasses.replace(cfg.empowerment, p_empowered=0.5)
+    with pytest.raises(ValueError, match="p_empowered = 0.5 can refer refunds to a manager"):
+        dataclasses.replace(cfg, empowerment=referring)
+    staffed = dataclasses.replace(cfg.staffing, section_managers=1)
+    both = dataclasses.replace(cfg, staffing=staffed, empowerment=referring)
+    assert both.empowerment == referring
+
+
 def test_cashier_priority_override(tmp_path):
     text = MINIMAL + '\n[queues]\ncashier_priority = ["pay", "refund"]\n'
-    assert load_text(tmp_path, text).cashier_priority == ("pay", "refund")
+    assert load_text(tmp_path, text).queues.cashier_priority == ("pay", "refund")
 
 
 def test_horizon_validation():
@@ -413,13 +410,8 @@ def test_readme_reference_lists_every_key_with_its_default():
             assert default == "required", key
         elif isinstance(field.default, (bool, int, float, tuple)):
             assert default == f"`{toml_text(field.default)}`", key
-    weights = satisfaction_weights({})
-    for event in SatisfactionEvent:
-        key = f"satisfaction_weights.{event.name.lower()}"
-        assert key in rows, f"README configuration reference lacks `{key}`"
-        assert rows[key][0] == f"`{weights[event]}`", key
     documented = {key.split(".")[0] for key in rows} - {"label"}
-    assert documented == set(RECORDS) | {"satisfaction_weights"}
+    assert documented == set(RECORDS)
 
 
 # -- fuzzing --------------------------------------------------------------------
@@ -442,8 +434,10 @@ def durations():
     return number | spread
 
 
-def valid_value(field):
+def valid_value(section, field):
     """Values inside the record's bounds; days stay small so the clock is exact."""
+    if section == "satisfaction_weights":
+        return st.integers(-5, 5)
     if field.type == "bool":
         return st.booleans()
     if field.type == "tuple":
@@ -463,13 +457,7 @@ def valid_configs(draw):
     root = {"label": draw(st.text("ABCWTV&", min_size=1, max_size=6))}
     for section, field in CONFIG_KEYS:
         if field.default is dataclasses.MISSING or draw(st.booleans()):
-            root.setdefault(section, {})[field.name] = draw(valid_value(field))
-    weights = draw(
-        st.dictionaries(st.sampled_from([e.name.lower() for e in SatisfactionEvent]),
-                        st.integers(-5, 5))
-    )
-    if weights:
-        root["satisfaction_weights"] = weights
+            root.setdefault(section, {})[field.name] = draw(valid_value(section, field))
     probs = root["probabilities"]
     if probs.get("buy_after_browse_is_marginal", True):
         assume(probs["need_help"] + probs["buy_after_browse"] <= 1.0)
@@ -502,10 +490,8 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
         path = pathlib.Path(tmp) / "fuzz.toml"
         write_toml(path, root)
         config = load_config(path)
-    records = {section: getattr(config, section) for section in RECORDS if section != "queues"}
-    records["queues"] = Queues(config.cashier_priority)
     for section, field in CONFIG_KEYS:
-        value = getattr(records[section], field.name)
+        value = getattr(getattr(config, section), field.name)
         if field.name in root.get(section, {}):
             expected = expected_value(field, root[section][field.name])
         elif field.default is None:
@@ -513,7 +499,6 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
         else:
             expected = field.default
         assert value == expected and type(value) is type(expected), (section, field.name)
-    assert config.weights == satisfaction_weights(root.get("satisfaction_weights", {}))
     one_day = dataclasses.replace(
         config, horizon=Horizon(config.horizon.trading_day_minutes, 1)
     )
@@ -532,10 +517,10 @@ def wrong_types(field):
     return ["3", True, [1.0], {"value": 1}]
 
 
-def out_of_bound(field):
+def out_of_bound(section, field):
     """A value of the right TOML type that the field's bounds reject."""
-    if field.type == "bool":
-        return st.sampled_from(wrong_types(field))  # every boolean is in bounds
+    if field.type == "bool" or section == "satisfaction_weights":
+        return st.sampled_from(wrong_types(field))  # every boolean, and every weight, is in bounds
     if field.type == "tuple":
         return st.sampled_from([["pay", "pay"], ["refund"], [], ["pay", "refund", "pay"], ["pay", 1]])
     if field.type == "int":
@@ -579,7 +564,7 @@ def test_fuzzed_corruptions_name_the_file_and_field(section, field, data):
         lambda key: key not in names
     ))
     corruptions = [(field.name, bad) for bad in wrong_types(field)]
-    corruptions += [(field.name, data.draw(out_of_bound(field))), (unknown, 1)]
+    corruptions += [(field.name, data.draw(out_of_bound(section, field))), (unknown, 1)]
     for key, bad in corruptions:
         root = copy.deepcopy(valid)
         root.setdefault(section, {})[key] = bad

@@ -144,49 +144,52 @@ OVERHEAD = TriangularParams(1, 3, 6)
 
 
 def test_policy_validates_probability_and_multiplier():
-    EmpowermentPolicy(OVERHEAD, 0.0)
-    EmpowermentPolicy(OVERHEAD, 1.0)
+    EmpowermentPolicy(0.0)
+    EmpowermentPolicy(1.0)
     with pytest.raises(ValueError, match="p_empowered"):
-        EmpowermentPolicy(OVERHEAD, 1.5)
+        EmpowermentPolicy(1.5)
     with pytest.raises(ValueError, match="multiplier"):
-        EmpowermentPolicy(OVERHEAD, 0.5, empowered_duration_multiplier=0.0)
+        EmpowermentPolicy(0.5, empowered_duration_multiplier=0.0)
 
 
 def test_empowered_refund_scales_duration_and_skips_service_draw():
-    policy = EmpowermentPolicy(OVERHEAD, 1.0, empowered_duration_multiplier=2.0)
+    policy = EmpowermentPolicy(1.0, empowered_duration_multiplier=2.0)
     decision = ScriptedRng([0.99])  # < 1.0, so still empowered
     service = ScriptedRng([])
-    assert resolve_refund_path(policy, 5.0, decision, service) == (10.0, None)
+    assert resolve_refund_path(policy, OVERHEAD, 5.0, decision, service) == (10.0, None)
     assert decision.calls == 1
     assert service.calls == 0  # no overhead draw on the autonomous branch
 
 
 def test_referred_refund_draws_overhead_and_finds_idle_manager():
-    policy = EmpowermentPolicy(TriangularParams(3.0, 3.0, 3.0), 0.0)
+    policy = EmpowermentPolicy(0.0)
     managers = [StaffAgent(0, StaffRole.SECTION_MANAGER), StaffAgent(1, StaffRole.SECTION_MANAGER)]
     managers[0].begin(0.0)
     decision = ScriptedRng([0.4])
     service = ScriptedRng([0.7])
-    assert resolve_refund_path(policy, 5.0, decision, service) == (5.0, 3.0)
+    authorization = TriangularParams(3.0, 3.0, 3.0)
+    assert resolve_refund_path(policy, authorization, 5.0, decision, service) == (5.0, 3.0)
     assert service.calls == 1
     # The department hands the referral to the first idle manager.
     assert find_idle(managers) is managers[1]
 
 
 def test_referred_refund_with_all_managers_busy():
-    policy = EmpowermentPolicy(TriangularParams(2.0, 2.0, 2.0), 0.0)
+    policy = EmpowermentPolicy(0.0)
     manager = StaffAgent(0, StaffRole.SECTION_MANAGER)
     manager.begin(0.0)
-    assert resolve_refund_path(policy, 4.0, ScriptedRng([0.0]), ScriptedRng([0.5])) == (4.0, 2.0)
+    authorization = TriangularParams(2.0, 2.0, 2.0)
+    decision, service = ScriptedRng([0.0]), ScriptedRng([0.5])
+    assert resolve_refund_path(policy, authorization, 4.0, decision, service) == (4.0, 2.0)
     assert find_idle([manager]) is None
 
 
 def test_empowerment_split_binomial():
-    policy = EmpowermentPolicy(OVERHEAD, 0.5)
+    policy = EmpowermentPolicy(0.5)
     decision = RngStream(17, "decisions")
     service = RngStream(17, "service")
     n = 100_000
     autonomous = sum(
-        resolve_refund_path(policy, 1.0, decision, service)[1] is None for i in range(n)
+        resolve_refund_path(policy, OVERHEAD, 1.0, decision, service)[1] is None for i in range(n)
     )
     assert abs(autonomous / n - 0.5) < 0.01

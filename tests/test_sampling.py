@@ -115,8 +115,9 @@ def test_triangular_is_a_pure_function(tri, u):
 
 def empowered(p, u):
     """Whether a refund with empowerment probability p and decision draw u is empowered."""
-    policy = EmpowermentPolicy(TriangularParams(1, 3, 6), p)
-    _, overhead = resolve_refund_path(policy, 2.0, ConstantRng(u), ConstantRng(0.5))
+    policy = EmpowermentPolicy(p)
+    authorization = TriangularParams(1, 3, 6)
+    _, overhead = resolve_refund_path(policy, authorization, 2.0, ConstantRng(u), ConstantRng(0.5))
     return overhead is None
 
 
