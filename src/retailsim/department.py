@@ -14,9 +14,9 @@ as starting a queued customer's service does to its renege timer. The service
 queues hold the waiting customers themselves; handlers append, pop and clear
 their deques directly, and an arrival's single decision draw sends it to the
 refund path or to browsing. The ledger is `event_counts`, indexed by
-`SatisfactionEvent`, and `ledger_sum`.
-A 10-week WW replication (about 56k customers and 190k events) runs in about
-0.65 s on one core of a 2-vCPU VM, which the experiment harness relies on.
+`SatisfactionEvent`, and `ledger_sum`. Handlers read each config value
+from `config` where they use it; README's Performance section gives
+measured speeds.
 
 A replication returns a `RunMetrics`. It and `METRIC_FIELDS`, the metric
 names in CSV column order, are defined in `results`, so the analysis reads
@@ -111,27 +111,11 @@ class DepartmentSim:
         weights = config.satisfaction_weights
         self.weights = tuple(getattr(weights, e.name.lower()) for e in SatisfactionEvent)
 
-        # Hot-path copies of config values.
-        self.arrivals = config.arrivals
-        p = config.probabilities
-        self.p_refund_goal = p.refund_goal
-        self.p_need_help = p.need_help
-        self.p_buy_browse = p.browse_buy_conditional()
-        self.p_buy_after_help = p.buy_after_help
-        self.p_needs_expert = p.needs_expert
-        self.p_repurchase = p.repurchase_after_refund
-        self.d_browse = d.browse
-        self.d_help = d.help
-        self.d_pay = d.pay_service
-        self.d_refund = d.refund_service
-        self.d_auth = d.manager_authorization
-        self.policy = config.empowerment
-        self.hold_cashier = config.empowerment.hold_cashier_during_referral
+        self.config = config
+        self.p_buy_browse = config.probabilities.browse_buy_conditional()
 
-        self.day_minutes = config.horizon.trading_day_minutes
-        self.days = config.horizon.days
         self.day_index = 0
-        self.day_end = self.day_minutes
+        self.day_end = config.horizon.trading_day_minutes
 
         self.entered = 0  # also the next customer id
         self.departed = 0
@@ -148,7 +132,7 @@ class DepartmentSim:
 
     def run(self):
         cal = self.cal
-        horizon = self.day_minutes * self.days
+        horizon = self.config.horizon.trading_day_minutes * self.config.horizon.days
         # Each day close schedules the next one, always ahead of that day's
         # first arrival, so a close precedes every same-time event of its day.
         cal.schedule(self.day_end, self._on_day_close)
@@ -258,7 +242,7 @@ class DepartmentSim:
         del self.live[customer.id]
 
     def _chain_arrival(self, now):
-        gap = sample_interarrival(self.arrivals, self.rng_arrivals.uniform())
+        gap = sample_interarrival(self.config.arrivals, self.rng_arrivals.uniform())
         at = now + gap
         if at < self.day_end:
             self.cal.schedule(at, self._on_arrival)
@@ -296,7 +280,7 @@ class DepartmentSim:
         cid = self.entered
         self.entered = cid + 1
         customer = self.live[cid] = CustomerAgent(cid)
-        if self.rng_decisions.uniform() < self.p_refund_goal:
+        if self.rng_decisions.uniform() < self.config.probabilities.refund_goal:
             customer.transition(SEEKING_REFUND)
             self._request(customer, find_idle(self.cashiers), self._start_refund, IN_REFUND_QUEUE)
         else:
@@ -305,14 +289,15 @@ class DepartmentSim:
         self._chain_arrival(now)
 
     def _begin_browse(self, customer, now):
-        duration = sample_triangular(self.d_browse, self.rng_service.uniform())
+        duration = sample_triangular(self.config.durations.browse, self.rng_service.uniform())
         customer.pending = self.cal.schedule(now + duration, self._on_browse_end, customer)
 
     def _on_browse_end(self, customer):
         dec = self.rng_decisions
-        if dec.uniform() < self.p_need_help:
+        p = self.config.probabilities
+        if dec.uniform() < p.need_help:
             customer.transition(SEEKING_HELP)
-            customer.needs_expert = dec.uniform() < self.p_needs_expert
+            customer.needs_expert = dec.uniform() < p.needs_expert
             if customer.needs_expert:
                 staff = find_idle(self.expert_sellers)
             else:
@@ -327,13 +312,13 @@ class DepartmentSim:
 
     def _start_help(self, customer, staff):
         customer.transition(BEING_HELPED)
-        duration = sample_triangular(self.d_help, self.rng_service.uniform())
+        duration = sample_triangular(self.config.durations.help, self.rng_service.uniform())
         begin_service(staff, customer, duration, self.cal, self._on_help_end)
 
     def _on_help_end(self, customer):
         staff = customer.serving_staff
         self._settle(customer, self.cal.now)
-        if self.rng_decisions.uniform() < self.p_buy_after_help:
+        if self.rng_decisions.uniform() < self.config.probabilities.buy_after_help:
             customer.transition(SEEKING_PAY)
             self._request(customer, find_idle(self.cashiers), self._start_pay, IN_PAY_QUEUE)
         else:
@@ -342,7 +327,7 @@ class DepartmentSim:
 
     def _start_pay(self, customer, cashier):
         customer.transition(PAYING)
-        duration = sample_triangular(self.d_pay, self.rng_service.uniform())
+        duration = sample_triangular(self.config.durations.pay_service, self.rng_service.uniform())
         begin_service(cashier, customer, duration, self.cal, self._on_pay_end)
 
     def _on_pay_end(self, customer):
@@ -355,9 +340,11 @@ class DepartmentSim:
 
     def _start_refund(self, customer, cashier):
         customer.transition(REFUND_PROCESSING)
-        base = sample_triangular(self.d_refund, self.rng_service.uniform())
+        config = self.config
+        base = sample_triangular(config.durations.refund_service, self.rng_service.uniform())
         duration, overhead = resolve_refund_path(
-            self.policy, self.d_auth, base, self.rng_decisions, self.rng_service
+            config.empowerment, config.durations.manager_authorization, base,
+            self.rng_decisions, self.rng_service,
         )
         if overhead is None:
             self.autonomous_refunds += 1
@@ -365,7 +352,7 @@ class DepartmentSim:
             return
         self.manager_authorizations += 1
         customer.refund_overhead = overhead
-        if not self.hold_cashier:
+        if not config.empowerment.hold_cashier_during_referral:
             # The cashier does the service part alone; the manager signs off after.
             begin_service(cashier, customer, duration, self.cal, self._on_refund_service_end)
             return
@@ -394,7 +381,7 @@ class DepartmentSim:
     def _on_auth_end(self, customer):
         manager = customer.auth_manager
         now = self.cal.now
-        if self.hold_cashier:
+        if self.config.empowerment.hold_cashier_during_referral:
             manager.finish(now)
             customer.auth_manager = None
             customer.pending = self.cal.schedule(
@@ -419,7 +406,7 @@ class DepartmentSim:
         self._staff_freed(cashier)
 
     def _after_refund(self, customer):
-        if self.rng_decisions.uniform() < self.p_repurchase:
+        if self.rng_decisions.uniform() < self.config.probabilities.repurchase_after_refund:
             customer.transition(BROWSING)
             self._begin_browse(customer, self.cal.now)
         else:
@@ -442,8 +429,9 @@ class DepartmentSim:
             queue.entries.clear()
         self.auth_wait.clear()
         self.day_index += 1
-        if self.day_index < self.days:
-            self.day_end = (self.day_index + 1) * self.day_minutes
+        horizon = self.config.horizon
+        if self.day_index < horizon.days:
+            self.day_end = (self.day_index + 1) * horizon.trading_day_minutes
             self.cal.schedule(self.day_end, self._on_day_close)
             self._chain_arrival(now)
 

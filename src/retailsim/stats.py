@@ -403,27 +403,22 @@ def _z_nodes():
 def _range_cdf_at(w, k):
     """P(range of k iid standard normals <= w) for an array of widths w.
 
-    Widths are taken one panel of _GL_ORDER at a time: ndtr(z) - ndtr(z - w)
-    at the normal-axis nodes, clipped, raised to k - 1 and summed against the
-    node weights into one vector, so no (len(w), len(zs)) matrix is held and
-    the temporaries inside _ndtr stay cache-sized. Every step is elementwise
-    except the product, which numpy computes row by row with the bits of the
-    whole-matrix product as long as it has two or more rows; a one-row
-    product sums in another order, so a one-row remainder joins the panel
-    before it.
+    w holds whole panels of _GL_ORDER widths, and reshape refuses any other
+    length. Each panel's ndtr(z) - ndtr(z - w) at the normal-axis nodes is
+    clipped, raised to k - 1 and summed against the node weights, so no
+    (len(w), len(zs)) matrix is held and the temporaries inside _ndtr stay
+    cache-sized. Every step is elementwise except the product, which numpy
+    computes row by row with the bits of the whole-matrix product.
     """
     import numpy as np
     zs, phi_w, ndtr_zs = _z_nodes()
-    out = np.empty(len(w))
-    bounds = list(range(0, len(w), _GL_ORDER)) + [len(w)]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = ndtr_zs - _ndtr(zs - w[start:stop, None])
+    sums = []
+    for panel in w.reshape(-1, _GL_ORDER):
+        rows = ndtr_zs - _ndtr(zs - panel[:, None])
         np.clip(rows, 0.0, 1.0, out=rows)
         rows **= k - 1
-        out[start:stop] = rows @ phi_w
-    return k * out
+        sums.append(rows @ phi_w)
+    return k * np.concatenate(sums)
 
 
 def studentized_range_upper_tail(q, k, df):

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from retailsim import department, experiments
+from retailsim import cli, department, experiments
 from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
 from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
@@ -24,6 +24,11 @@ from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetric
 def atv_text():
     with open(resolve_config_path("dept_atv.toml"), encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_staff_roles_are_the_staffing_plan_fields():
+    # cli keeps its own copy, so that analyze and --help never import config.
+    assert cli.STAFF_ROLES == tuple(f.name for f in dataclasses.fields(StaffingPlan))
 
 
 def shortened_configs(directory, atv_text, days):

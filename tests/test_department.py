@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from retailsim.agents import SatisfactionEvent
-from retailsim.config import StaffingPlan, build_config
+from retailsim.config import Queues, StaffingPlan, build_config
 from retailsim.department import DepartmentSim, run_replication, utilization
 from retailsim.kernel import SimulationFault
 from retailsim.results import METRIC_FIELDS
@@ -479,3 +479,93 @@ def test_order_of_injected_arrivals_is_by_time():
     sim.run()
     arrivals = [row for row in trace if row[1] == "arrival"]
     assert [row[0] for row in arrivals] == [1.0, 5.0]
+
+
+# -- metamorphic relations ------------------------------------------------------------
+#
+# Exact relations that follow from the model's rules rather than from a
+# recorded digest: a shorter horizon replays the start of a longer one, and a
+# policy with nothing to act on changes nothing. Each runs strict, on 3-day
+# horizons of both shipped departments.
+
+
+def with_policy(config, **changes):
+    """`config` with some [empowerment] fields replaced."""
+    return dataclasses.replace(
+        config, empowerment=dataclasses.replace(config.empowerment, **changes)
+    )
+
+
+def without_refunds(config):
+    """`config` on 3 days, with no customer arriving to seek a refund."""
+    probabilities = dataclasses.replace(config.probabilities, refund_goal=0.0)
+    return shorten(dataclasses.replace(config, probabilities=probabilities), days=3)
+
+
+def differing(runs):
+    """The labels of runs whose metrics differ from the first run's."""
+    (_, first), *rest = runs.items()
+    return [label for label, metrics in rest if metrics != first]
+
+
+@pytest.mark.parametrize("dept", ["atv", "ww"])
+def test_three_day_trace_is_a_prefix_of_the_seven_day_trace(dept, request):
+    config = request.getfixturevalue(f"{dept}_config")
+    three, seven = [], []
+    DepartmentSim(shorten(config, days=3), seed=7, trace=three, strict=True).run()
+    DepartmentSim(shorten(config, days=7), seed=7, trace=seven, strict=True).run()
+    assert three[-1] == (3 * config.horizon.trading_day_minutes, "day_close", None)
+    assert seven[: len(three)] == three
+    assert len(seven) > 2 * len(three)
+
+
+@pytest.mark.parametrize("dept", ["atv", "ww"])
+def test_without_refunds_no_empowerment_policy_or_cashier_order_matters(dept, request):
+    base = without_refunds(request.getfixturevalue(f"{dept}_config"))
+    policies = {
+        (p, hold): run_replication(
+            with_policy(base, p_empowered=p, hold_cashier_during_referral=hold),
+            seed=7,
+            strict=True,
+        )
+        for p in (0.0, 0.5, 1.0)
+        for hold in (True, False)
+    }
+    assert differing(policies) == []
+    orders = {
+        order: run_replication(
+            dataclasses.replace(base, queues=Queues(cashier_priority=order)), seed=7, strict=True
+        )
+        for order in (("refund", "pay"), ("pay", "refund"))
+    }
+    assert differing(orders) == []
+    reference = policies[(0.0, True)]
+    assert reference.refunds_completed == reference.manager_authorizations == 0
+    assert reference.transactions > 0
+
+
+@pytest.mark.parametrize("dept", ["atv", "ww"])
+def test_full_empowerment_needs_neither_the_hold_rule_nor_a_manager(dept, request):
+    config = request.getfixturevalue(f"{dept}_config")
+    base = with_policy(shorten(config, days=3), p_empowered=1.0)
+    staffing = base.staffing
+    extra_manager = dataclasses.replace(
+        staffing, section_managers=staffing.section_managers + 1
+    )
+    runs = {
+        "as shipped": run_replication(base, seed=7, strict=True),
+        "hold flag flipped": run_replication(
+            with_policy(
+                base,
+                hold_cashier_during_referral=not base.empowerment.hold_cashier_during_referral,
+            ),
+            seed=7,
+            strict=True,
+        ),
+        "extra manager": run_replication(
+            dataclasses.replace(base, staffing=extra_manager), seed=7, strict=True
+        ),
+    }
+    assert differing(runs) == []
+    reference = runs["as shipped"]
+    assert reference.autonomous_refunds > 0 and reference.manager_authorizations == 0

@@ -26,6 +26,8 @@ from retailsim.results import (
     results_to_cells,
 )
 
+from conftest import shorten
+
 
 def mk_row(dept, level, rep, experiment="cashiers", **overrides):
     values = {name: 0 for name in METRIC_FIELDS}
@@ -180,6 +182,17 @@ def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
         f"sweep cell department='A&TV' level=3 replication=2 seed={bad_seed}: "
         "injected failure"
     )
+
+
+@pytest.mark.parametrize("experiment", ["cashiers", "empowerment"])
+def test_fewer_replications_give_the_leading_rows_of_more(experiment, atv_config, ww_config):
+    # Each cell's seed depends on its replication number only, so a sweep
+    # with 2 replications is the replication 1-2 rows of one with 3.
+    configs = {c.label: shorten(c, days=1) for c in (atv_config, ww_config)}
+    two = run_sweep(experiment, configs, replications=2, base_seed=5)
+    three = run_sweep(experiment, configs, replications=3, base_seed=5)
+    assert len(three) == 30
+    assert two == [row for row in three if row.replication <= 2]
 
 
 def test_sweep_rejects_unknown_experiment(atv_week):

@@ -289,13 +289,18 @@ def _range_cdf_one_shot(w, k):
     return k * (inner ** (k - 1) @ phi_w)
 
 
-@pytest.mark.parametrize("size", [1, 7, 20, 21, 41, 240, 241])
+@pytest.mark.parametrize("size", [1, 7, 20, 21, 40, 41, 240, 241])
 def test_blocked_range_cdf_is_bitwise_the_one_shot_reference(size):
-    # 20 widths per block: sizes 1, 7, 21, 41 and 241 end on a partial block,
-    # and 21, 41 and 241 on a one-row remainder.
+    # 20 widths per panel, and the one caller passes 12 whole panels: sizes
+    # 20, 40 and 240 must give the whole-matrix bits, and a partial last
+    # panel (1, 7, 21, 41, 241) is refused.
     w = np.random.default_rng(size).uniform(0.0, 12.0, size)
     edges = [0.0, 40.0, 1e-3]  # zero width, saturated, nearly zero
     w[: len(edges)] = edges[:size]
+    if size % 20:
+        with pytest.raises(ValueError, match="reshape"):
+            _range_cdf_at(w, 5)
+        return
     for k in (2, 5, 10):
         blocked = _range_cdf_at(w, k)
         reference = _range_cdf_one_shot(w, k)
