@@ -4,14 +4,18 @@ import concurrent.futures
 import csv
 import dataclasses
 import errno
+import gc
 import hashlib
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
+import retailsim
 from retailsim import cli, department, experiments
 from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
 from retailsim.config import ConfigError, StaffingPlan
@@ -719,6 +723,59 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+# An atexit hook that records whether the heap is frozen when it runs, in a
+# file beside it, so that the command's own output stays untouched.
+FREEZE_PROBE = """\
+import atexit, gc, os
+def _record():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "frozen.txt")
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count() > 0))
+atexit.register(_record)
+"""
+ENTRY_RUNS = {
+    "validate-ok": (["validate", "--config", "dept_atv.toml"], 0),
+    "bad-config": (["validate", "--config", "missing"], 2),
+    "no-results": (["analyze", "--results", "{tmp_path}/missing.csv"], 1),
+}
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
+    assert gc.get_freeze_count() == 0
+    for argv, rc in ENTRY_RUNS.values():
+        assert main([arg.format(tmp_path=tmp_path) for arg in argv]) == rc
+        assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("module", ["retailsim", "retailsim.cli"])
+@pytest.mark.parametrize("run", list(ENTRY_RUNS))
+def test_module_entry_freezes_the_heap_and_keeps_output(tmp_path, capsys, monkeypatch,
+                                                        module, run):
+    argv, rc = ENTRY_RUNS[run]
+    argv = [arg.format(tmp_path=tmp_path) for arg in argv]
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(FREEZE_PROBE, encoding="utf-8")
+    src = str(pathlib.Path(retailsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(probe), src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert (probe / "frozen.txt").read_text(encoding="utf-8") == "True"
+    # The same command in-process is today's output: the entry adds nothing to it.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, captured.out, captured.err)
+
+
+def test_console_script_is_the_entry():
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"retailsim": "retailsim.cli:entry"}
 
 
 # What loaded_by reports. No command loads the first five: scipy is a test

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import triangular_mean, triangular_variance
+from conftest import shorten, triangular_mean, triangular_variance
 from retailsim.cli import main, resolve_config_path
 from retailsim.config import (
     MAX_HORIZON_MINUTES,
@@ -30,7 +30,7 @@ from retailsim.config import (
     build_config,
     load_config,
 )
-from retailsim.department import run_replication
+from retailsim.department import DepartmentSim, run_replication
 from retailsim.sampling import TriangularParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -483,13 +483,18 @@ FUZZ = settings(
 )
 
 
-@FUZZ
-@given(valid_configs(), st.integers(0, 2**63 - 1))
-def test_fuzzed_valid_configs_load_and_run(root, seed):
+def load_root(root):
+    """The config that `root`, written as a TOML file, loads to."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fuzz.toml"
         write_toml(path, root)
-        config = load_config(path)
+        return load_config(path)
+
+
+@FUZZ
+@given(valid_configs(), st.integers(0, 2**63 - 1))
+def test_fuzzed_valid_configs_load_and_run(root, seed):
+    config = load_root(root)
     for section, field in CONFIG_KEYS:
         value = getattr(getattr(config, section), field.name)
         if field.name in root.get(section, {}):
@@ -504,6 +509,47 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
     )
     metrics = run_replication(one_day, seed=seed, strict=True)
     assert metrics.customers_entered == metrics.customers_left
+
+
+# The metamorphic relations of test_department.py, over fuzzed configs on
+# 1- to 3-day horizons: a shorter horizon replays the start of a longer one,
+# and without refunds neither the empowerment policy nor the cashier order
+# changes anything.
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@FUZZ
+@given(valid_configs(), SEEDS, st.integers(1, 2), st.integers(1, 2))
+def test_fuzzed_configs_replay_a_shorter_horizon_as_a_prefix(root, seed, days, more):
+    config = load_root(root)
+    short, longer = [], []
+    DepartmentSim(shorten(config, days), seed=seed, trace=short, strict=True).run()
+    DepartmentSim(shorten(config, days + more), seed=seed, trace=longer, strict=True).run()
+    assert short[-1] == (days * config.horizon.trading_day_minutes, "day_close", None)
+    assert longer[: len(short)] == short
+
+
+@FUZZ
+@given(valid_configs(), SEEDS, st.integers(1, 3))
+def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, seed, days):
+    config = load_root(root)
+    no_refunds = dataclasses.replace(config.probabilities, refund_goal=0.0)
+    base = dataclasses.replace(shorten(config, days), probabilities=no_refunds)
+    # Without a section manager only full empowerment is a valid policy.
+    shares = (0.0, 0.5, 1.0) if base.staffing.section_managers else (1.0,)
+    variants = [
+        dataclasses.replace(base, empowerment=dataclasses.replace(
+            base.empowerment, p_empowered=p, hold_cashier_during_referral=hold))
+        for p in shares
+        for hold in (True, False)
+    ]
+    variants += [
+        dataclasses.replace(base, queues=dataclasses.replace(base.queues, cashier_priority=order))
+        for order in (("refund", "pay"), ("pay", "refund"))
+    ]
+    runs = [run_replication(variant, seed=seed, strict=True) for variant in variants]
+    assert all(metrics == runs[0] for metrics in runs[1:])
+    assert runs[0].refunds_completed == runs[0].abandoned_refund == 0
 
 
 def wrong_types(field):

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retailsim import stats
 from retailsim.stats import (
     _GL_HALF_NODES,
     _MAXLOG,
@@ -283,7 +284,7 @@ def test_ndtr_port_is_bitwise_scipy_ndtr():
 
 def _range_cdf_one_shot(w, k):
     """The range CDF with the whole (len(w), len(zs)) matrix built at once."""
-    zs, phi_w, ndtr_zs = _z_nodes()
+    zs, phi_w, ndtr_zs, _ = _z_nodes()
     inner = ndtr_zs[None, :] - _ndtr(zs[None, :] - w[:, None])
     np.clip(inner, 0.0, 1.0, out=inner)
     return k * (inner ** (k - 1) @ phi_w)
@@ -306,6 +307,72 @@ def test_blocked_range_cdf_is_bitwise_the_one_shot_reference(size):
         reference = _range_cdf_one_shot(w, k)
         assert blocked.shape == (size,)
         assert np.array_equal(blocked.view(np.int64), reference.view(np.int64)), k
+
+
+def tail_widths(monkeypatch, qs, df):
+    """The widths studentized_range_upper_tail(q, k, df) passes _range_cdf_at, over qs."""
+    widths = []
+    real = stats._range_cdf_at
+
+    def spy(w, k):
+        widths.append(w.copy())
+        return real(w, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stats, "_range_cdf_at", spy)
+        for q in qs:
+            studentized_range_upper_tail(q, 2, df)
+    return np.concatenate(widths)
+
+
+def widths_on_the_cuts(ulps):
+    """Per node i, z_i - cut_i and its `ulps` nearest floats on either side."""
+    zs, _, _, cut = _z_nodes()
+    return np.array(_with_neighbours(zs - cut, ulps))
+
+
+def whole_panels(w):
+    """w padded with zero widths to whole panels of 20."""
+    return np.concatenate((w, np.zeros(-w.size % 20)))
+
+
+@pytest.mark.parametrize("df", [5, 20, 190, 1000])
+def test_skipping_ndtr_below_the_cuts_keeps_every_bit(monkeypatch, df):
+    # Widths from real tails, q * s up to 2,000 (saturated), plus widths
+    # that put z - w on both sides of every node's cut.
+    s_max = tail_widths(monkeypatch, [1.0], df).max()
+    qs = [0.2, 1.0, 2.5, 4.0, 6.0, 10.0, 40.0, 2000.0 / s_max]
+    widths = tail_widths(monkeypatch, qs, df)
+    assert widths.max() == pytest.approx(2000.0)
+    widths = whole_panels(np.concatenate((widths, widths_on_the_cuts(2))))
+    for k in (2, 5, 10):
+        for chunk in widths.reshape(-1, 240):
+            skipped = _range_cdf_at(chunk, k)
+            reference = _range_cdf_one_shot(chunk, k)
+            assert np.array_equal(skipped.view(np.int64), reference.view(np.int64)), k
+
+
+def test_range_cdf_evaluates_ndtr_exactly_at_and_above_each_cut(monkeypatch):
+    zs, _, _, cut = _z_nodes()
+    w = whole_panels(widths_on_the_cuts(3))
+    a = zs - w[:, None]
+    assert (a == cut).any(axis=0).sum() > 100  # many nodes get an element right on the cut
+    passed = []
+    real = stats._ndtr
+    monkeypatch.setattr(stats, "_ndtr", lambda x: passed.append(x.copy()) or real(x))
+    _range_cdf_at(w, 5)
+    assert np.array_equal(np.concatenate(passed), a[a >= cut])
+
+
+def test_below_each_cut_the_difference_rounds_back_to_ndtr_z():
+    # The rule the skip rests on: for a < cut_i, ndtr(a) is under half a
+    # float spacing of ndtr(z_i), so ndtr(z_i) - ndtr(a) == ndtr(z_i).
+    zs, _, ndtr_zs, cut = _z_nodes()
+    assert -13.1 < cut.min() and cut.max() < -9.1
+    below = np.concatenate(([0.0], np.geomspace(1e-12, 30.0, 64)))
+    for i in range(zs.size):
+        a = np.append(np.nextafter(cut[i], -np.inf) - below, -np.inf)
+        assert (ndtr_zs[i] - _ndtr(a) == ndtr_zs[i]).all(), i
 
 
 def test_gauss_legendre_literals_are_numpys_rule():
