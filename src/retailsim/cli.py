@@ -100,10 +100,11 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     from .config import ConfigError, load_config
-    from .experiments import MAX_JOBS, format_summary_table, run_sweep, save_results
+    from .experiments import MAX_JOBS, MAX_REPLICATIONS
+    from .experiments import format_summary_table, run_sweep, save_results
 
-    if args.reps < 1:
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+    if not 1 <= args.reps <= MAX_REPLICATIONS:
+        raise ConfigError(f"--reps must be between 1 and {MAX_REPLICATIONS}, got {args.reps}")
     if not 1 <= args.jobs <= MAX_JOBS:
         raise ConfigError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     configs = {}

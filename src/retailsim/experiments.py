@@ -30,6 +30,10 @@ CASHIER_SWEEP_STAFF, CASHIER_SWEEP_EXPERTS, CASHIER_SWEEP_MANAGERS = 10, 1, 1
 # workers at the first task and each holds a replication in memory, so a
 # typo such as --jobs 100000 must be refused, not attempted.
 MAX_JOBS = 64
+# Most replications per cell. Every cell's task (about 210 bytes and 13 us)
+# is built before the first replication runs, so a typo such as --reps 2000000
+# must be refused, not cost gigabytes; 10 cells of 10,000 stay near 20 MB.
+MAX_REPLICATIONS = 10_000
 
 
 def derive_cell_seed(base_seed, department, level, replication):
@@ -78,7 +82,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     row order. jobs > 1 fans replications out to at most `jobs` worker
     processes, never more than there are replications, without changing any
     result (each cell is seeded independently). jobs must lie in
-    [1, MAX_JOBS].
+    [1, MAX_JOBS] and replications in [1, MAX_REPLICATIONS].
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
@@ -87,8 +91,10 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         raise ValueError(f"unknown experiment {experiment!r}; pick from {tuple(_LEVELS)}")
     if not configs:
         raise ValueError("design needs at least one department and one level")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not 1 <= replications <= MAX_REPLICATIONS:
+        raise ValueError(
+            f"replications must be between 1 and {MAX_REPLICATIONS}, got {replications}"
+        )
     tasks = []
     for dept, config in configs.items():
         for level in levels:

@@ -12,10 +12,11 @@ Time is a float in model minutes. The kernel knows nothing about trading
 days; callers impose day structure by scheduling their own close events.
 
 Each `RngStream` is NumPy's `Generator(PCG64(seed)).random()` stream, bit
-for bit, but the kernel generates it itself: NumPy's `SeedSequence` seeding
-runs in Python ints, and the PCG64 steps on numpy's uint64 arrays, so no
-process loads `numpy.random` (or, through it, OpenSSL). numpy is imported
-when the first `RngStream` is built, not with the module: the CLI imports
+for bit, but the kernel generates it itself: a stream is PCG64's 128-bit
+state and increment as Python ints, seeded by a port of NumPy's
+`SeedSequence`, and each refill computes a block of steps at once on numpy's
+uint64 arrays, so no process loads `numpy.random` (or, through it, OpenSSL).
+numpy is imported at the first refill, not with the module: the CLI imports
 the kernel for every command, and only commands that simulate draw random
 numbers. Reference: O'Neill (2014), PCG, HMC-CS-2014-0905.
 """
@@ -165,119 +166,92 @@ def _pcg64_seed(entropy):
     return ((inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc
 
 
-_BLOCK = 2048  # draws per refill, one per lane
-
-
-class _Lanes:
-    """PCG64 run `_BLOCK` steps at a time on numpy's uint64 arrays.
-
-    After n steps from s0 the state is s_n = M**n * s0 + G_n * inc, where
-    G_n = 1 + M + ... + M**(n-1); as M**n = (M - 1) * G_n + 1, also
-    s_n = G_n * ((M - 1) * s0 + inc) + s0. Lane j of a stream starts at
-    s_(j+1), one multiply-add of `geo`, the G_(j+1) of every lane, and each
-    refill moves every lane on by `_BLOCK` steps, one multiply-add by
-    `jump` = M**_BLOCK. A 128-bit lane is a (hi, lo) pair of uint64 arrays.
-    Every constant is an np.uint64, so no arithmetic here is promoted to
-    float under numpy 1.x's value-based casting. Each step writes into the
-    lanes or into a few arrays allocated per call, so no state is shared
-    between streams.
-    """
-
-    def __init__(self, np):
-        self.np = np
-        u64 = self.u64 = np.uint64
-        self.mask32, self.shift32, self.shift11 = u64(_MASK32), u64(32), u64(11)
-        self.shift58, self.bits, self.mask6 = u64(58), u64(64), u64(63)
-        geo = [0]
-        for _ in range(_BLOCK):
-            geo.append((geo[-1] * _PCG_MULT + 1) & _MASK128)  # G_(n+1) = M * G_n + 1
-        self.geo_block = geo[-1]
-        self.jump = ((_PCG_MULT - 1) * geo[-1] + 1) & _MASK128
-        self.geo = (
-            np.array([g >> 64 for g in geo[1:]], dtype=u64),
-            np.array([g & _MASK64 for g in geo[1:]], dtype=u64),
-        )
-
-    def mul_add(self, hi, lo, k, c):
-        """Set the lanes (hi, lo) to (hi, lo) * k + c mod 2**128; k, c are ints.
-
-        numpy has no 64 x 64 -> 128-bit multiply, so the high word of
-        lo * (k mod 2**64) is summed from the products of 32-bit halves.
-        """
-        np, u64, m32, s32 = self.np, self.u64, self.mask32, self.shift32
-        k_lo, c_lo = u64(k & _MASK64), u64(c & _MASK64)
-        k0, k1 = u64(k & _MASK32), u64((k >> 32) & _MASK32)
-        # The cross terms, which reach only the high word.
-        hi *= k_lo
-        hi += lo * u64(k >> 64)
-        # The high word of lo * k_lo, from the 32-bit halves a1:a0 and k1:k0.
-        a0, a1 = lo & m32, lo >> s32
-        p01, p10 = a0 * k1, a1 * k0
-        a1 *= k1  # p11
-        hi += a1
-        hi += np.right_shift(p01, s32, out=a1)
-        hi += np.right_shift(p10, s32, out=a1)
-        a0 *= k0  # p00
-        a0 >>= s32
-        p01 &= m32
-        p10 &= m32
-        a0 += p01
-        a0 += p10  # the middle column, whose carry reaches the high word
-        a0 >>= s32
-        hi += a0
-        # The low word, then c with the carry out of its low word.
-        lo *= k_lo
-        lo += c_lo
-        hi += u64(c >> 64)
-        hi += lo < c_lo
-
-    def uniforms(self, hi, lo):
-        """Each lane's XSL-RR output as `(x >> 11) * 2**-53`, last lane first."""
-        np = self.np
-        x = hi ^ lo
-        rot = hi >> self.shift58
-        right = x >> rot
-        np.subtract(self.bits, rot, out=rot)
-        rot &= self.mask6
-        x <<= rot
-        x |= right
-        x >>= self.shift11
-        return (x * 2.0**-53)[::-1].tolist()
+_BLOCK = 2048  # draws per refill
 
 
 @functools.cache
-def _lanes():
-    """The process's one `_Lanes`, built when the first RngStream is."""
-    import numpy
+def _geo():
+    """numpy and G_1 .. G_BLOCK, G_j = 1 + M + ... + M**(j-1), as read-only uint64 (hi, lo)."""
+    import numpy as np
 
-    return _Lanes(numpy)
+    geo, g = [], 0
+    for _ in range(_BLOCK):
+        g = (g * _PCG_MULT + 1) & _MASK128  # G_(j+1) = M * G_j + 1
+        geo.append(g)
+    hi = np.array([g >> 64 for g in geo], dtype=np.uint64)
+    lo = np.array([g & _MASK64 for g in geo], dtype=np.uint64)
+    hi.flags.writeable = lo.flags.writeable = False
+    return np, hi, lo
+
+
+def _block(state, inc):
+    """The `_BLOCK` draws after PCG64 state `state`, last first, and the new state.
+
+    After j steps from s the state is s_j = M**j * s + G_j * inc; as
+    M**j = (M - 1) * G_j + 1, also s_j = G_j * k + s with k = (M - 1) * s + inc,
+    one multiply-add of the table for the whole block. numpy has no
+    64 x 64 -> 128-bit multiply, so the high word of lo * (k mod 2**64) is
+    summed from the products of 32-bit halves. Every constant is an np.uint64,
+    so nothing is promoted to float under numpy 1.x's value-based casting.
+    """
+    np, g_hi, g_lo = _geo()
+    u64 = np.uint64
+    k = ((_PCG_MULT - 1) * state + inc) & _MASK128
+    m32, s32, k_lo, s_lo = u64(_MASK32), u64(32), u64(k & _MASK64), u64(state & _MASK64)
+    k0, k1 = u64(k & _MASK32), u64((k >> 32) & _MASK32)
+    # The cross terms, which reach only the high word.
+    hi = g_hi * k_lo
+    hi += g_lo * u64(k >> 64)
+    # The high word of g_lo * k_lo, from the 32-bit halves a1:a0 and k1:k0.
+    a0, a1 = g_lo & m32, g_lo >> s32
+    p01, p10 = a0 * k1, a1 * k0
+    a1 *= k1  # p11
+    hi += a1
+    hi += np.right_shift(p01, s32, out=a1)
+    hi += np.right_shift(p10, s32, out=a1)
+    a0 *= k0  # p00
+    a0 >>= s32
+    p01 &= m32
+    p10 &= m32
+    a0 += p01
+    a0 += p10  # the middle column, whose carry reaches the high word
+    a0 >>= s32
+    hi += a0
+    # The low word, then s with the carry out of its low word.
+    lo = g_lo * k_lo
+    lo += s_lo
+    hi += u64(state >> 64)
+    hi += lo < s_lo
+    # Each state's XSL-RR output, as `(x >> 11) * 2**-53`.
+    x = hi ^ lo
+    rot = hi >> u64(58)
+    right = x >> rot
+    np.subtract(u64(64), rot, out=rot)
+    rot &= u64(63)
+    x <<= rot
+    x |= right
+    x >>= u64(11)
+    return (x * 2.0**-53)[::-1].tolist(), (int(hi[-1]) << 64) | int(lo[-1])
 
 
 class RngStream:
     """Named deterministic uniform stream: `Generator(PCG64(seed)).random()`.
 
-    The seed is `derive_substream_seed(master_seed, name)`. Lane j of the
-    `_BLOCK` lanes yields draws j, j + _BLOCK, .... A refill turns the lanes
-    into a list of Python floats in reverse order, so uniform() hands out the
-    next float64 in [0, 1) with one list pop, and jumps every lane `_BLOCK`
-    steps ahead.
+    The seed is `derive_substream_seed(master_seed, name)`. The stream is
+    PCG64's (state, increment) and a list of the block's floats in reverse
+    order, so uniform() hands out the next float64 in [0, 1) with one list
+    pop, and a refill computes the next `_BLOCK` draws from the state.
     """
 
-    __slots__ = ("_hi", "_lo", "_jump_add", "_buf")
+    __slots__ = ("_state", "_inc", "_buf")
 
     def __init__(self, master_seed, name):
-        lanes = _lanes()
-        state, inc = _pcg64_seed(derive_substream_seed(master_seed, name))
-        self._hi, self._lo = lanes.geo[0].copy(), lanes.geo[1].copy()
-        lanes.mul_add(self._hi, self._lo, ((_PCG_MULT - 1) * state + inc) & _MASK128, state)
-        self._jump_add = (lanes.geo_block * inc) & _MASK128
+        self._state, self._inc = _pcg64_seed(derive_substream_seed(master_seed, name))
         self._buf = []
 
     def uniform(self):
         try:
             return self._buf.pop()
         except IndexError:
-            lanes = _lanes()
-            self._buf = lanes.uniforms(self._hi, self._lo)
-            lanes.mul_add(self._hi, self._lo, lanes.jump, self._jump_add)
+            self._buf, self._state = _block(self._state, self._inc)
             return self._buf.pop()

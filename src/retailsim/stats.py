@@ -37,9 +37,7 @@ _CF_FPMIN = 1e-300
 
 def _beta_contfrac(a, b, x):
     """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _CF_FPMIN:
@@ -48,25 +46,20 @@ def _beta_contfrac(a, b, x):
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even step's coefficient, then the odd step's.
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_FPMIN:
+                d = _CF_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _CF_FPMIN:
+                c = _CF_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError(

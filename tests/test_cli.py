@@ -20,7 +20,7 @@ from retailsim import cli, department, experiments
 from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
 from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
-from retailsim.experiments import MAX_JOBS, derive_cell_seed, save_results
+from retailsim.experiments import MAX_JOBS, MAX_REPLICATIONS, derive_cell_seed, save_results
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
 
 
@@ -460,6 +460,19 @@ def test_sweep_rejects_bad_usage(short_dir, tmp_path, capsys):
     dup = ["sweep", "--experiment", "cashiers", "--out", str(out), "--configs", atv, atv]
     assert main(dup) == 2
     assert "duplicate department label" in capsys.readouterr().err
+
+
+def test_sweep_rejects_reps_beyond_the_ceiling(short_dir, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(experiments, "run_sweep", refuse)
+    for reps in (0, MAX_REPLICATIONS + 1, 10**9):
+        argv = sweep_argv(short_dir, tmp_path / "x.csv") + ["--reps", str(reps)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--reps must be between 1 and {MAX_REPLICATIONS}, got {reps}" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_jobs_beyond_the_ceiling(short_dir, tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from retailsim.config import (
     load_config,
 )
 from retailsim.department import DepartmentSim, run_replication
+from retailsim.experiments import run_sweep
 from retailsim.sampling import TriangularParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -511,10 +512,12 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
     assert metrics.customers_entered == metrics.customers_left
 
 
-# The metamorphic relations of test_department.py, over fuzzed configs on
-# 1- to 3-day horizons: a shorter horizon replays the start of a longer one,
-# and without refunds neither the empowerment policy nor the cashier order
-# changes anything.
+# The metamorphic relations of test_department.py and test_experiments.py,
+# over fuzzed configs on 1- to 3-day horizons: a shorter horizon replays the
+# start of a longer one; without refunds neither the empowerment policy nor
+# the cashier order changes anything; at full empowerment neither the hold
+# flag nor an extra section manager does; and a sweep with fewer
+# replications gives the leading rows of one with more.
 SEEDS = st.integers(0, 2**63 - 1)
 
 
@@ -550,6 +553,43 @@ def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, se
     runs = [run_replication(variant, seed=seed, strict=True) for variant in variants]
     assert all(metrics == runs[0] for metrics in runs[1:])
     assert runs[0].refunds_completed == runs[0].abandoned_refund == 0
+
+
+@FUZZ
+@given(valid_configs(), SEEDS, st.integers(1, 3))
+def test_fuzzed_configs_at_full_empowerment_ignore_the_hold_flag_and_managers(root, seed, days):
+    config = shorten(load_root(root), days)
+    base = dataclasses.replace(
+        config, empowerment=dataclasses.replace(config.empowerment, p_empowered=1.0)
+    )
+    hold = base.empowerment.hold_cashier_during_referral
+    staffing = base.staffing
+    variants = [
+        base,
+        dataclasses.replace(base, empowerment=dataclasses.replace(
+            base.empowerment, hold_cashier_during_referral=not hold)),
+        dataclasses.replace(base, staffing=dataclasses.replace(
+            staffing, section_managers=staffing.section_managers + 1)),
+    ]
+    runs = [run_replication(variant, seed=seed, strict=True) for variant in variants]
+    # No manager ever works, so manager utilization is 0, or empty with none.
+    assert [m.manager_utilization for m in runs[1:]] == [runs[0].manager_utilization, 0.0]
+    runs = [dataclasses.replace(m, manager_utilization=None) for m in runs]
+    assert all(metrics == runs[0] for metrics in runs[1:])
+    assert runs[0].manager_authorizations == 0
+
+
+@FUZZ
+@given(valid_configs(), SEEDS, st.integers(1, 3), st.sampled_from(["cashiers", "empowerment"]))
+def test_fuzzed_sweeps_with_fewer_replications_give_the_leading_rows(root, seed, days, experiment):
+    config = shorten(load_root(root), days)
+    # The empowerment levels below 1 need a section manager to refer to.
+    assume(experiment == "cashiers" or config.staffing.section_managers > 0)
+    configs = {config.label: config}
+    two = run_sweep(experiment, configs, replications=2, base_seed=seed)
+    three = run_sweep(experiment, configs, replications=3, base_seed=seed)
+    assert len(three) == 15
+    assert two == [row for row in three if row.replication <= 2]
 
 
 def wrong_types(field):

@@ -11,6 +11,7 @@ from retailsim.experiments import (
     CASHIER_LEVELS,
     EMPOWERMENT_LEVELS,
     MAX_JOBS,
+    MAX_REPLICATIONS,
     cashier_fill_plan,
     derive_cell_seed,
     format_summary_table,
@@ -160,6 +161,19 @@ def test_sweep_rejects_jobs_outside_the_bound(recording_executor, atv_week, jobs
     with pytest.raises(ValueError, match=f"jobs must be between 1 and {MAX_JOBS}"):
         run_sweep("cashiers", {"A&TV": atv_week}, replications=1, jobs=jobs)
     assert recording_executor.sizes == []
+
+
+@pytest.mark.parametrize("replications", [0, MAX_REPLICATIONS + 1, 10**9])
+def test_sweep_rejects_replications_outside_the_bound(monkeypatch, atv_week, replications):
+    # Refused before any cell's seed is hashed, so no task list is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep task was built")
+
+    monkeypatch.setattr(experiments, "derive_cell_seed", refuse)
+    monkeypatch.setattr(experiments, "run_replication", refuse)
+    match = f"replications must be between 1 and {MAX_REPLICATIONS}, got {replications}"
+    with pytest.raises(ValueError, match=match):
+        run_sweep("cashiers", {"A&TV": atv_week}, replications=replications)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -126,6 +126,22 @@ def test_stream_is_numpys_pcg64_generator(master_seed):
     assert [stream.uniform() for _ in range(count)] == oracle.random(count).tolist()
 
 
+@pytest.mark.parametrize("master_seed", [0, 7, 2**63, 2**64 - 1])
+def test_each_refill_advances_the_state_as_numpys_pcg64(master_seed):
+    # A refill moves the stream's own (state, inc) on by one block; numpy's
+    # PCG64 advanced by the same number of steps must hold the same pair.
+    stream = RngStream(master_seed, "arrivals")
+    oracle = np.random.PCG64(derive_substream_seed(master_seed, "arrivals"))
+    for _ in range(1000):
+        expected = oracle.state["state"]
+        assert (stream._state, stream._inc) == (expected["state"], expected["inc"])
+        stream._buf.clear()  # so the next draw refills
+        stream.uniform()
+        oracle.advance(_BLOCK)
+    expected = oracle.state["state"]
+    assert (stream._state, stream._inc) == (expected["state"], expected["inc"])
+
+
 @pytest.mark.parametrize(
     "entropy",
     [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 0x9E3779B97F4A7C15, 2**96 + 5, 2**128 - 1],
