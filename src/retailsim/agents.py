@@ -1,13 +1,13 @@
 """Customer and staff agents, the customer statechart, satisfaction events.
 
-Customers are passive records driven by the department's event handlers; the
-statechart here only polices that each transition is legal, so a handler bug
-surfaces as an IllegalTransition naming both states instead of silently
-corrupting counters. The event that made the move is named by the handler
-running it, which the kernel's fault message and a trace both report. A
-customer holds only what some handler reads back; why they came in (to buy
-or to return an item) is decided by the arrival handler's branch and not
-stored, and a queued customer is its own queue entry.
+Customers and staff are passive records: the department's event handlers
+drive customers and seize staff. The statechart here only polices that each
+transition is legal, so a handler bug surfaces as an IllegalTransition naming
+both states instead of silently corrupting counters. The event that made the
+move is named by the handler running it, which the kernel's fault message and
+a trace both report. A customer holds only what some handler reads back; why
+they came in (to buy or to return an item) is decided by the arrival
+handler's branch and not stored, and a queued customer is its own queue entry.
 """
 
 from __future__ import annotations
@@ -152,14 +152,3 @@ class StaffAgent:
     def __repr__(self):
         return f"StaffAgent(id={self.id}, role={self.role.name}, busy={self.busy})"
 
-
-def begin_service(staff, customer, duration, calendar, handler):
-    """Seize an idle staff member for `customer` and schedule the completion.
-
-    The completion, an event that calls `handler(customer)`, becomes the
-    customer's pending event: it supersedes a queued customer's renege
-    timer, and a day close can supersede it in turn.
-    """
-    staff.begin(calendar.now)
-    customer.serving_staff = staff
-    customer.pending = calendar.schedule(calendar.now + duration, handler, customer)

@@ -56,8 +56,9 @@ def _fmt_p(p):
 
 
 def _fmt_f(f):
+    """An ANOVA F or Levene W; the note after it says why one is undefined."""
     if math.isnan(f):
-        return "undefined (zero within-cell variance)"
+        return "undefined"
     return f"{f:.2f}"
 
 

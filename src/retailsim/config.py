@@ -1,13 +1,13 @@
 """Department configuration: a config is its sections, one record each.
 
-Config files are TOML, read with the standard library's tomllib. Each field
-of `DepartmentConfig` after `label` is a section, read into the frozen record
-its annotation names: `sampling.ArrivalProfile`, `queueing.EmpowermentPolicy`
-or one below. A record's fields are its section's keys, their defaults those
-of omitted keys, and its `__post_init__` holds every bound; the one reader,
-`_record`, walks the fields. The rule across sections, that referred refunds
-need a manager on staff, is `DepartmentConfig.__post_init__`, so a config
-changed in code obeys it too. A duration is a min/mode/max table or a bare
+Config files are TOML, read with tomllib; this module imports no other part
+of the package. Each field of `DepartmentConfig` after `label` is a section,
+read into the frozen record below that its annotation names. A record's
+fields are its section's keys, their defaults those of omitted keys, and its
+`__post_init__` holds every bound; the one reader, `_record`, walks the
+fields. The rule across sections, that referred refunds need a manager on
+staff, is `DepartmentConfig.__post_init__`, so a config changed in code obeys
+it too. A duration (`TriangularParams`) is a min/mode/max table or a bare
 number for a fixed one. Numbers must be finite; errors name file and field.
 """
 
@@ -17,10 +17,7 @@ import logging
 import os
 import sys
 import tomllib
-from dataclasses import MISSING, dataclass, fields
-
-from .queueing import EmpowermentPolicy
-from .sampling import ArrivalProfile, TriangularParams
+from dataclasses import MISSING, dataclass, field, fields
 
 log = logging.getLogger("retailsim.config")
 
@@ -31,6 +28,10 @@ MAX_HORIZON_MINUTES = 2**53
 # and scans a role's staff whenever a customer needs one; real departments
 # field a handful.
 MAX_STAFF_PER_ROLE = 1000
+# Ceiling on the arrival rate. Each arrival is a customer agent and a few
+# events, so a typo such as 1e16 would never finish a day, not merely run
+# slowly; the shipped departments take 40 and 80 an hour.
+MAX_ARRIVALS_PER_HOUR = 10_000
 
 
 class ConfigError(ValueError):
@@ -39,6 +40,48 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Schema: one record per TOML section
+
+
+@dataclass(frozen=True)
+class TriangularParams:
+    """Three-point duration estimate (minutes): low <= mode <= high.
+
+    low == high is a fixed duration. `span`, `left` and `right` (high - low,
+    mode - low, high - mode) are derived once here for the sampler.
+    """
+
+    low: float
+    mode: float
+    high: float
+    span: float = field(init=False, repr=False, compare=False)
+    left: float = field(init=False, repr=False, compare=False)
+    right: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (self.low <= self.mode <= self.high):
+            raise ValueError(
+                f"triangular params must satisfy low <= mode <= high, "
+                f"got ({self.low}, {self.mode}, {self.high})"
+            )
+        object.__setattr__(self, "span", self.high - self.low)
+        object.__setattr__(self, "left", self.mode - self.low)
+        object.__setattr__(self, "right", self.high - self.mode)
+
+
+@dataclass(frozen=True)
+class ArrivalProfile:
+    """Poisson arrival intensity, read from [arrivals]; rate 0 keeps the door shut."""
+
+    rate_per_hour: float
+
+    def __post_init__(self):
+        if not self.rate_per_hour >= 0:
+            raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
+        if self.rate_per_hour > MAX_ARRIVALS_PER_HOUR:
+            raise ValueError(
+                f"arrivals.rate_per_hour must be at most {MAX_ARRIVALS_PER_HOUR}, "
+                f"got {self.rate_per_hour}"
+            )
 
 
 @dataclass(frozen=True)
@@ -177,6 +220,35 @@ class SatisfactionWeights:
             v = getattr(self, f.name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"satisfaction_weights.{f.name} must be an integer, got {v!r}")
+
+
+@dataclass(frozen=True)
+class EmpowermentPolicy:
+    """How refunds are authorized.
+
+    With probability p_empowered the serving cashier settles the refund alone
+    (duration scaled by empowered_duration_multiplier); otherwise a section
+    manager must sign off, costing an authorization time on top of the refund
+    service. While hold_cashier_during_referral is true the cashier stays
+    occupied through the wait and authorization; when false the cashier is
+    released after the service portion and the customer alone waits for the
+    manager.
+    """
+
+    p_empowered: float = 1.0
+    hold_cashier_during_referral: bool = True
+    empowered_duration_multiplier: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.p_empowered <= 1.0):
+            raise ValueError(
+                f"empowerment.p_empowered must lie in [0, 1], got {self.p_empowered}"
+            )
+        if not self.empowered_duration_multiplier > 0:
+            raise ValueError(
+                f"empowerment.empowered_duration_multiplier must be > 0, "
+                f"got {self.empowered_duration_multiplier}"
+            )
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from .agents import (  # enum members as plain names: cheap on the hot path
     CASHIER, EXPERT_SELLER, NORMAL_SELLER, SECTION_MANAGER,
     HELP_QUEUE_ABANDONED, HELP_RECEIVED, LEFT_WITHOUT_PURCHASE, PAY_QUEUE_ABANDONED,
     PURCHASE_COMPLETED, REFUND_GRANTED, REFUND_QUEUE_ABANDONED,
-    CustomerAgent, CustomerState, SatisfactionEvent, StaffAgent, begin_service,
+    CustomerAgent, CustomerState, SatisfactionEvent, StaffAgent,
 )
 from .kernel import EventCalendar, RngStream, SimulationFault
-from .queueing import ServiceQueue, find_idle, resolve_refund_path
+from .queueing import ServiceQueue, resolve_refund_path
 from .results import METRIC_FIELDS, RunMetrics  # perfbench's tracer reads METRIC_FIELDS here
 from .sampling import sample_interarrival, sample_triangular
 
@@ -50,6 +50,14 @@ _CREDIT = tuple(
     }.get(state)
     for state in CustomerState
 )
+
+
+def find_idle(staff_list):
+    """First idle member (lowest id, lists are id-ordered), or None."""
+    for staff in staff_list:
+        if not staff.busy:
+            return staff
+    return None
 
 
 def utilization(busy_minutes, headcount, trading_minutes):
@@ -215,6 +223,16 @@ class DepartmentSim:
         self.event_counts[kind] += 1
         self.ledger_sum += w
 
+    def _begin_service(self, staff, customer, duration, handler):
+        """Seize idle `staff` for `customer` and schedule the completion.
+
+        The completion calls `handler(customer)` and is the customer's pending
+        event: it supersedes a renege timer, and a day close can supersede it.
+        """
+        staff.begin(self.cal.now)
+        customer.serving_staff = staff
+        customer.pending = self.cal.schedule(self.cal.now + duration, handler, customer)
+
     def _settle(self, customer, now):
         """Release the staff the customer holds; credit the service they are in.
 
@@ -313,7 +331,7 @@ class DepartmentSim:
     def _start_help(self, customer, staff):
         customer.transition(BEING_HELPED)
         duration = sample_triangular(self.config.durations.help, self.rng_service.uniform())
-        begin_service(staff, customer, duration, self.cal, self._on_help_end)
+        self._begin_service(staff, customer, duration, self._on_help_end)
 
     def _on_help_end(self, customer):
         staff = customer.serving_staff
@@ -328,7 +346,7 @@ class DepartmentSim:
     def _start_pay(self, customer, cashier):
         customer.transition(PAYING)
         duration = sample_triangular(self.config.durations.pay_service, self.rng_service.uniform())
-        begin_service(cashier, customer, duration, self.cal, self._on_pay_end)
+        self._begin_service(cashier, customer, duration, self._on_pay_end)
 
     def _on_pay_end(self, customer):
         cashier = customer.serving_staff
@@ -348,13 +366,13 @@ class DepartmentSim:
         )
         if overhead is None:
             self.autonomous_refunds += 1
-            begin_service(cashier, customer, duration, self.cal, self._on_refund_end)
+            self._begin_service(cashier, customer, duration, self._on_refund_end)
             return
         self.manager_authorizations += 1
         customer.refund_overhead = overhead
         if not config.empowerment.hold_cashier_during_referral:
             # The cashier does the service part alone; the manager signs off after.
-            begin_service(cashier, customer, duration, self.cal, self._on_refund_service_end)
+            self._begin_service(cashier, customer, duration, self._on_refund_service_end)
             return
         cashier.begin(self.cal.now)
         customer.serving_staff = cashier

@@ -3,10 +3,10 @@
 `RunMetrics` is one replication's outcome and `ResultRow` tags it with its
 sweep cell. A results CSV holds the cell columns, then one column per metric,
 with round-trip float formatting; `load_results` reads one back and names the
-line and column of any bad cell. `write_csv` writes every CSV the CLI makes,
-results, `run --out` and analysis files alike: one dialect, one cell format,
-and each file is written beside its target and moved into place, so no reader
-sees half of one.
+line and column of any bad cell or broken row identity. `write_csv` writes
+every CSV the CLI makes, results, `run --out` and analysis files alike: one
+dialect, one cell format, and each file is written beside its target and
+moved into place, so no reader sees half of one.
 
 This module imports only the standard library, so `analyze` reads results
 without loading the simulation model.
@@ -133,11 +133,31 @@ def _parse_metric(text):
 _ID_PARSERS = (str, str, _parse_level, int, int)
 
 
+def _broken_identity(m):
+    """(first column involved, rule) of the first row identity `m` breaks, or None.
+
+    Every replication satisfies these, checked in column order; a row that
+    breaks one was edited or cut short.
+    """
+    if m.overall_satisfaction != m.satisfaction_ledger_sum:
+        return "overall_satisfaction", "must equal satisfaction_ledger_sum"
+    for name in ("cashier_utilization", "seller_utilization", "manager_utilization"):
+        u = getattr(m, name)
+        if u is not None and not 0 <= u <= 1:
+            return name, f"{u!r} does not lie in [0, 1]"
+    if m.customers_entered != m.customers_left:
+        return "customers_entered", "must equal customers_left"
+    if m.refunds_completed > m.manager_authorizations + m.autonomous_refunds:
+        return "refunds_completed", "exceeds manager_authorizations + autonomous_refunds"
+    return None
+
+
 def load_results(path):
     """Read a results CSV back into ResultRows.
 
-    A cell that does not parse, and a level or metric that is NaN or
-    infinite, raises a ValueError naming the file, the line and the column.
+    A cell that does not parse, a level or metric that is NaN or infinite,
+    and a row that breaks an identity of `_broken_identity` raise a
+    ValueError naming the file, the line and the column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -159,7 +179,13 @@ def load_results(path):
                     raise ValueError(
                         f"{path}: line {reader.line_num}, column {column!r}: {exc}"
                     ) from None
-            rows.append(ResultRow(*values[:5], RunMetrics(*values[5:])))
+            metrics = RunMetrics(*values[5:])
+            broken = _broken_identity(metrics)
+            if broken is not None:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}, column {broken[0]!r}: {broken[1]}"
+                )
+            rows.append(ResultRow(*values[:5], metrics))
     return rows
 
 

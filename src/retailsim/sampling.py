@@ -1,8 +1,8 @@
 """Stochastic primitives: triangular durations and arrivals.
 
-A duration is one three-point estimate, `TriangularParams(low, mode, high)`,
-and low == high is a fixed duration. Both samplers are pure functions of
-(params, u) with u a uniform draw in [0, 1), so every random choice in the
+The two samplers take their parameters from config records (a
+`config.TriangularParams` or `config.ArrivalProfile`) and are pure functions
+of (params, u) with u a uniform draw in [0, 1), so every random choice in the
 simulator is reproducible from the named substreams in `kernel`. A yes/no
 decision with probability p is the inline test `u < p` at its caller, so
 p = 0 never fires and p = 1 always does.
@@ -11,44 +11,6 @@ p = 0 never fires and p = 1 always does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class TriangularParams:
-    """Three-point duration estimate (minutes): low <= mode <= high.
-
-    low == high is a fixed duration. `span`, `left` and `right` (high - low,
-    mode - low, high - mode) are derived once here for the sampler.
-    """
-
-    low: float
-    mode: float
-    high: float
-    span: float = field(init=False, repr=False, compare=False)
-    left: float = field(init=False, repr=False, compare=False)
-    right: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (self.low <= self.mode <= self.high):
-            raise ValueError(
-                f"triangular params must satisfy low <= mode <= high, "
-                f"got ({self.low}, {self.mode}, {self.high})"
-            )
-        object.__setattr__(self, "span", self.high - self.low)
-        object.__setattr__(self, "left", self.mode - self.low)
-        object.__setattr__(self, "right", self.high - self.mode)
-
-
-@dataclass(frozen=True)
-class ArrivalProfile:
-    """Poisson arrival intensity, read from [arrivals]; rate 0 keeps the door shut."""
-
-    rate_per_hour: float
-
-    def __post_init__(self):
-        if not self.rate_per_hour >= 0:
-            raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
 
 
 def sample_triangular(params, u):

@@ -14,11 +14,12 @@ import pytest
 import scipy.stats
 
 from retailsim.cli import main
+from retailsim.config import TriangularParams
 from retailsim.department import DepartmentSim
 from retailsim.experiments import save_results
 from retailsim.kernel import RngStream
 from retailsim.results import METRIC_FIELDS, load_results, results_to_cells
-from retailsim.sampling import TriangularParams, sample_triangular
+from retailsim.sampling import sample_triangular
 from retailsim.stats import (
     anova_two_way,
     f_upper_tail,

@@ -14,12 +14,10 @@ from retailsim.agents import (
     SatisfactionEvent,
     StaffAgent,
     StaffRole,
-    begin_service,
 )
 from retailsim.cli import resolve_config_path
 from retailsim.config import ConfigError, SatisfactionWeights, load_config
 from retailsim.department import DepartmentSim
-from retailsim.kernel import EventCalendar
 
 from conftest import shorten
 from test_department import scripted
@@ -272,8 +270,9 @@ def test_spawn_starts_clean(monkeypatch, atv_week):
 
 
 def test_begin_service_schedules_completion_and_accrues_busy_time():
-    cal = EventCalendar()
-    staff = StaffAgent(0, StaffRole.CASHIER)
+    sim = DepartmentSim(scripted())
+    cal = sim.cal
+    staff = sim.cashiers[0]
     customer = fresh()
     fired = []
 
@@ -281,26 +280,29 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
         fired.append((cal.now, target))
         staff.finish(cal.now)
 
-    begin_service(staff, customer, 4.0, cal, on_pay_end)
-    assert staff.busy and customer.serving_staff is staff
-    assert customer.pending is not None
+    def start(_):
+        sim._begin_service(staff, customer, 4.0, on_pay_end)
+        assert staff.busy and customer.serving_staff is staff
+        assert customer.pending is not None
+
+    cal.schedule(1.5, start)
     cal.run_until(10.0, operator.call)
-    assert fired == [(4.0, customer)]
+    assert fired == [(5.5, customer)]
     assert customer.pending is None
     assert staff.busy_minutes == 4.0
     assert not staff.busy
 
 
 def test_begin_service_on_busy_staff_faults():
-    cal = EventCalendar()
-    staff = StaffAgent(0, StaffRole.NORMAL_SELLER)
+    sim = DepartmentSim(scripted(normal=1))
+    staff = sim.normal_sellers[0]
 
     def on_help_end(target):
         pass
 
-    begin_service(staff, fresh(), 2.0, cal, on_help_end)
+    sim._begin_service(staff, fresh(), 2.0, on_help_end)
     with pytest.raises(RuntimeError, match="not idle"):
-        begin_service(staff, fresh(), 2.0, cal, on_help_end)
+        sim._begin_service(staff, fresh(), 2.0, on_help_end)
 
 
 def test_staff_saturated_all_day():

@@ -63,15 +63,19 @@ def result_row(dept, level, rep, transactions, experiment="cashiers"):
     return ResultRow(experiment, dept, level, rep, seed=rep, metrics=RunMetrics(**values))
 
 
-def write_worked_example(path):
-    # Cell values chosen so the department effect is exactly F(1, 4) = 16.
-    cells = {("A", 1): (1, 3), ("A", 2): (2, 4), ("B", 1): (5, 7), ("B", 2): (6, 8)}
+def write_cells(path, cells):
+    """A results CSV of `transactions` values per (department, level) cell."""
     rows = [
         result_row(dept, level, rep, value)
         for (dept, level), values in cells.items()
         for rep, value in enumerate(values, start=1)
     ]
     save_results(rows, path)
+
+
+def write_worked_example(path):
+    # Cell values chosen so the department effect is exactly F(1, 4) = 16.
+    write_cells(path, {("A", 1): (1, 3), ("A", 2): (2, 4), ("B", 1): (5, 7), ("B", 2): (6, 8)})
 
 
 # -- validate -----------------------------------------------------------------
@@ -137,6 +141,8 @@ def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
         ("need_help = 0.38", "need_help = 1.38", "need_help"),
         ("cashiers = 3", "cashiers = 2.5", "staffing.cashiers"),
         ("days = 70", "days = 0", "at least 1 day"),
+        ("rate_per_hour = 40", "rate_per_hour = 1e16",
+         "arrivals.rate_per_hour must be at most 10000, got 1e+16"),
         ("[staffing]", "[staffing", "line 59"),
     ]
     for old, new, fragment in cases:
@@ -624,6 +630,20 @@ def test_analyze_degenerate_results(tmp_path, capsys):
     assert "Tukey HSD on cashiers levels: skipped (degenerate ANOVA)" in out
 
 
+def test_analyze_levene_undefined_with_within_cell_variance(tmp_path, capsys):
+    # Each cell's absolute deviations are constant (1, 2, 3, 4) but its values
+    # are not: Levene's W has a zero denominator while the ANOVA's does not.
+    results = tmp_path / "spread.csv"
+    write_cells(results, {("A", 1): (9, 11), ("A", 2): (8, 12), ("B", 1): (7, 13),
+                          ("B", 2): (6, 14)})
+    assert main(["analyze", "--results", str(results)]) == 0
+    out = capsys.readouterr().out
+    assert "within: SS = 60, df = 4, MS = 15\n" in out
+    assert "W(3, 4) = undefined, p = undefined\n" in out
+    assert "  note: zero spread in absolute deviations; W is undefined\n" in out
+    assert "zero within-cell variance" not in out
+
+
 def test_analyze_rejects_unknown_metric(tmp_path, capsys):
     results = tmp_path / "worked.csv"
     write_worked_example(results)
@@ -804,8 +824,8 @@ WATCHED = (
 # The simulation model and what only it needs: analysis reads results
 # without it, and computes its quadrature nodes without numpy.polynomial.
 MODEL = (
-    "retailsim.config", "retailsim.department", "retailsim.experiments",
-    "tomllib", "logging", "numpy.polynomial",
+    "retailsim.config", "retailsim.agents", "retailsim.department", "retailsim.experiments",
+    "retailsim.queueing", "retailsim.sampling", "tomllib", "logging", "numpy.polynomial",
 )
 
 
@@ -837,11 +857,9 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     lines = loaded_by(["analyze", "--results", str(results)], WATCHED + MODEL)
     assert "Tukey HSD on cashiers levels (pooled over departments):" in lines
     assert lines[-1] == "0 numpy"
+    # validate reads the config schema alone: no model module, no numpy.
     lines = loaded_by(["validate", "--config", "dept_atv.toml"], WATCHED + MODEL)
-    rc, *loaded = lines[-1].split()
-    assert rc == "0"
-    assert "retailsim.department" not in loaded
-    assert "retailsim.experiments" not in loaded
+    assert lines[-1] == "0 retailsim.config tomllib logging"
     lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"])
     assert lines[-1] == "0 numpy"
     # A serial sweep starts no pool either.

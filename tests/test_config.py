@@ -20,19 +20,21 @@ from hypothesis import strategies as st
 from conftest import shorten, triangular_mean, triangular_variance
 from retailsim.cli import main, resolve_config_path
 from retailsim.config import (
+    MAX_ARRIVALS_PER_HOUR,
     MAX_HORIZON_MINUTES,
     MAX_STAFF_PER_ROLE,
+    ArrivalProfile,
     ConfigError,
     DepartmentConfig,
     Horizon,
     Probabilities,
     StaffingPlan,
+    TriangularParams,
     build_config,
     load_config,
 )
 from retailsim.department import DepartmentSim, run_replication
 from retailsim.experiments import run_sweep
-from retailsim.sampling import TriangularParams
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -347,6 +349,9 @@ def test_size_limits_sit_at_the_documented_constants():
     assert StaffingPlan(MAX_STAFF_PER_ROLE, 0, 0, 0).total() == MAX_STAFF_PER_ROLE
     with pytest.raises(ValueError, match="staffing.expert_sellers must be at most"):
         StaffingPlan(1, 1, MAX_STAFF_PER_ROLE + 1, 1)
+    assert ArrivalProfile(MAX_ARRIVALS_PER_HOUR).rate_per_hour == MAX_ARRIVALS_PER_HOUR
+    with pytest.raises(ValueError, match="arrivals.rate_per_hour must be at most 10000"):
+        ArrivalProfile(MAX_ARRIVALS_PER_HOUR + 0.5)
 
 
 def test_staffing_plan_validation():
@@ -612,6 +617,8 @@ def out_of_bound(section, field):
     if field.type == "int":
         return st.integers(max_value=-1) | st.integers(MAX_HORIZON_MINUTES + 1, 2**63 - 1)
     bad_number = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
+    if field.name == "rate_per_hour":
+        bad_number |= st.floats(MAX_ARRIVALS_PER_HOUR, 1e300, exclude_min=True)
     if field.type == "float":
         return bad_number
     number = st.floats(0.0, 30.0)

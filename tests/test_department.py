@@ -9,11 +9,10 @@ import weakref
 import pytest
 
 from retailsim.agents import SatisfactionEvent
-from retailsim.config import Queues, StaffingPlan, build_config
+from retailsim.config import ArrivalProfile, Queues, StaffingPlan, build_config
 from retailsim.department import DepartmentSim, run_replication, utilization
 from retailsim.kernel import SimulationFault
 from retailsim.results import METRIC_FIELDS
-from retailsim.sampling import ArrivalProfile
 
 from conftest import shorten
 

@@ -5,6 +5,7 @@ import concurrent.futures
 import pytest
 
 from retailsim import experiments, results
+from retailsim.cli import main
 from retailsim.config import StaffingPlan
 from retailsim.kernel import SimulationFault
 from retailsim.experiments import (
@@ -264,6 +265,42 @@ def test_load_results_rejects_short_rows(tmp_path):
     path.write_text(",".join(csv_header()) + "\ncashiers,A,1,1,5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="wrong field count"):
         load_results(path)
+
+
+ROW_EDITS = {
+    "left": ({"customers_left": lambda m: m.customers_left - 1}, "customers_entered"),
+    "ledger": ({"satisfaction_ledger_sum": lambda m: m.overall_satisfaction + 2},
+               "overall_satisfaction"),
+    "refunds": ({"refunds_completed": lambda m: m.manager_authorizations
+                 + m.autonomous_refunds + 1}, "refunds_completed"),
+    "utilization-high": ({"seller_utilization": lambda m: 1.25}, "seller_utilization"),
+    "utilization-negative": ({"manager_utilization": lambda m: -0.5}, "manager_utilization"),
+    # Two identities broken: the error names the earlier column.
+    "first-column": ({"customers_left": lambda m: m.customers_left + 1,
+                      "cashier_utilization": lambda m: 2.0}, "cashier_utilization"),
+}
+
+
+@pytest.mark.parametrize("edits, named", ROW_EDITS.values(), ids=ROW_EDITS)
+def test_load_results_rejects_rows_that_break_an_identity(
+    mini_sweep, tmp_path, capsys, edits, named
+):
+    path = tmp_path / "edited.csv"
+    save_results(mini_sweep, path)
+    load_results(path)
+    # Hand-edit the third row, on line 4 of the file.
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    for column, edit in edits.items():
+        cells[header.index(column)] = str(edit(mini_sweep[2].metrics))
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_results(path)
+    assert str(excinfo.value).startswith(f"{path}: line 4, column {named!r}: ")
+    assert main(["analyze", "--results", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
 
 def test_failed_write_leaves_the_existing_file_intact(tmp_path, monkeypatch):

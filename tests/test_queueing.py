@@ -11,15 +11,10 @@ from retailsim.agents import (
     StaffAgent,
     StaffRole,
 )
-from retailsim.department import DepartmentSim
+from retailsim.config import EmpowermentPolicy, TriangularParams
+from retailsim.department import DepartmentSim, find_idle
 from retailsim.kernel import RngStream
-from retailsim.queueing import (
-    EmpowermentPolicy,
-    ServiceQueue,
-    find_idle,
-    resolve_refund_path,
-)
-from retailsim.sampling import TriangularParams
+from retailsim.queueing import ServiceQueue, resolve_refund_path
 
 from test_department import scripted
 

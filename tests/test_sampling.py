@@ -12,14 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import triangular_mean, triangular_variance
 from test_agents import ConstantRng
+from retailsim.config import ArrivalProfile, EmpowermentPolicy, TriangularParams
 from retailsim.kernel import RngStream
-from retailsim.queueing import EmpowermentPolicy, resolve_refund_path
-from retailsim.sampling import (
-    ArrivalProfile,
-    TriangularParams,
-    sample_interarrival,
-    sample_triangular,
-)
+from retailsim.queueing import resolve_refund_path
+from retailsim.sampling import sample_interarrival, sample_triangular
 
 
 def triangular_params():
