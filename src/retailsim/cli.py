@@ -9,8 +9,9 @@ At module level this imports only the results schema, the statistics and the
 fault type, so `analyze` never loads the simulation model. Each other command
 imports the config, model and sweep modules it needs when it runs.
 
-The console script and `python -m retailsim` run `entry()`, which freezes
-the heap once `main()` returns; `main(argv)` itself has no process-wide effect.
+The console script and `python -m retailsim` run `entry()`, which limits
+OpenBLAS to one thread before `main()` and freezes the heap once it
+returns; `main(argv)` itself has no process-wide effect.
 """
 
 from __future__ import annotations
@@ -310,13 +311,17 @@ def main(argv=None):
 
 
 def entry():
-    """Run main() and return its exit code, the heap frozen.
+    """Run main() with one BLAS thread and return its exit code, the heap frozen.
 
+    No command's matrix products are large enough for OpenBLAS to thread, so
+    unless the user set OPENBLAS_NUM_THREADS, numpy starts no idle helper
+    threads and a parallel sweep forks from a single-threaded process.
     `gc.freeze()` moves every object the command made to the permanent
     generation, which the collections of interpreter shutdown skip: the OS
     takes that memory back at exit anyway. atexit handlers and the flushing
     of stdio still run.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     gc.freeze()
     return status

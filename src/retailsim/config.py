@@ -378,7 +378,7 @@ def load_config(path):
     try:
         with open(path, "rb") as fh:
             root = tomllib.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{source}: {exc}") from None

@@ -223,15 +223,18 @@ class DepartmentSim:
         self.event_counts[kind] += 1
         self.ledger_sum += w
 
-    def _begin_service(self, staff, customer, duration, handler):
-        """Seize idle `staff` for `customer` and schedule the completion.
+    def _begin_service(self, staff, customer, duration=None, handler=None):
+        """Seize idle `staff` for `customer` and, given a handler, schedule the completion.
 
         The completion calls `handler(customer)` and is the customer's pending
         event: it supersedes a renege timer, and a day close can supersede it.
+        With no handler nothing is scheduled: a refund referral that holds its
+        cashier ends through the manager's authorization instead.
         """
         staff.begin(self.cal.now)
         customer.serving_staff = staff
-        customer.pending = self.cal.schedule(self.cal.now + duration, handler, customer)
+        if handler is not None:
+            customer.pending = self.cal.schedule(self.cal.now + duration, handler, customer)
 
     def _settle(self, customer, now):
         """Release the staff the customer holds; credit the service they are in.
@@ -374,8 +377,7 @@ class DepartmentSim:
             # The cashier does the service part alone; the manager signs off after.
             self._begin_service(cashier, customer, duration, self._on_refund_service_end)
             return
-        cashier.begin(self.cal.now)
-        customer.serving_staff = cashier
+        self._begin_service(cashier, customer)
         customer.refund_base = duration
         self._refer(customer)
 

@@ -7,9 +7,12 @@ stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
 repeated sweep is byte-identical. A replication that fails inside a sweep is
 reported as a SimulationFault naming its department, level, replication and
-seed, so it can be rerun on its own. The CSV schema, its reader and its
-atomic writer live in `results`, which the analysis shares; the sweep's
-per-cell summary table groups rows with the ANOVA's own `results_to_cells`.
+seed, so it can be rerun on its own. A parallel sweep's workers are forked
+(the Linux default through Python 3.13) after the parent has loaded numpy
+and built the kernel's refill table, so no worker pays for either. The CSV
+schema, its reader and its atomic writer live in `results`, which the
+analysis shares; the sweep's per-cell summary table groups rows with the
+ANOVA's own `results_to_cells`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import dataclasses
 
 from .config import StaffingPlan
 from .department import run_replication
-from .kernel import SimulationFault, hash_seed
+from .kernel import SimulationFault, hash_seed, refill_table
 from .results import ResultRow, csv_header, results_to_cells, write_csv
 
 CASHIER_LEVELS = (1, 2, 3, 4, 5)
@@ -112,6 +115,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         # Imported here: only a parallel sweep pays for the pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
+        refill_table()  # the forked workers inherit numpy and the RNG's table
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:

@@ -170,8 +170,11 @@ _BLOCK = 2048  # draws per refill
 
 
 @functools.cache
-def _geo():
-    """numpy and G_1 .. G_BLOCK, G_j = 1 + M + ... + M**(j-1), as read-only uint64 (hi, lo)."""
+def refill_table():
+    """numpy and G_1 .. G_BLOCK, G_j = 1 + M + ... + M**(j-1), as read-only uint64 (hi, lo).
+
+    Built at a process's first refill, or by a parallel sweep before it forks.
+    """
     import numpy as np
 
     geo, g = [], 0
@@ -194,7 +197,7 @@ def _block(state, inc):
     summed from the products of 32-bit halves. Every constant is an np.uint64,
     so nothing is promoted to float under numpy 1.x's value-based casting.
     """
-    np, g_hi, g_lo = _geo()
+    np, g_hi, g_lo = refill_table()
     u64 = np.uint64
     k = ((_PCG_MULT - 1) * state + inc) & _MASK128
     m32, s32, k_lo, s_lo = u64(_MASK32), u64(32), u64(k & _MASK64), u64(state & _MASK64)

@@ -15,6 +15,7 @@ without loading the simulation model.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from contextlib import contextmanager, suppress
@@ -155,37 +156,40 @@ def _broken_identity(m):
 def load_results(path):
     """Read a results CSV back into ResultRows.
 
-    A cell that does not parse, a level or metric that is NaN or infinite,
-    and a row that breaks an identity of `_broken_identity` raise a
-    ValueError naming the file, the line and the column.
+    A file that is not UTF-8 text raises a ValueError naming the file; a
+    cell that does not parse, a level or metric that is NaN or infinite, and
+    a row that breaks an identity of `_broken_identity` raise one naming the
+    file, the line and the column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != csv_header():
-            raise ValueError(
-                f"{path}: unexpected results header; expected {csv_header()!r}"
-            )
-        parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
-        rows = []
-        for record in reader:
-            if len(record) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
-            values = []
-            for parse, column, text in zip(parsers, header, record):
-                try:
-                    values.append(parse(text))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}, column {column!r}: {exc}"
-                    ) from None
-            metrics = RunMetrics(*values[5:])
-            broken = _broken_identity(metrics)
-            if broken is not None:
+    try:
+        with open(path, "rb") as fh:
+            content = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(content, newline=""))
+    header = next(reader, None)
+    if header != csv_header():
+        raise ValueError(f"{path}: unexpected results header; expected {csv_header()!r}")
+    parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
+    rows = []
+    for record in reader:
+        if len(record) != len(header):
+            raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
+        values = []
+        for parse, column, text in zip(parsers, header, record):
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
                 raise ValueError(
-                    f"{path}: line {reader.line_num}, column {broken[0]!r}: {broken[1]}"
-                )
-            rows.append(ResultRow(*values[:5], metrics))
+                    f"{path}: line {reader.line_num}, column {column!r}: {exc}"
+                ) from None
+        metrics = RunMetrics(*values[5:])
+        broken = _broken_identity(metrics)
+        if broken is not None:
+            raise ValueError(
+                f"{path}: line {reader.line_num}, column {broken[0]!r}: {broken[1]}"
+            )
+        rows.append(ResultRow(*values[:5], metrics))
     return rows
 
 

@@ -702,6 +702,29 @@ def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
     assert f"error: {results}: line 3, column {column!r}: {reason}" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep", "analyze"])
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys, atv_text, command):
+    # Each file is valid apart from one Latin-1 byte on its last line.
+    config = tmp_path / "latin1.toml"
+    config.write_bytes(atv_text.encode("utf-8") + b"# caf\xe9\n")
+    results = tmp_path / "latin1.csv"
+    write_worked_example(results)
+    results.write_bytes(results.read_bytes() + b"caf\xe9\n")
+    out = tmp_path / "out.csv"
+    argv, path = {
+        "validate": (["validate", "--config", str(config)], config),
+        "run": (["run", "--config", str(config), "--seed", "1"], config),
+        "sweep": (["sweep", "--experiment", "cashiers", "--reps", "1", "--out", str(out),
+                   "--configs", str(config)], config),
+        "analyze": (["analyze", "--results", str(results), "--out", str(out)], results),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "'utf-8' codec can't decode byte 0xe9" in err
+    assert not out.exists()
+
+
 # -- config resolution ----------------------------------------------------------------
 
 
@@ -802,6 +825,36 @@ def test_module_entry_freezes_the_heap_and_keeps_output(tmp_path, capsys, monkey
     assert main(argv) == rc
     captured = capsys.readouterr()
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, captured.out, captured.err)
+
+
+# Replaces main() with a report of OpenBLAS's thread setting and of the
+# process's thread count once numpy is loaded, then runs the entry.
+BLAS_PROBE = """\
+import os, sys
+from retailsim import cli
+def probe():
+    import numpy
+    print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+    return 0
+cli.main = probe
+sys.exit(cli.entry())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_entry_loads_openblas_with_one_thread_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    if preset is None:
+        assert (setting, threads) == ("1", "1")
+    else:
+        assert setting == preset
 
 
 def test_console_script_is_the_entry():

@@ -4,7 +4,7 @@ import concurrent.futures
 
 import pytest
 
-from retailsim import experiments, results
+from retailsim import experiments, kernel, results
 from retailsim.cli import main
 from retailsim.config import StaffingPlan
 from retailsim.kernel import SimulationFault
@@ -118,6 +118,25 @@ def test_sweep_parallel_matches_serial(mini_sweep, atv_week, ww_week):
         jobs=2,
     )
     assert parallel == mini_sweep
+
+
+def test_parallel_sweep_workers_start_warm(monkeypatch, atv_config):
+    # A worker forked before the parent built the RNG's refill table would
+    # find the table's cache empty at its first cell and build its own.
+    original = experiments.run_replication
+
+    def warm_only(config, seed=None):
+        if kernel.refill_table.cache_info().currsize == 0:
+            raise RuntimeError("worker started without the refill table")
+        return original(config, seed=seed)
+
+    kernel.refill_table.cache_clear()
+    # Worker processes are forked, so they inherit the patched function.
+    monkeypatch.setattr(experiments, "run_replication", warm_only)
+    rows = run_sweep("cashiers", {"A&TV": shorten(atv_config, days=1)}, replications=2, jobs=2)
+    assert [(r.level, r.replication) for r in rows] == [
+        (level, rep) for level in CASHIER_LEVELS for rep in (1, 2)
+    ]
 
 
 class RecordingExecutor:
