@@ -3,8 +3,9 @@
 
 Every sweep byte rests on the C library's log1p: `sample_interarrival` turns
 an arrival-stream draw u into a gap through -log1p(-u). Every Tukey p-value
-rests on its exp, which `stats._ndtr` calls once per element it evaluates in
-a tail, and every ANOVA, Levene and Tukey p-value on its lgamma, log and
+rests on its exp, which `stats._ndtr` takes once per element it evaluates in
+a tail (numpy's complex exp calls the C library's cexp, and cexp(x + 0i) is
+exp(x)), and every ANOVA, Levene and Tukey p-value on its lgamma, log and
 log1p, which `f_upper_tail` and `studentized_range_upper_tail` call. On glibc
 2.36 log1p misses the correctly rounded result on about 7% of stream draws
 and exp on under 0.1% of the analysis's arguments, so a C library that rounds
@@ -13,13 +14,14 @@ those arguments differently moves the output.
 The table holds the bits of `math.log1p(-u)` for 1,000 draws u of
 `RngStream(0, "arrivals")` whose result is correctly rounded and 1,000 whose
 result is not, taken in draw order, and of `math.exp` at 500 such arguments
-of each kind that `_ndtr` receives in Tukey tails at k = 5 and df = 190 (the
-cashier sweep's design). It also holds `math.lgamma`, `math.log` and
-`math.log1p` at every distinct argument they receive while `retailsim
-analyze` runs each metric of the two 200-row results of 1-day sweeps at base
-seed 1 (20 replications per cell, the packaged departments): the two tail
-functions are their only callers there. mpmath at 256 bits decides which
-results are correctly rounded. Each line reads
+of each kind that `_ndtr` passes its exp (the tail elements' -z*z) in Tukey
+tails at k = 5 and df = 190 (the cashier sweep's design), in call order. It
+also holds `math.lgamma`, `math.log` and `math.log1p` at every distinct
+argument they receive while `retailsim analyze` runs each metric of the two
+200-row results of 1-day sweeps at base seed 1 (20 replications per cell,
+the packaged departments): the two tail functions are their only callers
+there. mpmath at 256 bits decides which results are correctly rounded; only
+writing the table needs it. Each line reads
 
     function  argument  result  rounded|misrounded  error-in-ulps  source
 
@@ -38,8 +40,6 @@ import pathlib
 import sys
 import tempfile
 
-import mpmath
-
 from retailsim import cli, stats
 from retailsim.config import load_config
 from retailsim.experiments import run_sweep, save_results
@@ -53,11 +53,11 @@ ANALYZE_INPUT = {"days": 1, "reps": 20, "base_seed": 1}  # 200 rows per experime
 MPMATH_NAMES = {"lgamma": "loggamma"}
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "libm_table.txt"
 
-mpmath.mp.prec = 256
-
 
 def classify(name, x):
-    """(result, rounded, error in ulps) of math.<name>(x) against mpmath."""
+    """(result, rounded, error in ulps) of math.<name>(x) against mpmath at 256 bits."""
+    import mpmath  # only classifying needs it; the argument sources do not
+    mpmath.mp.prec = 256
     got = getattr(math, name)(x)
     exact = getattr(mpmath, MPMATH_NAMES.get(name, name))(mpmath.mpf(x))
     nearest = float(exact)  # mpmath rounds to nearest
@@ -84,16 +84,21 @@ def arrival_arguments():
 
 
 def ndtr_exp_arguments():
-    """The arguments `_ndtr` passes math.exp, in call order, each once."""
+    """The arguments `_ndtr` passes its exp (the tail elements' -z*z), in call order, each once.
+
+    The normal-axis nodes are recomputed first, so the arguments of their own
+    `_ndtr` call lead, as they do in a fresh process.
+    """
     seen = set()
-    real_exp = math.exp
+    real_exp = stats._exp
+    stats._z_nodes.cache_clear()
     for step in range(1, 200):
         calls = []
-        math.exp = lambda x: calls.append(x) or real_exp(x)
+        stats._exp = lambda x: calls.extend(x.tolist()) or real_exp(x)
         try:
             stats.studentized_range_upper_tail(0.5 * step, 5, 190)
         finally:
-            math.exp = real_exp
+            stats._exp = real_exp
         for x in calls:
             if x not in seen:
                 seen.add(x)
@@ -130,6 +135,7 @@ def analyze_arguments():
         directory = pathlib.Path(tmp)
         inputs = list(analysis_inputs(directory))
         out = directory / "analysis.csv"
+        stats._s_nodes.cache_clear()  # its lgamma and log calls are recorded too
         for name in ANALYZE_FUNCTIONS:
             setattr(math, name, recording(name))
         try:

@@ -290,6 +290,14 @@ def build_parser():
     return parser
 
 
+def _input_paths(args):
+    """The files the command reads: its results CSV or its resolved config files."""
+    if args.command == "analyze":
+        return [args.results]
+    names = [args.config] if args.command == "run" else args.configs
+    return [resolve_config_path(name) for name in names]
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)  # run, sweep and analyze write one file
@@ -298,6 +306,10 @@ def main(argv=None):
             raise ValueError(f"--out {out}: is a directory")
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise ValueError(f"--out {out}: no directory {os.path.dirname(out)}")
+        if out and os.path.exists(out):
+            for path in _input_paths(args):
+                if os.path.exists(path) and os.path.samefile(out, path):
+                    raise ValueError(f"--out {out}: is the input {path}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,16 @@ studentized-range tail via composite Gauss-Legendre quadrature over both the
 scaled-chi axis and the normal-range axis. The normal CDF inside that
 integral is a port of the Cephes `ndtr` (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989) that returns the C routine's bits, so the
-package needs numpy alone. The Gauss-Legendre base rule is a table of
-literals, not an eigensolve. The inner integral is summed one panel of widths
-at a time into one vector, with no widths-by-nodes matrix held, and the
-result has the bits of the whole-matrix evaluation. Where ndtr(z - w) lies
-below half a float spacing of ndtr(z) (Mills ratio), it is not evaluated,
-because the difference rounds back to ndtr(z). The test suite cross-checks
-every route against independent implementations, scipy's among them.
+package needs numpy alone; its exp is the C library's, taken for a whole
+array in one C loop by numpy's complex exp. The Gauss-Legendre base rule is
+a table of literals, not an eigensolve, and each axis's nodes are computed
+once per process (the scaled-chi axis's once per df). The inner integral is
+summed one panel of widths at a time into one vector, with no
+widths-by-nodes matrix held, and the result has the bits of the
+whole-matrix evaluation. Where ndtr(z - w) lies below half a float spacing
+of ndtr(z) (Mills ratio), it is not evaluated, because the difference
+rounds back to ndtr(z). The test suite cross-checks every route against
+independent implementations, scipy's among them.
 
 Each function that computes on arrays imports numpy itself, so importing this
 module does not: the CLI imports it for every command, and `validate`,
@@ -249,8 +252,8 @@ def levene_test(groups):
 # Normal CDF: Cephes ndtr, erf and erfc
 #
 # The same rational approximations as the C routines, evaluated in the same
-# operand order, with exp taken from the C library through math.exp: numpy's
-# vectorised exp can differ from it in the last bit, and so would the CDF.
+# operand order, with exp taken from the C library (see _exp): numpy's float
+# exp can differ from it in the last bit, and so would the CDF.
 
 _SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); exp(-x*x) underflows past it
@@ -314,12 +317,24 @@ def _erf_inner(x):
     return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
 
 
+def _exp(x):
+    """exp of a float array with the C library's bits, as math.exp returns them.
+
+    numpy's float exp is its own SIMD routine and differs from the C library
+    in the last bit on some arguments. Its complex exp calls the C library's
+    cexp in one C loop, and cexp(x + 0i) is exp(x) * 1, which is exp(x).
+    """
+    import numpy as np
+    return np.exp(x.astype(complex)).real
+
+
 def _ndtr(a):
     """Standard normal CDF of an array, bit for bit the Cephes `ndtr`.
 
     With x = a / sqrt(2): 0.5 + 0.5 erf(x) where |x| < sqrt(1/2), otherwise
     h = erfc(|x|) / 2, and 1 - h where x > 0. erfc is 1 - erf below 1, the
-    P/Q or R/S ratio times exp(-x*x) up to sqrt(MAXLOG), and 0 beyond.
+    P/Q or R/S ratio times exp(-x*x) up to sqrt(MAXLOG), and 0 beyond. The
+    exp of all those tail elements is one call of _exp.
     """
     import numpy as np
     a = np.asarray(a, dtype=float)
@@ -333,7 +348,7 @@ def _ndtr(a):
     h[mid] = 0.5 * (1.0 - _erf_inner(z[mid]))
     tail = np.flatnonzero((z >= 1.0) & (zz <= _MAXLOG))
     zt = z[tail]
-    expo = np.fromiter(map(math.exp, memoryview(-zz[tail])), float, count=tail.size)
+    expo = _exp(-zz[tail])
     erfc = np.empty_like(zt)
     near = zt < 8.0
     far = ~near
@@ -414,9 +429,10 @@ def _range_cdf_at(w, k):
     panel-sized buffer, so no (len(w), len(zs)) matrix is held and the
     temporaries inside _ndtr stay cache-sized. Where z - w lies below the
     node's cut (see _z_nodes), the difference is ndtr(z) to the bit, so _ndtr
-    runs on the other elements only; in the cashier sweep's tails that skips
-    about a third of them. Every step is elementwise except the product,
-    which numpy computes row by row with the bits of the whole-matrix product.
+    runs on the other elements only, and not at all for a panel that has
+    none; in the cashier sweep's tails that skips about a third of them.
+    Every step is elementwise except the product, which numpy computes row
+    by row with the bits of the whole-matrix product.
     """
     import numpy as np
     zs, phi_w, ndtr_zs, cut = _z_nodes()
@@ -426,13 +442,36 @@ def _range_cdf_at(w, k):
     for panel in w.reshape(-1, _GL_ORDER):
         np.subtract(zs, panel[:, None], out=rows)  # the arguments a = z - w
         np.greater_equal(rows, cut, out=live)
-        ndtr_a = _ndtr(rows[live])
+        args = rows[live]
         rows[...] = ndtr_zs
-        rows[live] -= ndtr_a
+        if args.size:
+            rows[live] -= _ndtr(args)
         np.clip(rows, 0.0, 1.0, out=rows)
         rows **= k - 1
         sums.append(rows @ phi_w)
     return k * np.concatenate(sums)
+
+
+@functools.cache
+def _s_nodes(df):
+    """Scaled-chi nodes at df and their weights times the density of s there.
+
+    Every tail at one df integrates over these same nodes.
+    """
+    import numpy as np
+    spread = 12.0 / math.sqrt(2.0 * df)
+    lo = max(0.0, 1.0 - spread)
+    hi = 1.0 + spread
+    ss, sw = _gl_panels(lo, hi, _S_PANELS)
+    # log density of s, exponentiated per node: stays finite for any df
+    # because the peak log-density cancels inside the exp.
+    ln_c = (df / 2.0) * math.log(df) + (1.0 - df / 2.0) * math.log(2.0) - math.lgamma(
+        df / 2.0
+    )
+    dens = np.exp(ln_c + (df - 1.0) * np.log(ss) - df * ss * ss / 2.0)
+    s_w = sw * dens
+    ss.flags.writeable = s_w.flags.writeable = False  # every caller gets these arrays
+    return ss, s_w
 
 
 def studentized_range_upper_tail(q, k, df):
@@ -453,17 +492,8 @@ def studentized_range_upper_tail(q, k, df):
         return 1.0
     if math.isinf(q):
         return 0.0
-    spread = 12.0 / math.sqrt(2.0 * df)
-    lo = max(0.0, 1.0 - spread)
-    hi = 1.0 + spread
-    ss, sw = _gl_panels(lo, hi, _S_PANELS)
-    # log density of s, exponentiated per node: stays finite for any df
-    # because the peak log-density cancels inside the exp.
-    ln_c = (df / 2.0) * math.log(df) + (1.0 - df / 2.0) * math.log(2.0) - math.lgamma(
-        df / 2.0
-    )
-    dens = np.exp(ln_c + (df - 1.0) * np.log(ss) - df * ss * ss / 2.0)
-    cdf = float(np.dot(sw * dens, _range_cdf_at(q * ss, k)))
+    ss, s_w = _s_nodes(df)
+    cdf = float(np.dot(s_w, _range_cdf_at(q * ss, k)))
     return min(max(1.0 - cdf, 0.0), 1.0)
 
 

@@ -552,6 +552,36 @@ def test_out_naming_a_directory_fails_before_any_work(
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
+def test_out_naming_an_input_fails_before_any_work(
+    short_dir, tmp_path, capsys, monkeypatch, command
+):
+    calls = []
+
+    def failing(config, seed=None):
+        calls.append(seed)
+        raise ZeroDivisionError("must not run")
+
+    monkeypatch.setattr(department, "run_replication", failing)
+    monkeypatch.setattr(experiments, "run_replication", failing)
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    atv, ww = short_dir / "short_atv.toml", short_dir / "short_ww.toml"
+    target, argv = {
+        # run resolves its config name by appending .toml.
+        "run": (atv, ["run", "--config", str(short_dir / "short_atv"), "--seed", "1"]),
+        "sweep": (ww, ["sweep", "--experiment", "empowerment", "--reps", "1",
+                       "--configs", str(atv), str(ww)]),
+        "analyze": (results, ["analyze", "--results", str(results)]),
+    }[command]
+    before = target.read_bytes()
+    out = target.parent / "." / target.name  # another spelling of the same file
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: is the input {target}\n"
+    assert target.read_bytes() == before
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["run", "analyze"])
 def test_out_errors_name_the_path_not_a_temp_file(tmp_path, capsys, monkeypatch, command):
     results = tmp_path / "worked.csv"
