@@ -1,7 +1,8 @@
 """Command line front end: run, sweep, analyze, validate.
 
 Exit codes: 0 success, 1 runtime failure (simulation fault, unreadable
-results), 2 usage or configuration errors (a `ConfigError` is a ValueError).
+results), 2 usage or configuration errors (a `ConfigError` is a ValueError),
+130 interrupted (Ctrl-C: `interrupted` on stderr, no traceback).
 The only nondeterminism is an omitted --seed, which is generated once and
 printed so the run can be reproduced.
 
@@ -50,17 +51,9 @@ def _fmt_metric(value):
     return "n/a" if value is None else format_value(value)
 
 
-def _fmt_p(p):
-    if math.isnan(p):
-        return "undefined"
-    return f"{p:.6g}"
-
-
-def _fmt_f(f):
-    """An ANOVA F or Levene W; the note after it says why one is undefined."""
-    if math.isnan(f):
-        return "undefined"
-    return f"{f:.2f}"
+def _fmt(value, spec):
+    """A statistic or p-value; a note in the report says why one is undefined."""
+    return "undefined" if math.isnan(value) else format(value, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +85,11 @@ def cmd_run(args):
         seed = int.from_bytes(os.urandom(8), "big") >> 1
     print(f"seed: {seed}")
     metrics = run_replication(config, seed=seed)
+    if args.out:  # before the report, so a reader that stops early costs no file
+        write_csv(args.out, METRIC_FIELDS, [[getattr(metrics, n) for n in METRIC_FIELDS]])
     for name in METRIC_FIELDS:
         print(f"{name}: {_fmt_metric(getattr(metrics, name))}")
     if args.out:
-        write_csv(args.out, METRIC_FIELDS, [[getattr(metrics, n) for n in METRIC_FIELDS]])
         print(f"metrics written to {args.out}")
     return 0
 
@@ -147,14 +141,30 @@ def cmd_analyze(args):
     metric = args.metric
     departments, levels, data = results_to_cells(rows, metric)
     table = anova_two_way(data, factor_names=("department", experiment))
+    df_w = table.within.df
+    flat_groups = [cell for dept_cells in data for cell in dept_cells]
+    lev = levene_test(flat_groups)
+    tukey = None
+    if not table.degenerate:
+        import numpy as np
+
+        arr = np.asarray(data, dtype=float)
+        level_means = arr.mean(axis=(0, 2))
+        n_per_level = arr.shape[0] * arr.shape[2]
+        tukey = tukey_hsd(level_means, n_per_level, table.within.ms, df_w)
+    out = args.out
+    if out is None:
+        root, _ = os.path.splitext(args.results)
+        out = root + ".analysis.csv"
+    # Written before the report, so a reader that stops early costs no file.
+    _write_analysis_csv(out, metric, table, lev, tukey, levels)
 
     print(f"Two-way ANOVA on {metric} ({experiment} sweep, "
           f"{len(departments)} departments x {len(levels)} levels)")
-    df_w = table.within.df
     for effect in table.effects():
         print(
-            f"  {effect.name}: F({effect.df}, {df_w}) = {_fmt_f(effect.f)}, "
-            f"p = {_fmt_p(effect.p)}"
+            f"  {effect.name}: F({effect.df}, {df_w}) = {_fmt(effect.f, '.2f')}, "
+            f"p = {_fmt(effect.p, '.6g')}"
         )
     print(
         f"  within: SS = {table.within.ss:.6g}, df = {df_w}, "
@@ -162,43 +172,26 @@ def cmd_analyze(args):
     )
     if table.degenerate:
         print("  note: zero within-cell variance; F ratios are undefined")
-
-    flat_groups = [cell for dept_cells in data for cell in dept_cells]
-    lev = levene_test(flat_groups)
     print(
         f"Levene (mean-centered) across {len(flat_groups)} cells: "
-        f"W({lev.df1}, {lev.df2}) = {_fmt_f(lev.w)}, p = {_fmt_p(lev.p)}"
+        f"W({lev.df1}, {lev.df2}) = {_fmt(lev.w, '.2f')}, p = {_fmt(lev.p, '.6g')}"
     )
     if lev.degenerate:
         print("  note: zero spread in absolute deviations; W is undefined")
     elif lev.p < 0.05:
         print("  note: variance homogeneity rejected at alpha = 0.05; "
               "interpret F tests at a stricter alpha (e.g. 0.01)")
-
-    tukey = None
-    if table.degenerate:
+    if tukey is None:
         print(f"Tukey HSD on {experiment} levels: skipped (degenerate ANOVA)")
     else:
-        import numpy as np
-
-        arr = np.asarray(data, dtype=float)
-        level_means = arr.mean(axis=(0, 2))
-        n_per_level = arr.shape[0] * arr.shape[2]
-        tukey = tukey_hsd(level_means, n_per_level, table.within.ms, df_w)
         print(f"Tukey HSD on {experiment} levels (pooled over departments):")
         for r in tukey:
             mark = "*" if r.significant else " "
             print(
                 f"  {levels[r.group_i]!s:>6} vs {levels[r.group_j]!s:<6} "
                 f"diff = {r.diff:12.4f}  q = {r.q_stat:9.4f}  "
-                f"p = {_fmt_p(r.p_value)} {mark}"
+                f"p = {_fmt(r.p_value, '.6g')} {mark}"
             )
-
-    out = args.out
-    if out is None:
-        root, _ = os.path.splitext(args.results)
-        out = root + ".analysis.csv"
-    _write_analysis_csv(out, metric, table, lev, tukey, levels)
     print(f"analysis written to {out}")
     return 0
 
@@ -320,6 +313,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry():

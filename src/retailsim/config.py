@@ -13,13 +13,10 @@ number for a fixed one. Numbers must be finite; errors name file and field.
 
 from __future__ import annotations
 
-import logging
 import os
 import sys
 import tomllib
 from dataclasses import MISSING, dataclass, field, fields
-
-log = logging.getLogger("retailsim.config")
 
 # The clock is a float in minutes: beyond 2**53 it no longer holds every whole
 # minute exactly, so a longer horizon (or more days than that) is rejected.
@@ -320,8 +317,8 @@ def _read(value, kind, where, source):
 def _record(cls, root, section, source):
     """Read [section] into the record `cls`, taking the section out of `root`.
 
-    The fields of `cls` are the section's keys. An omitted key takes its
-    field's default, which is logged.
+    The fields of `cls` are the section's keys; an omitted key takes its
+    field's default.
     """
     present = section in root
     table = root.pop(section, {})
@@ -330,7 +327,6 @@ def _record(cls, root, section, source):
     keys = fields(cls)
     _check_known(table, [f.name for f in keys], section, source)
     values = {}
-    defaulted = []
     for f in keys:
         where = f"{section}.{f.name}"
         if f.name in table:
@@ -338,17 +334,10 @@ def _record(cls, root, section, source):
         elif f.default is MISSING:
             missing = f"key {where}" if present else f"section [{section}]"
             raise ConfigError(f"{source}: missing required {missing}")
-        else:
-            defaulted.append(f.name)
     try:
-        record = cls(**values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    for name in defaulted:
-        log.info(
-            "%s: %s.%s omitted; defaulting to %r", source, section, name, getattr(record, name)
-        )
-    return record
 
 
 def build_config(root, source="<config>"):

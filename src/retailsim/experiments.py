@@ -113,10 +113,15 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
     workers = min(jobs, len(tasks))
     if workers > 1:
         # Imported here: only a parallel sweep pays for the pool machinery.
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         refill_table()  # the forked workers inherit numpy and the RNG's table
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Workers ignore Ctrl-C. The parent's KeyboardInterrupt leaves map's
+        # iterator, which cancels every cell not yet started.
+        with ProcessPoolExecutor(
+            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        ) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(t) for t in tasks]

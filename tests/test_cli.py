@@ -9,8 +9,10 @@ import hashlib
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import tomllib
 
 import pytest
@@ -894,6 +896,54 @@ def test_console_script_is_the_entry():
     assert scripts == {"retailsim": "retailsim.cli:entry"}
 
 
+def start_retailsim(argv, **popen_kwargs):
+    """Start `python -m retailsim argv` on this package, stdout and stderr piped."""
+    src = str(pathlib.Path(retailsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, **popen_kwargs.pop("env", {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "retailsim", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kwargs)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="sends SIGINT to a process group")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_exits_130_quietly_and_leaves_no_file(tmp_path, jobs):
+    # A full-horizon sweep of both departments runs for tens of seconds; Ctrl-C
+    # reaches every process of the group, workers included, 2 s in.
+    out = tmp_path / "results.csv"
+    proc = start_retailsim(
+        ["sweep", "--experiment", "cashiers", "--reps", "20", "--jobs", jobs,
+         "--out", str(out), "--configs", "dept_atv", "dept_ww"],
+        start_new_session=True,
+    )
+    time.sleep(2)
+    os.killpg(proc.pid, signal.SIGINT)
+    stdout, stderr = proc.communicate(timeout=30)
+    assert (proc.returncode, stdout, stderr) == (130, b"", b"interrupted\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_out_is_written_before_stdout_can_close(tmp_path, capsys, command):
+    # A reader such as `| head -n 1` closes the pipe after one line. Unbuffered,
+    # each later print then fails at once, so the file must be written first.
+    if command == "run":
+        argv = ["run", "--config", "dept_ww", "--seed", "7", "--weeks", "1"]
+    else:
+        results = tmp_path / "results.csv"
+        write_cells(results, {(dept, level): (level + 1, 3 * level + shift)
+                              for dept, shift in (("A", 0), ("B", 5)) for level in range(1, 6)})
+        argv = ["analyze", "--results", str(results)]
+    expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+    assert main(argv + ["--out", str(expected)]) == 0
+    capsys.readouterr()
+    proc = start_retailsim(argv + ["--out", str(out)], env={"PYTHONUNBUFFERED": "1"})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    proc.communicate(timeout=60)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 # What loaded_by reports. No command loads the first five: scipy is a test
 # oracle only, and the kernel generates PCG64 itself and takes sha256 from
 # CPython's own module, so neither numpy.random (which loads secrets) nor
@@ -942,11 +992,14 @@ def test_cli_commands_import_only_what_they_use(tmp_path, short_dir):
     assert lines[-1] == "0 numpy"
     # validate reads the config schema alone: no model module, no numpy.
     lines = loaded_by(["validate", "--config", "dept_atv.toml"], WATCHED + MODEL)
-    assert lines[-1] == "0 retailsim.config tomllib logging"
-    lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"])
+    assert lines[-1] == "0 retailsim.config tomllib"
+    # Only a parallel sweep loads logging, through concurrent.futures.
+    lines = loaded_by(["run", "--config", "dept_atv.toml", "--weeks", "1", "--seed", "1"],
+                      WATCHED + ("logging",))
     assert lines[-1] == "0 numpy"
     # A serial sweep starts no pool either.
-    lines = loaded_by(sweep_argv(short_dir, tmp_path / "emp.csv") + ["--jobs", "1"])
+    lines = loaded_by(sweep_argv(short_dir, tmp_path / "emp.csv") + ["--jobs", "1"],
+                      WATCHED + ("logging",))
     assert lines[-1] == "0 numpy"
 
 

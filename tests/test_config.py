@@ -5,7 +5,6 @@ import copy
 import dataclasses
 import io
 import json
-import logging
 import math
 import pathlib
 import tempfile
@@ -188,9 +187,8 @@ def test_shipped_configs_resolve_by_bare_name():
 # -- schema validation ----------------------------------------------------------
 
 
-def test_minimal_config_defaults(tmp_path, caplog):
-    with caplog.at_level(logging.INFO, logger="retailsim.config"):
-        cfg = load_text(tmp_path, MINIMAL)
+def test_minimal_config_defaults(tmp_path):
+    cfg = load_text(tmp_path, MINIMAL)
     assert cfg.label == "TEST"
     # Omitted pieces fall back to documented defaults.
     assert cfg.durations.patience_help == cfg.durations.patience_pay
@@ -205,12 +203,6 @@ def test_minimal_config_defaults(tmp_path, caplog):
     assert cfg.horizon == Horizon(600.0, 70)
     assert cfg.queues.cashier_priority == ("refund", "pay")
     assert cfg.satisfaction_weights.purchase_completed == 2
-    # Every defaulted block leaves a provenance note.
-    notes = " ".join(r.message for r in caplog.records)
-    assert "satisfaction_weights" in notes
-    assert "empowerment" in notes
-    assert "horizon" in notes
-    assert "patience_help" in notes
 
 
 def test_marginal_probability_rescaled():

@@ -1,6 +1,7 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
 import concurrent.futures
+import signal
 
 import pytest
 
@@ -139,12 +140,20 @@ def test_parallel_sweep_workers_start_warm(monkeypatch, atv_config):
     ]
 
 
+def test_parallel_sweep_workers_leave_ctrl_c_to_the_parent(monkeypatch, atv_config):
+    # An idle worker that took Ctrl-C would print a traceback of its own.
+    monkeypatch.setattr(experiments, "run_replication",
+                        lambda config, seed=None: signal.getsignal(signal.SIGINT))
+    rows = run_sweep("cashiers", {"A&TV": atv_config}, replications=1, jobs=2)
+    assert {row.metrics for row in rows} == {signal.SIG_IGN}
+
+
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.sizes.append(max_workers)
 
     def __enter__(self):
