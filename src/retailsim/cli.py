@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure (simulation fault, unreadable
 results), 2 usage or configuration errors (a `ConfigError` is a ValueError),
-130 interrupted (Ctrl-C: `interrupted` on stderr, no traceback).
+130 interrupted (Ctrl-C: `interrupted` on stderr, no traceback), 141 stdout
+closed by its reader (as `| head` does; nothing on stderr, and an `--out`
+file is complete, since it is written before the report).
 The only nondeterminism is an omitted --seed, which is generated once and
 printed so the run can be reproduced.
 
@@ -11,8 +13,9 @@ fault type, so `analyze` never loads the simulation model. Each other command
 imports the config, model and sweep modules it needs when it runs.
 
 The console script and `python -m retailsim` run `entry()`, which limits
-OpenBLAS to one thread before `main()` and freezes the heap once it
-returns; `main(argv)` itself has no process-wide effect.
+OpenBLAS to one thread before `main()`, ends quietly with 141 when stdout's
+reader has gone, and freezes the heap once `main()` returns; `main(argv)`
+itself has no process-wide effect.
 """
 
 from __future__ import annotations
@@ -310,6 +313,8 @@ def main(argv=None):
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: entry() ends quietly
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -321,6 +326,9 @@ def main(argv=None):
 def entry():
     """Run main() with one BLAS thread and return its exit code, the heap frozen.
 
+    Python ignores SIGPIPE, so once stdout's reader has gone a write, the
+    final flush included, raises BrokenPipeError: the exit code is then 141.
+
     No command's matrix products are large enough for OpenBLAS to thread, so
     unless the user set OPENBLAS_NUM_THREADS, numpy starts no idle helper
     threads and a parallel sweep forks from a single-threaded process.
@@ -330,7 +338,13 @@ def entry():
     of stdio still run.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    status = main()
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, interpreter shutdown's flush among them, go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE, as a shell reports a tool SIGPIPE ended
     gc.freeze()
     return status
 

@@ -7,17 +7,22 @@ stream. Rows come back in (experiment, department, level, replication)
 order, and result CSVs are written with round-trip float formatting so a
 repeated sweep is byte-identical. A replication that fails inside a sweep is
 reported as a SimulationFault naming its department, level, replication and
-seed, so it can be rerun on its own. A parallel sweep's workers are forked
-(the Linux default through Python 3.13) after the parent has loaded numpy
-and built the kernel's refill table, so no worker pays for either. The CSV
-schema, its reader and its atomic writer live in `results`, which the
-analysis shares; the sweep's per-cell summary table groups rows with the
+seed, so it can be rerun on its own; so is one that kills its worker process,
+found by rerunning alone each cell whose result had not come back. A parallel
+sweep's workers are forked (the Linux default through Python 3.13) after the
+parent has loaded numpy and built the kernel's refill table, so no worker
+pays for either. Each cell's config reaches its worker rebuilt by the config
+records' constructors (`config.Record`), so it reads as fast as a loaded one.
+The CSV schema, its reader and its atomic writer live in `results`, which
+the analysis shares; the sweep's per-cell summary table groups rows with the
 ANOVA's own `results_to_cells`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import signal
 
 from .config import StaffingPlan
 from .department import run_replication
@@ -67,15 +72,81 @@ def _cell_config(experiment, config, level):
     return dataclasses.replace(config, empowerment=empowerment)
 
 
+def _cell_name(task):
+    _, department, level, replication, seed = task
+    return (
+        f"sweep cell department={department!r} level={level!r} "
+        f"replication={replication} seed={seed}"
+    )
+
+
 def _run_cell(task):
-    config, department, level, replication, seed = task
+    config, *_, seed = task
     try:
         return run_replication(config, seed=seed)
     except Exception as exc:
-        raise SimulationFault(
-            f"sweep cell department={department!r} level={level!r} "
-            f"replication={replication} seed={seed}: {exc}"
-        ) from exc
+        raise SimulationFault(f"{_cell_name(task)}: {exc}") from exc
+
+
+def _run_alone(task):
+    """A suspect's rerun: a Python fault is no death, so it ends the process normally."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # as a pool worker does
+    with contextlib.suppress(Exception):
+        _run_cell(task)
+
+
+def _name_dead_cell(suspects):
+    """Rerun each suspect alone, in task order; raise a fault naming the first that dies.
+
+    Cells are seeded independently, so a cell that killed its worker kills
+    a fresh process too, unless something outside it (an out-of-memory
+    kill, say) ended the worker.
+    """
+    import multiprocessing
+
+    for task in suspects:
+        proc = multiprocessing.Process(target=_run_alone, args=(task,), daemon=True)
+        proc.start()
+        proc.join()
+        code = proc.exitcode
+        if code > 0:
+            raise SimulationFault(f"{_cell_name(task)}: worker process exited with code {code}")
+        if code < 0:
+            name = {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
+            raise SimulationFault(f"{_cell_name(task)}: worker process killed by {name}")
+    raise SimulationFault(
+        f"a sweep worker process died and the fault did not reproduce: none of the "
+        f"{len(suspects)} cells whose results had not come back died when rerun alone: "
+        + "; ".join(_cell_name(task) for task in suspects)
+    )
+
+
+def _run_parallel(tasks, workers):
+    """Each task's outcome from a pool of `workers` forked processes, in task order."""
+    # Imported here: only a parallel sweep pays for the pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    refill_table()  # the forked workers inherit numpy and the RNG's table
+    futures = []
+    # Workers ignore Ctrl-C: the parent's KeyboardInterrupt is its one report.
+    with ProcessPoolExecutor(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    ) as pool:
+        try:
+            for task in tasks:
+                futures.append(pool.submit(_run_cell, task))
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            pass
+        finally:
+            # After Ctrl-C or a fault, no cell that has not started runs.
+            for future in futures:
+                future.cancel()
+    # A worker died. The pool is shut down, so every future is settled, and
+    # the suspects are the cells whose results had not come back.
+    suspects = [task for task, f in zip(tasks, futures) if f.cancelled() or f.exception()]
+    _name_dead_cell(suspects + tasks[len(futures):])
 
 
 def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
@@ -112,17 +183,7 @@ def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):
         raise ValueError("seed derivation collided across cells; change base_seed")
     workers = min(jobs, len(tasks))
     if workers > 1:
-        # Imported here: only a parallel sweep pays for the pool machinery.
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-
-        refill_table()  # the forked workers inherit numpy and the RNG's table
-        # Workers ignore Ctrl-C. The parent's KeyboardInterrupt leaves map's
-        # iterator, which cancels every cell not yet started.
-        with ProcessPoolExecutor(
-            workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-        ) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+        outcomes = _run_parallel(tasks, workers)
     else:
         outcomes = [_run_cell(t) for t in tasks]
     return [

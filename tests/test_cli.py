@@ -944,6 +944,32 @@ def test_out_is_written_before_stdout_can_close(tmp_path, capsys, command):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, command, unbuffered):
+    # 141 is 128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended.
+    # Buffered, the report fails at the final flush; unbuffered, at its first
+    # line, which for `run` comes after the seed line.
+    if command == "run":
+        argv = ["run", "--config", "dept_ww", "--seed", "7", "--weeks", "1"]
+    else:
+        results = tmp_path / "results.csv"
+        write_cells(results, {(dept, level): (level + 1, 3 * level + shift)
+                              for dept, shift in (("A", 0), ("B", 5)) for level in range(1, 6)})
+        argv = ["analyze", "--results", str(results)]
+    expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+    assert main(argv + ["--out", str(expected)]) == 0
+    capsys.readouterr()
+    proc = start_retailsim(argv + ["--out", str(out)],
+                           env={"PYTHONUNBUFFERED": "1" if unbuffered else ""})
+    if command == "run" and unbuffered:
+        assert proc.stdout.readline() == b"seed: 7\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (141, b"")
+    assert out.read_bytes() == expected.read_bytes()
+
+
 # What loaded_by reports. No command loads the first five: scipy is a test
 # oracle only, and the kernel generates PCG64 itself and takes sha256 from
 # CPython's own module, so neither numpy.random (which loads secrets) nor

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import pathlib
+import pickle
+import struct
 import tempfile
 import textwrap
 import tomllib
@@ -25,6 +27,7 @@ from retailsim.config import (
     ArrivalProfile,
     ConfigError,
     DepartmentConfig,
+    Durations,
     Horizon,
     Probabilities,
     StaffingPlan,
@@ -507,6 +510,50 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
     )
     metrics = run_replication(one_day, seed=seed, strict=True)
     assert metrics.customers_entered == metrics.customers_left
+
+
+def check_pickle_round_trip(config):
+    """A config pickles to an equal one, its durations' derived fields included."""
+    restored = pickle.loads(pickle.dumps(config))
+    assert restored == config
+    for f in dataclasses.fields(config.durations):
+        got, want = getattr(restored.durations, f.name), getattr(config.durations, f.name)
+        assert (got.span, got.left, got.right) == (want.span, want.left, want.right), f.name
+
+
+@FUZZ
+@given(valid_configs())
+def test_fuzzed_configs_pickle_to_themselves(root):
+    check_pickle_round_trip(load_root(root))
+
+
+def test_packaged_configs_pickle_to_themselves(atv_config, ww_config):
+    check_pickle_round_trip(atv_config)
+    check_pickle_round_trip(ww_config)
+
+
+def test_unpickling_builds_each_record_with_its_constructor(monkeypatch, ww_config):
+    # So a parallel sweep's worker reads a config laid out like a loaded one.
+    data = pickle.dumps(ww_config)
+    built = []
+    post_init = TriangularParams.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TriangularParams, "__post_init__", spy)
+    restored = pickle.loads(data)
+    durations = [getattr(restored.durations, f.name) for f in dataclasses.fields(Durations)]
+    assert {id(p) for p in built} == {id(p) for p in durations}
+
+
+def test_an_unpickled_record_checks_its_bounds():
+    data = pickle.dumps(TriangularParams(0.5, 2.0, 4.0))
+    low = struct.pack(">d", 0.5)  # pickle writes a float as 8 big-endian bytes
+    assert data.count(low) == 1
+    with pytest.raises(ValueError, match="low <= mode <= high, got \\(9.0, 2.0, 4.0\\)"):
+        pickle.loads(data.replace(low, struct.pack(">d", 9.0)))
 
 
 # The metamorphic relations of test_department.py and test_experiments.py,

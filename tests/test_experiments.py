@@ -1,6 +1,7 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
 import concurrent.futures
+import os
 import signal
 
 import pytest
@@ -162,8 +163,10 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.fixture()
@@ -225,6 +228,73 @@ def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
         f"sweep cell department='A&TV' level=3 replication=2 seed={bad_seed}: "
         "injected failure"
     )
+
+
+def test_parallel_sweep_of_one_day_matches_serial(atv_config, ww_config):
+    # Each worker simulates the config its constructors rebuilt from the pickle.
+    configs = {c.label: shorten(c, days=1) for c in (atv_config, ww_config)}
+    serial = run_sweep("empowerment", configs, replications=2)
+    assert run_sweep("empowerment", configs, replications=2, jobs=2) == serial
+
+
+def created_here(path):
+    """Whether this call, the first to try, created the file `path`."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+def killing_cells(monkeypatch, cashiers, once=None):
+    """Make each cell with `cashiers` cashiers kill its process; if `once`, the first only.
+
+    `once` is the path that the first such cell creates. Worker processes
+    are forked, so they inherit the patched function.
+    """
+    original = experiments.run_replication
+
+    def killer(config, seed=None):
+        if config.staffing.cashiers == cashiers and (once is None or created_here(once)):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(config, seed=seed)
+
+    monkeypatch.setattr(experiments, "run_replication", killer)
+
+
+SWEEP_ARGV = ["sweep", "--experiment", "cashiers", "--configs", "dept_atv", "--reps", "2",
+              "--jobs", "2"]
+
+
+def test_a_dead_worker_names_its_cell_and_seed(monkeypatch, capfd, tmp_path):
+    # A cell that kills its worker is found by rerunning alone, in task
+    # order, each cell whose result had not come back.
+    killing_cells(monkeypatch, cashiers=1)
+    out = tmp_path / "results.csv"
+    assert main(SWEEP_ARGV + ["--out", str(out)]) == 1
+    seed = derive_cell_seed(1, "A&TV", 1, 1)
+    assert capfd.readouterr() == ("", (
+        f"simulation fault: sweep cell department='A&TV' level=1 replication=1 "
+        f"seed={seed}: worker process killed by SIGKILL\n"
+    ))
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_dead_worker_whose_fault_does_not_reproduce_names_the_suspects(
+    monkeypatch, capfd, tmp_path
+):
+    killing_cells(monkeypatch, cashiers=3, once=tmp_path / "killed")
+    out = tmp_path / "results.csv"
+    assert main(SWEEP_ARGV + ["--out", str(out)]) == 1
+    stdout, stderr = capfd.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1
+    assert stderr.startswith(
+        "simulation fault: a sweep worker process died and the fault did not reproduce: "
+    )
+    # The killed cell is one of level 3's, and its result never came back.
+    assert any(f"level=3 replication={rep} seed={derive_cell_seed(1, 'A&TV', 3, rep)}"
+               in stderr for rep in (1, 2))
+    assert os.listdir(tmp_path) == ["killed"]
 
 
 @pytest.mark.parametrize("experiment", ["cashiers", "empowerment"])
