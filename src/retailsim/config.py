@@ -1,13 +1,15 @@
 """Department configuration: a config is its sections, one record each.
 
-Config files are TOML, read with tomllib; this module imports no other part
-of the package. Each field of `DepartmentConfig` after `label` is a section,
-read into the frozen record below that its annotation names. A record's
-fields are its section's keys, their defaults those of omitted keys, and its
-`__post_init__` holds every bound; the one reader, `_record`, walks the
-fields. The rule across sections, that referred refunds need a manager on
-staff, is `DepartmentConfig.__post_init__`, so a config changed in code obeys
-it too. Every record is a `Record`, which pickles as a call to its
+Config files are TOML, read with tomllib; of the package this module imports
+only `records`, so the schema loads without the model. Each field of
+`DepartmentConfig` after `label` is a section, read into the frozen record
+below that its annotation names. A record's fields are its section's keys,
+their defaults those of omitted keys, and its `__post_init__` holds every
+bound; the one reader, `_record`, walks the fields. The rule across
+sections, that referred refunds need a manager on staff, is
+`DepartmentConfig.__post_init__`, so a config changed in code obeys it too,
+and a value of the wrong kind set in code is refused with its section and
+field. Every record is a `records.Record`, which pickles as a call to its
 constructor, so an unpickled config is built and checked like a loaded one.
 A duration (`TriangularParams`) is a min/mode/max table or a bare number for
 a fixed one. Numbers must be finite; errors name file and field.
@@ -18,7 +20,9 @@ from __future__ import annotations
 import os
 import sys
 import tomllib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
+
+from .records import Record
 
 # The clock is a float in minutes: beyond 2**53 it no longer holds every whole
 # minute exactly, so a longer horizon (or more days than that) is rejected.
@@ -37,28 +41,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration; message names field and file."""
 
 
+def _check_number(value, where):
+    """Refuse a bool or a non-number, which only code can pass: the reader gives floats."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Schema: one record per TOML section
 
 
-class Record:
-    """Base of every config record: it pickles as a call to its constructor.
-
-    A parallel sweep pickles each cell's config to its worker. pickle's
-    default restore writes the instance `__dict__` directly, and on CPython
-    3.11 a record restored that way loses the inline attribute layout that
-    the event loop's specialised attribute loads rely on, so each worker ran
-    its replications about 10% slower than a serial sweep. Rebuilt by
-    `__init__` and `__post_init__`, an unpickled record reads as fast as a
-    loaded one, has its bounds checked again, and its pickle carries no
-    derived field.
-    """
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-
-@dataclass(frozen=True)
 class TriangularParams(Record):
     """Three-point duration estimate (minutes): low <= mode <= high.
 
@@ -84,13 +76,13 @@ class TriangularParams(Record):
         object.__setattr__(self, "right", self.high - self.mode)
 
 
-@dataclass(frozen=True)
 class ArrivalProfile(Record):
     """Poisson arrival intensity, read from [arrivals]; rate 0 keeps the door shut."""
 
     rate_per_hour: float
 
     def __post_init__(self):
+        _check_number(self.rate_per_hour, "arrivals.rate_per_hour")
         if not self.rate_per_hour >= 0:
             raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
         if self.rate_per_hour > MAX_ARRIVALS_PER_HOUR:
@@ -100,8 +92,9 @@ class ArrivalProfile(Record):
             )
 
 
-@dataclass(frozen=True)
 class StaffingPlan(Record):
+    """Headcount of each role, read from [staffing]."""
+
     cashiers: int
     normal_sellers: int
     expert_sellers: int
@@ -121,7 +114,6 @@ class StaffingPlan(Record):
         return sum(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
 class Durations(Record):
     """Triangular durations in minutes; an omitted patience is patience_pay."""
 
@@ -140,13 +132,16 @@ class Durations(Record):
             if params is None and f.default is None:
                 params = self.patience_pay
                 object.__setattr__(self, f.name, params)
+            if not isinstance(params, TriangularParams):
+                raise ValueError(f"durations.{f.name} must be a TriangularParams, got {params!r}")
             # low <= mode <= high holds already, so this bounds all three.
             if not params.low >= 0:
                 raise ValueError(f"durations.{f.name}.min must be >= 0, got {params.low}")
 
 
-@dataclass(frozen=True)
 class Probabilities(Record):
+    """Branching probabilities of the customer statechart, read from [probabilities]."""
+
     need_help: float
     buy_after_browse: float
     buy_after_help: float
@@ -157,9 +152,11 @@ class Probabilities(Record):
 
     def __post_init__(self):
         for f in fields(self):
-            p = getattr(self, f.name)
-            if f.type == "float" and not 0.0 <= p <= 1.0:
-                raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
+            if f.type == "float":
+                p = getattr(self, f.name)
+                _check_number(p, f"probabilities.{f.name}")
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
         if self.buy_after_browse_is_marginal and self.need_help + self.buy_after_browse > 1.0:
             raise ValueError(
                 f"probabilities.need_help + probabilities.buy_after_browse "
@@ -180,12 +177,14 @@ class Probabilities(Record):
         return self.buy_after_browse / (1.0 - self.need_help)
 
 
-@dataclass(frozen=True)
 class Horizon(Record):
+    """Length of a replication: `days` trading days of `trading_day_minutes` each."""
+
     trading_day_minutes: float = 600.0
     days: int = 70
 
     def __post_init__(self):
+        _check_number(self.trading_day_minutes, "horizon.trading_day_minutes")
         if not (self.trading_day_minutes > 0):
             raise ValueError(
                 f"horizon.trading_day_minutes must be > 0, got {self.trading_day_minutes}"
@@ -205,7 +204,6 @@ class Horizon(Record):
             )
 
 
-@dataclass(frozen=True)
 class Queues(Record):
     """The order in which a freed cashier looks at its two queues."""
 
@@ -219,7 +217,6 @@ class Queues(Record):
             )
 
 
-@dataclass(frozen=True)
 class SatisfactionWeights(Record):
     """Points per `SatisfactionEvent`, one field for each, named in lower case."""
 
@@ -238,7 +235,6 @@ class SatisfactionWeights(Record):
                 raise ValueError(f"satisfaction_weights.{f.name} must be an integer, got {v!r}")
 
 
-@dataclass(frozen=True)
 class EmpowermentPolicy(Record):
     """How refunds are authorized.
 
@@ -256,6 +252,9 @@ class EmpowermentPolicy(Record):
     empowered_duration_multiplier: float = 1.0
 
     def __post_init__(self):
+        _check_number(self.p_empowered, "empowerment.p_empowered")
+        _check_number(self.empowered_duration_multiplier,
+                      "empowerment.empowered_duration_multiplier")
         if not (0.0 <= self.p_empowered <= 1.0):
             raise ValueError(
                 f"empowerment.p_empowered must lie in [0, 1], got {self.p_empowered}"
@@ -267,8 +266,9 @@ class EmpowermentPolicy(Record):
             )
 
 
-@dataclass(frozen=True)
 class DepartmentConfig(Record):
+    """One department: its label, then one record per config section."""
+
     label: str
     arrivals: ArrivalProfile
     durations: Durations

@@ -12,7 +12,7 @@ found by rerunning alone each cell whose result had not come back. A parallel
 sweep's workers are forked (the Linux default through Python 3.13) after the
 parent has loaded numpy and built the kernel's refill table, so no worker
 pays for either. Each cell's config reaches its worker rebuilt by the config
-records' constructors (`config.Record`), so it reads as fast as a loaded one.
+records' constructors (`records.Record`), so it reads as fast as a loaded one.
 The CSV schema, its reader and its atomic writer live in `results`, which
 the analysis shares; the sweep's per-cell summary table groups rows with the
 ANOVA's own `results_to_cells`.

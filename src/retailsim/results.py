@@ -8,8 +8,9 @@ every CSV the CLI makes, results, `run --out` and analysis files alike: one
 dialect, one cell format, and each file is written beside its target and
 moved into place, so no reader sees half of one.
 
-This module imports only the standard library, so `analyze` reads results
-without loading the simulation model.
+Both are `records.Record`s. This module imports only the standard library
+and `records`, so `analyze` reads results without loading the simulation
+model or the config reader's `tomllib`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import io
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import fields
+
+from .records import Record
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(Record):
     """Aggregate outcome of one replication.
 
     Field order is the column order of result CSVs. Utilizations are None
@@ -55,8 +57,7 @@ METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
 CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One replication outcome tagged with its cell coordinates."""
 
     experiment: str

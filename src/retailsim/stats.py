@@ -20,14 +20,16 @@ independent implementations, scipy's among them.
 
 Each function that computes on arrays imports numpy itself, so importing this
 module does not: the CLI imports it for every command, and `validate`,
-`--help` and usage errors need no numpy.
+`--help` and usage errors need no numpy. The results are `records.Record`s,
+and of the package this module imports `records` alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +117,7 @@ def f_upper_tail(f, df1, df2):
 # Two-way ANOVA
 
 
-@dataclass(frozen=True)
-class EffectTest:
+class EffectTest(Record):
     """One ANOVA table row; f and p are NaN when the table is degenerate."""
 
     name: str
@@ -127,8 +128,9 @@ class EffectTest:
     p: float
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(Record):
+    """Two-way ANOVA: both main effects, their interaction and the error term."""
+
     factor_a: EffectTest
     factor_b: EffectTest
     interaction: EffectTest
@@ -208,8 +210,9 @@ def anova_two_way(data, factor_names=("A", "B")):
 # Levene (mean-centered)
 
 
-@dataclass(frozen=True)
-class LeveneResult:
+class LeveneResult(Record):
+    """Levene statistic W on (df1, df2); W and p are NaN when the test is degenerate."""
+
     w: float
     df1: int
     df2: int
@@ -497,8 +500,9 @@ def studentized_range_upper_tail(q, k, df):
     return min(max(1.0 - cdf, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class TukeyResult:
+class TukeyResult(Record):
+    """One Tukey HSD pair: mean of group j minus mean of group i, its q and p."""
+
     group_i: int
     group_j: int
     diff: float

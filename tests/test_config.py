@@ -357,6 +357,51 @@ def test_staffing_plan_validation():
     assert StaffingPlan(3, 5, 1, 1).total() == 10
 
 
+# Records built in code, not read from TOML, may hold values the reader never
+# gives; each such value is refused with the section and field it sits in.
+NOT_NUMBERS = (None, True, "0.5", (0.5,))
+
+
+def test_durations_built_in_code_name_a_value_that_is_not_a_duration(ww_config):
+    durations = ww_config.durations
+    for field in dataclasses.fields(Durations):
+        for bad in (None, 5.0, (1.0, 2.0, 3.0)):
+            if bad is None and field.default is None:
+                continue  # an omitted patience is patience_pay
+            with pytest.raises(ValueError, match=f"durations.{field.name} must be a Triang"):
+                dataclasses.replace(durations, **{field.name: bad})
+    fixed = TriangularParams(5.0, 5.0, 5.0)
+    assert dataclasses.replace(durations, patience_help=fixed).patience_help is fixed
+
+
+def test_probabilities_built_in_code_name_a_value_that_is_not_a_number(ww_config):
+    probabilities = ww_config.probabilities
+    for field in dataclasses.fields(Probabilities):
+        if field.type != "float":
+            continue
+        for bad in NOT_NUMBERS:
+            with pytest.raises(ValueError, match=f"probabilities.{field.name} must be a number"):
+                dataclasses.replace(probabilities, **{field.name: bad})
+    assert dataclasses.replace(probabilities, refund_goal=0).refund_goal == 0
+
+
+def test_empowerment_built_in_code_names_a_value_that_is_not_a_number(ww_config):
+    empowerment = ww_config.empowerment
+    for name in ("p_empowered", "empowered_duration_multiplier"):
+        for bad in NOT_NUMBERS:
+            with pytest.raises(ValueError, match=f"empowerment.{name} must be a number"):
+                dataclasses.replace(empowerment, **{name: bad})
+    assert dataclasses.replace(empowerment, empowered_duration_multiplier=2) != empowerment
+
+
+def test_arrivals_and_horizon_built_in_code_name_a_value_that_is_not_a_number():
+    for bad in NOT_NUMBERS:
+        with pytest.raises(ValueError, match="arrivals.rate_per_hour must be a number"):
+            ArrivalProfile(bad)
+        with pytest.raises(ValueError, match="horizon.trading_day_minutes must be a number"):
+            Horizon(bad, 7)
+
+
 def test_probabilities_validation():
     base = Probabilities(0.38, 0.37, 0.56)
     assert (base.refund_goal, base.repurchase_after_refund, base.needs_expert) == (0.1, 0.3, 0.2)
