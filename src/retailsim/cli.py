@@ -137,24 +137,29 @@ def cmd_analyze(args):
     rows = load_results(args.results)
     if not rows:
         raise ValueError(f"{args.results} holds no result rows")
-    experiments = {row.experiment for row in rows}
-    if len(experiments) != 1:
-        raise ValueError(f"results mix experiments {sorted(experiments)}; analyze one at a time")
-    experiment = experiments.pop()
     metric = args.metric
-    departments, levels, data = results_to_cells(rows, metric)
-    table = anova_two_way(data, factor_names=("department", experiment))
-    df_w = table.within.df
-    flat_groups = [cell for dept_cells in data for cell in dept_cells]
-    lev = levene_test(flat_groups)
-    tukey = None
-    if not table.degenerate:
-        import numpy as np
+    try:  # rows that cannot be analyzed name their file, as a bad cell does
+        experiments = {row.experiment for row in rows}
+        if len(experiments) != 1:
+            raise ValueError(
+                f"results mix experiments {sorted(experiments)}; analyze one at a time"
+            )
+        experiment = experiments.pop()
+        departments, levels, data = results_to_cells(rows, metric)
+        table = anova_two_way(data, factor_names=("department", experiment))
+        df_w = table.within.df
+        flat_groups = [cell for dept_cells in data for cell in dept_cells]
+        lev = levene_test(flat_groups)
+        tukey = None
+        if not table.degenerate:
+            import numpy as np
 
-        arr = np.asarray(data, dtype=float)
-        level_means = arr.mean(axis=(0, 2))
-        n_per_level = arr.shape[0] * arr.shape[2]
-        tukey = tukey_hsd(level_means, n_per_level, table.within.ms, df_w)
+            arr = np.asarray(data, dtype=float)
+            level_means = arr.mean(axis=(0, 2))
+            n_per_level = arr.shape[0] * arr.shape[2]
+            tukey = tukey_hsd(level_means, n_per_level, table.within.ms, df_w)
+    except ValueError as exc:
+        raise ValueError(f"{args.results}: {exc}") from None
     out = args.out
     if out is None:
         root, _ = os.path.splitext(args.results)

@@ -5,14 +5,14 @@ only `records`, so the schema loads without the model. Each field of
 `DepartmentConfig` after `label` is a section, read into the frozen record
 below that its annotation names. A record's fields are its section's keys,
 their defaults those of omitted keys, and its `__post_init__` holds every
-bound; the one reader, `_record`, walks the fields. The rule across
-sections, that referred refunds need a manager on staff, is
-`DepartmentConfig.__post_init__`, so a config changed in code obeys it too,
-and a value of the wrong kind set in code is refused with its section and
-field. Every record is a `records.Record`, which pickles as a call to its
-constructor, so an unpickled config is built and checked like a loaded one.
-A duration (`TriangularParams`) is a min/mode/max table or a bare number for
-a fixed one. Numbers must be finite; errors name file and field.
+bound and checks each float, bool and tuple field's kind with `_read`, the
+check the one reader, `_record`, makes of each key: a config built in code,
+as each parallel sweep cell's is in its worker, passes the loaded one's
+checks. The rule across sections, that referred refunds need a manager on
+staff, is `DepartmentConfig.__post_init__`. Every record is a
+`records.Record`, which pickles as a call to its constructor. A duration
+(`TriangularParams`) is a min/mode/max table or a bare number for a fixed
+one. Numbers must be finite; errors name the field, and `build_config` the file.
 """
 
 from __future__ import annotations
@@ -41,10 +41,46 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration; message names field and file."""
 
 
-def _check_number(value, where):
-    """Refuse a bool or a non-number, which only code can pass: the reader gives floats."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} must be a number, got {value!r}")
+def _check_known(table, known, path):
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {f'{path}.{unknown[0]}'!r}")
+
+
+def _read(value, kind, where):
+    """`value` as the annotated `kind` of the field at `where`.
+
+    The reader calls it on each key, and each record on its own fields. An
+    int field's value is passed on as it is: its record checks its bounds.
+    """
+    if kind == "bool" and not isinstance(value, bool):
+        raise ValueError(f"{where} must be true or false, got {value!r}")
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
+            raise ValueError(f"{where} must be finite, got {value}")
+        return float(value)
+    if kind == "tuple":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be an array, got {value!r}")
+        return tuple(value)
+    if not kind.startswith("TriangularParams"):
+        return value
+    # A duration: {min, mode, max}, or a bare number v for the fixed (v, v, v).
+    if not isinstance(value, dict):
+        v = _read(value, "float", where)
+        return TriangularParams(v, v, v)
+    keys = ("min", "mode", "max")
+    _check_known(value, keys, where)
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"missing required key {where}.{missing[0]}")
+    low, mode, high = (_read(value[key], "float", f"{where}.{key}") for key in keys)
+    try:
+        return TriangularParams(low, mode, high)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +102,8 @@ class TriangularParams(Record):
     right: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("low", "mode", "high"):
+            _read(getattr(self, name), "float", f"TriangularParams.{name}")
         if not (self.low <= self.mode <= self.high):
             raise ValueError(
                 f"triangular params must satisfy low <= mode <= high, "
@@ -82,7 +120,7 @@ class ArrivalProfile(Record):
     rate_per_hour: float
 
     def __post_init__(self):
-        _check_number(self.rate_per_hour, "arrivals.rate_per_hour")
+        _read(self.rate_per_hour, "float", "arrivals.rate_per_hour")
         if not self.rate_per_hour >= 0:
             raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
         if self.rate_per_hour > MAX_ARRIVALS_PER_HOUR:
@@ -152,11 +190,9 @@ class Probabilities(Record):
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float":
-                p = getattr(self, f.name)
-                _check_number(p, f"probabilities.{f.name}")
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
+            p = _read(getattr(self, f.name), f.type, f"probabilities.{f.name}")
+            if f.type == "float" and not 0.0 <= p <= 1.0:
+                raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
         if self.buy_after_browse_is_marginal and self.need_help + self.buy_after_browse > 1.0:
             raise ValueError(
                 f"probabilities.need_help + probabilities.buy_after_browse "
@@ -184,7 +220,7 @@ class Horizon(Record):
     days: int = 70
 
     def __post_init__(self):
-        _check_number(self.trading_day_minutes, "horizon.trading_day_minutes")
+        _read(self.trading_day_minutes, "float", "horizon.trading_day_minutes")
         if not (self.trading_day_minutes > 0):
             raise ValueError(
                 f"horizon.trading_day_minutes must be > 0, got {self.trading_day_minutes}"
@@ -210,6 +246,8 @@ class Queues(Record):
     cashier_priority: tuple = ("refund", "pay")
 
     def __post_init__(self):
+        priority = _read(self.cashier_priority, "tuple", "queues.cashier_priority")
+        object.__setattr__(self, "cashier_priority", priority)
         if sorted(self.cashier_priority, key=str) != ["pay", "refund"]:
             raise ValueError(
                 f"queues.cashier_priority must be a permutation of ['refund', 'pay'], "
@@ -252,9 +290,8 @@ class EmpowermentPolicy(Record):
     empowered_duration_multiplier: float = 1.0
 
     def __post_init__(self):
-        _check_number(self.p_empowered, "empowerment.p_empowered")
-        _check_number(self.empowered_duration_multiplier,
-                      "empowerment.empowered_duration_multiplier")
+        for f in fields(self):
+            _read(getattr(self, f.name), f.type, f"empowerment.{f.name}")
         if not (0.0 <= self.p_empowered <= 1.0):
             raise ValueError(
                 f"empowerment.p_empowered must lie in [0, 1], got {self.p_empowered}"
@@ -291,49 +328,7 @@ class DepartmentConfig(Record):
 # Reader
 
 
-def _check_known(table, known, path, source):
-    unknown = sorted(set(table) - set(known))
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {f'{path}.{unknown[0]}'!r}")
-
-
-def _read(value, kind, where, source):
-    """One TOML value as the annotated `kind` of the field at `where`.
-
-    Only the type is checked here. An int is passed on as it is: the record,
-    which code also builds from other sources, checks it with its bounds.
-    """
-    if kind == "bool" and not isinstance(value, bool):
-        raise ConfigError(f"{source}: {where} must be true or false, got {value!r}")
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{source}: {where} must be a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
-            raise ConfigError(f"{source}: {where} must be finite, got {value}")
-        return float(value)
-    if kind == "tuple":
-        if not isinstance(value, list):
-            raise ConfigError(f"{source}: {where} must be an array, got {value!r}")
-        return tuple(value)
-    if not kind.startswith("TriangularParams"):
-        return value
-    # A duration: {min, mode, max}, or a bare number v for the fixed (v, v, v).
-    if not isinstance(value, dict):
-        v = _read(value, "float", where, source)
-        return TriangularParams(v, v, v)
-    keys = ("min", "mode", "max")
-    _check_known(value, keys, where, source)
-    missing = [key for key in keys if key not in value]
-    if missing:
-        raise ConfigError(f"{source}: missing required key {where}.{missing[0]}")
-    low, mode, high = (_read(value[key], "float", f"{where}.{key}", source) for key in keys)
-    try:
-        return TriangularParams(low, mode, high)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {where}: {exc}") from None
-
-
-def _record(cls, root, section, source):
+def _record(cls, root, section):
     """Read [section] into the record `cls`, taking the section out of `root`.
 
     The fields of `cls` are the section's keys; an omitted key takes its
@@ -342,39 +337,36 @@ def _record(cls, root, section, source):
     present = section in root
     table = root.pop(section, {})
     if not isinstance(table, dict):
-        raise ConfigError(f"{source}: [{section}] must be a section, got {table!r}")
+        raise ValueError(f"[{section}] must be a section, got {table!r}")
     keys = fields(cls)
-    _check_known(table, [f.name for f in keys], section, source)
+    _check_known(table, [f.name for f in keys], section)
     values = {}
     for f in keys:
         where = f"{section}.{f.name}"
         if f.name in table:
-            values[f.name] = _read(table[f.name], f.type, where, source)
+            values[f.name] = _read(table[f.name], f.type, where)
         elif f.default is MISSING:
             missing = f"key {where}" if present else f"section [{section}]"
-            raise ConfigError(f"{source}: missing required {missing}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+            raise ValueError(f"missing required {missing}")
+    return cls(**values)
 
 
 def build_config(root, source="<config>"):
-    """Validate a parsed config tree and build the DepartmentConfig."""
-    if not isinstance(root, dict):
-        raise ConfigError(f"{source}: config root must be a table")
-    rest = dict(root)  # each record takes its section; what is left is unknown
-    label = rest.pop("label", None)
-    if not isinstance(label, str) or not label:
-        raise ConfigError(f"{source}: top-level 'label' must be a non-empty string")
-    # A section's annotation is the name of its record class in this module.
-    sections = {
-        f.name: _record(globals()[f.type], rest, f.name, source)
-        for f in fields(DepartmentConfig)[1:]
-    }
-    if rest:
-        raise ConfigError(f"{source}: unknown key {min(rest)!r}")
+    """Validate a parsed config tree and build the DepartmentConfig; a fault names `source`."""
     try:
+        if not isinstance(root, dict):
+            raise ValueError("config root must be a table")
+        rest = dict(root)  # each record takes its section; what is left is unknown
+        label = rest.pop("label", None)
+        if not isinstance(label, str) or not label:
+            raise ValueError("top-level 'label' must be a non-empty string")
+        # A section's annotation is the name of its record class in this module.
+        sections = {
+            f.name: _record(globals()[f.type], rest, f.name)
+            for f in fields(DepartmentConfig)[1:]
+        }
+        if rest:
+            raise ValueError(f"unknown key {min(rest)!r}")
         return DepartmentConfig(label, **sections)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None

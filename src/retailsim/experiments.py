@@ -9,9 +9,14 @@ repeated sweep is byte-identical. A replication that fails inside a sweep is
 reported as a SimulationFault naming its department, level, replication and
 seed, so it can be rerun on its own; so is one that kills its worker process,
 found by rerunning alone each cell whose result had not come back. A parallel
-sweep's workers are forked (the Linux default through Python 3.13) after the
-parent has loaded numpy and built the kernel's refill table, so no worker
-pays for either. Each cell's config reaches its worker rebuilt by the config
+sweep's workers, and each rerun, are forked wherever the platform can fork,
+whatever its default start method (`forkserver` on Linux from Python 3.14),
+after the parent has loaded numpy and built the kernel's refill table, so no
+worker pays for either. A fork copies only the calling thread: from Python
+3.12 forking while other threads run gives a DeprecationWarning, and a lock
+another thread held stays held in the worker and can hang it, so a library
+caller with threads of its own runs a parallel sweep before it starts them,
+or with jobs=1. Each cell's config reaches its worker rebuilt by the config
 records' constructors (`records.Record`), so it reads as fast as a loaded one.
 The CSV schema, its reader and its atomic writer live in `results`, which
 the analysis shares; the sweep's per-cell summary table groups rows with the
@@ -95,17 +100,15 @@ def _run_alone(task):
         _run_cell(task)
 
 
-def _name_dead_cell(suspects):
+def _name_dead_cell(suspects, context):
     """Rerun each suspect alone, in task order; raise a fault naming the first that dies.
 
     Cells are seeded independently, so a cell that killed its worker kills
     a fresh process too, unless something outside it (an out-of-memory
     kill, say) ended the worker.
     """
-    import multiprocessing
-
     for task in suspects:
-        proc = multiprocessing.Process(target=_run_alone, args=(task,), daemon=True)
+        proc = context.Process(target=_run_alone, args=(task,), daemon=True)
         proc.start()
         proc.join()
         code = proc.exitcode
@@ -124,14 +127,19 @@ def _name_dead_cell(suspects):
 def _run_parallel(tasks, workers):
     """Each task's outcome from a pool of `workers` forked processes, in task order."""
     # Imported here: only a parallel sweep pays for the pool machinery.
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     refill_table()  # the forked workers inherit numpy and the RNG's table
+    # `fork` wherever there is one, not the platform's default start method.
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forks else None)
     futures = []
     # Workers ignore Ctrl-C: the parent's KeyboardInterrupt is its one report.
     with ProcessPoolExecutor(
-        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        workers, mp_context=context, initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:
         try:
             for task in tasks:
@@ -146,7 +154,7 @@ def _run_parallel(tasks, workers):
     # A worker died. The pool is shut down, so every future is settled, and
     # the suspects are the cells whose results had not come back.
     suspects = [task for task, f in zip(tasks, futures) if f.cancelled() or f.exception()]
-    _name_dead_cell(suspects + tasks[len(futures):])
+    _name_dead_cell(suspects + tasks[len(futures):], context)
 
 
 def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):

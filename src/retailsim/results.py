@@ -2,11 +2,13 @@
 
 `RunMetrics` is one replication's outcome and `ResultRow` tags it with its
 sweep cell. A results CSV holds the cell columns, then one column per metric,
-with round-trip float formatting; `load_results` reads one back and names the
-line and column of any bad cell or broken row identity. `write_csv` writes
-every CSV the CLI makes, results, `run --out` and analysis files alike: one
-dialect, one cell format, and each file is written beside its target and
-moved into place, so no reader sees half of one.
+with round-trip float formatting. `load_results` reads one back: only a
+utilization, the one metric whose field admits None, may be an empty cell,
+and a bad cell or broken row identity is an error naming the file, the line
+and the column. `write_csv` writes every CSV the CLI makes, results, `run
+--out` and analysis files alike: one dialect, one cell format, and each file
+is written beside its target and moved into place, so no reader sees half of
+one.
 
 Both are `records.Record`s. This module imports only the standard library
 and `records`, so `analyze` reads results without loading the simulation
@@ -39,9 +41,9 @@ class RunMetrics(Record):
     satisfied_customers: int
     overall_satisfaction: int
     refund_satisfaction: int
-    cashier_utilization: object
-    seller_utilization: object
-    manager_utilization: object
+    cashier_utilization: float | None
+    seller_utilization: float | None
+    manager_utilization: float | None
     customers_entered: int
     customers_left: int
     abandoned_help: int
@@ -128,11 +130,14 @@ def _parse_level(text):
         return _finite(float(text))
 
 
-def _parse_metric(text):
+def _parse_utilization(text):
     return None if text == "" else _parse_level(text)
 
 
-_ID_PARSERS = (str, str, _parse_level, int, int)
+# A cell of each column: only a field that admits None may be empty.
+_PARSERS = (str, str, _parse_level, int, int) + tuple(
+    _parse_utilization if f.type == "float | None" else _parse_level for f in fields(RunMetrics)
+)
 
 
 def _broken_identity(m):
@@ -157,40 +162,34 @@ def _broken_identity(m):
 def load_results(path):
     """Read a results CSV back into ResultRows.
 
-    A file that is not UTF-8 text raises a ValueError naming the file; a
-    cell that does not parse, a level or metric that is NaN or infinite, and
-    a row that breaks an identity of `_broken_identity` raise one naming the
-    file, the line and the column.
+    A file that is not UTF-8 text or not CSV, a cell that does not parse, a
+    level or metric that is NaN or infinite, and a row that breaks an
+    identity of `_broken_identity` raise a ValueError naming the file and,
+    for a cell or a row, the line and the column.
     """
     try:
         with open(path, "rb") as fh:
-            content = fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
+            reader = csv.reader(io.StringIO(fh.read().decode("utf-8"), newline=""))
+        header = next(reader, None)
+        if header != csv_header():
+            raise ValueError(f"unexpected results header; expected {csv_header()!r}")
+        rows = []
+        for record in reader:
+            if len(record) != len(header):
+                raise ValueError(f"line {reader.line_num}: wrong field count")
+            values = []
+            for parse, column, text in zip(_PARSERS, header, record):
+                try:
+                    values.append(parse(text))
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}, column {column!r}: {exc}") from None
+            metrics = RunMetrics(*values[5:])
+            broken = _broken_identity(metrics)
+            if broken is not None:
+                raise ValueError(f"line {reader.line_num}, column {broken[0]!r}: {broken[1]}")
+            rows.append(ResultRow(*values[:5], metrics))
+    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
-    reader = csv.reader(io.StringIO(content, newline=""))
-    header = next(reader, None)
-    if header != csv_header():
-        raise ValueError(f"{path}: unexpected results header; expected {csv_header()!r}")
-    parsers = _ID_PARSERS + (_parse_metric,) * len(METRIC_FIELDS)
-    rows = []
-    for record in reader:
-        if len(record) != len(header):
-            raise ValueError(f"{path}: line {reader.line_num}: wrong field count")
-        values = []
-        for parse, column, text in zip(parsers, header, record):
-            try:
-                values.append(parse(text))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}, column {column!r}: {exc}"
-                ) from None
-        metrics = RunMetrics(*values[5:])
-        broken = _broken_identity(metrics)
-        if broken is not None:
-            raise ValueError(
-                f"{path}: line {reader.line_num}, column {broken[0]!r}: {broken[1]}"
-            )
-        rows.append(ResultRow(*values[:5], metrics))
     return rows
 
 

@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, determinism, and analysis output."""
 
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import os
 import pathlib
 import shutil
@@ -16,6 +18,8 @@ import time
 import tomllib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import retailsim
 from retailsim import cli, department, experiments
@@ -24,6 +28,8 @@ from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
 from retailsim.experiments import MAX_JOBS, MAX_REPLICATIONS, derive_cell_seed, save_results
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
+
+from conftest import shorten
 
 
 @pytest.fixture(scope="module")
@@ -718,6 +724,9 @@ def test_analyze_empty_results(tmp_path, capsys):
         ("level", "xyz", "could not convert string to float: 'xyz'"),
         ("overall_satisfaction", "nan", "nan is not a finite number"),
         ("cashier_utilization", "-inf", "-inf is not a finite number"),
+        # Only a utilization may be empty; an empty count is a bad number.
+        ("manager_authorizations", "", "could not convert string to float: ''"),
+        ("refunds_completed", "", "could not convert string to float: ''"),
     ],
 )
 def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
@@ -732,6 +741,86 @@ def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
     assert main(["analyze", "--results", str(results)]) == 2
     err = capsys.readouterr().err
     assert f"error: {results}: line 3, column {column!r}: {reason}" in err
+
+
+@pytest.fixture(scope="module")
+def one_day_results(tmp_path_factory, atv_config, ww_config):
+    """Rows of a 1-day, 2-replication cashier sweep of both departments, header first."""
+    configs = {c.label: shorten(c, days=1) for c in (atv_config, ww_config)}
+    path = tmp_path_factory.mktemp("fuzz") / "sweep.csv"
+    save_results(experiments.run_sweep("cashiers", configs, replications=2), path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return path.parent, list(csv.reader(fh))
+
+
+# One edit of a results CSV: a cell (to a number the analysis runs on, in a
+# column no row identity involves, or to anything), a BOM before a cell, a
+# repeated or dropped row, a cut after some fields of a row, or a header cell.
+NUMBERS = ["-0", "0", "1", "1e2", "0.5", "9" * 30]
+FREE_COLUMNS = ["transactions", "satisfied_customers", "refund_satisfaction",
+                "abandoned_help", "abandoned_pay", "abandoned_refund"]
+# The last is one character over the csv module's field size limit.
+ODD_CELLS = ["", "nan", "inf", "-inf", "1e309", "-1", "abc", "9" * 131_073]
+LINES = st.integers(1, 20)
+NUMBER_EDITS = st.tuples(
+    st.just("cell"), LINES, st.sampled_from(FREE_COLUMNS), st.sampled_from(NUMBERS)
+)
+EDITS = st.one_of(
+    st.tuples(st.just("cell"), LINES, st.sampled_from(csv_header()),
+              st.sampled_from(ODD_CELLS) | st.text(max_size=5)),
+    st.tuples(st.just("bom"), st.integers(0, 20), st.sampled_from(csv_header())),
+    st.tuples(st.sampled_from(["drop", "repeat"]), LINES),
+    st.tuples(st.just("cut"), LINES, st.integers(0, 20)),
+    st.tuples(st.just("header"), st.sampled_from(csv_header()), st.text(max_size=8)),
+)
+
+
+def edited(rows, edits):
+    rows = [list(row) for row in rows]
+    for kind, *args in edits:
+        if kind == "header":
+            column, value = args
+            rows[0][csv_header().index(column)] = value
+            continue
+        line = args[0] % len(rows)
+        if kind == "drop":
+            del rows[line]
+        elif kind == "repeat":
+            rows.insert(line, list(rows[line]))
+        elif kind == "cut":
+            rows[line:] = [rows[line][:args[1]]]
+        else:
+            column = csv_header().index(args[1])
+            if len(rows[line]) > column:
+                rows[line][column] = args[2] if kind == "cell" else "\ufeff" + rows[line][column]
+    return rows
+
+
+def blanked(column):
+    return [("cell", 1, column, "")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers=st.lists(NUMBER_EDITS, max_size=3), edits=st.lists(EDITS, max_size=2),
+       metric=st.sampled_from(METRIC_FIELDS))
+@example(numbers=[], edits=blanked("manager_authorizations"), metric="transactions")
+@example(numbers=[], edits=blanked("refunds_completed"), metric="transactions")
+@example(numbers=[], edits=blanked("autonomous_refunds"), metric="transactions")
+@example(numbers=[], edits=[("cell", 1, "experiment", ODD_CELLS[-1])], metric="transactions")
+def test_fuzzed_results_csvs_exit_0_or_name_the_file(one_day_results, numbers, edits, metric):
+    """analyze reads any edited results CSV to a report, or to exit 2 naming the file."""
+    directory, rows = one_day_results
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator="\n").writerows(edited(rows, numbers + edits))
+    results = directory / "mutant.csv"
+    results.write_text(text.getvalue(), encoding="utf-8", newline="")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = main(["analyze", "--results", str(results), "--metric", metric,
+                       "--out", str(directory / "analysis.csv")])
+    assert status in (0, 2), stderr.getvalue()
+    if status == 2:
+        assert str(results) in stderr.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep", "analyze"])

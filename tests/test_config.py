@@ -28,8 +28,10 @@ from retailsim.config import (
     ConfigError,
     DepartmentConfig,
     Durations,
+    EmpowermentPolicy,
     Horizon,
     Probabilities,
+    Queues,
     StaffingPlan,
     TriangularParams,
     build_config,
@@ -402,6 +404,40 @@ def test_arrivals_and_horizon_built_in_code_name_a_value_that_is_not_a_number():
             Horizon(bad, 7)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((None, 1.0, 2.0), "TriangularParams.low must be a number, got None"),
+    (("1", "2", "3"), "TriangularParams.low must be a number, got '1'"),
+    ((0.0, 1.0, math.inf), "TriangularParams.high must be finite, got inf"),
+    ((0.0, math.nan, 1.0), "TriangularParams.mode must be finite, got nan"),
+])
+def test_durations_built_in_code_name_a_bound_that_is_not_a_number(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        TriangularParams(*args)
+    assert str(excinfo.value) == message
+
+
+def test_cashier_priority_built_in_code_is_a_tuple_of_the_two_queues():
+    with pytest.raises(ValueError) as excinfo:
+        Queues(None)
+    assert str(excinfo.value) == "queues.cashier_priority must be an array, got None"
+    listed = Queues(["pay", "refund"])
+    assert listed == Queues(("pay", "refund"))
+    assert hash(listed) == hash(Queues(("pay", "refund")))
+    assert listed.cashier_priority == ("pay", "refund")
+
+
+@pytest.mark.parametrize("record, name", [
+    (EmpowermentPolicy, "hold_cashier_during_referral"),
+    (Probabilities, "buy_after_browse_is_marginal"),
+])
+@pytest.mark.parametrize("bad", [None, 1, "true"])
+def test_flags_built_in_code_must_be_bools(ww_config, record, name, bad):
+    section = "empowerment" if record is EmpowermentPolicy else "probabilities"
+    with pytest.raises(ValueError) as excinfo:
+        dataclasses.replace(getattr(ww_config, section), **{name: bad})
+    assert str(excinfo.value) == f"{section}.{name} must be true or false, got {bad!r}"
+
+
 def test_probabilities_validation():
     base = Probabilities(0.38, 0.37, 0.56)
     assert (base.refund_goal, base.repurchase_after_refund, base.needs_expert) == (0.1, 0.3, 0.2)
@@ -409,9 +445,13 @@ def test_probabilities_validation():
     for field in dataclasses.fields(Probabilities):
         if field.type != "float":
             continue
-        for bad in (-0.01, 1.01, math.nan):
+        for bad in (-0.01, 1.01):
             with pytest.raises(ValueError, match=f"probabilities.{field.name} must lie in"):
                 dataclasses.replace(base, **{field.name: bad})
+        # NaN is refused by the kind check a loaded value also passes.
+        with pytest.raises(ValueError) as excinfo:
+            dataclasses.replace(base, **{field.name: math.nan})
+        assert str(excinfo.value) == f"probabilities.{field.name} must be finite, got nan"
     with pytest.raises(ValueError, match="sum to at most 1"):
         dataclasses.replace(base, need_help=0.6, buy_after_browse=0.5)
     verbatim = dataclasses.replace(

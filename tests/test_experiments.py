@@ -1,6 +1,7 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
 import concurrent.futures
+import multiprocessing
 import os
 import signal
 
@@ -147,6 +148,38 @@ def test_parallel_sweep_workers_leave_ctrl_c_to_the_parent(monkeypatch, atv_conf
                         lambda config, seed=None: signal.getsignal(signal.SIGINT))
     rows = run_sweep("cashiers", {"A&TV": atv_config}, replications=1, jobs=2)
     assert {row.metrics for row in rows} == {signal.SIG_IGN}
+
+
+@pytest.fixture()
+def default_start_method(request):
+    """The platform's default start method is `request.param`, forkserver by default."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(getattr(request, "param", "forkserver"), force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+def test_parallel_sweep_forks_whatever_the_default_start_method(
+    default_start_method, monkeypatch, atv_config
+):
+    # Linux's default from Python 3.14 is forkserver, whose workers import
+    # the module afresh and would run the real cell.
+    monkeypatch.setattr(experiments, "run_replication", lambda config, seed=None: "forked")
+    rows = run_sweep("cashiers", {"A&TV": atv_config}, replications=1, jobs=2)
+    assert {row.metrics for row in rows} == {"forked"}
+
+
+@pytest.mark.parametrize("default_start_method", ["forkserver", "spawn"], indirect=True)
+def test_parallel_sweep_bytes_do_not_depend_on_the_start_method(
+    default_start_method, monkeypatch, atv_config, tmp_path
+):
+    # Where the platform cannot fork, the pool takes the default start method.
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    configs = {"A&TV": shorten(atv_config, days=1)}
+    save_results(run_sweep("cashiers", configs, replications=2), tmp_path / "serial.csv")
+    save_results(run_sweep("cashiers", configs, replications=2, jobs=2), tmp_path / "pool.csv")
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class RecordingExecutor:
