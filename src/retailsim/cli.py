@@ -29,7 +29,7 @@ import sys
 
 from .kernel import SimulationFault
 from .results import METRIC_FIELDS, format_value, load_results, results_to_cells, write_csv
-from .stats import anova_two_way, levene_test, tukey_hsd
+from .stats import ALPHA, anova_two_way, levene_test, tukey_hsd
 
 DEFAULT_CONFIG_FILES = ("dept_atv.toml", "dept_ww.toml")
 PACKAGED_CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs")
@@ -67,15 +67,15 @@ def cmd_run(args):
     from .config import ConfigError, load_config
     from .department import run_replication
 
-    path = resolve_config_path(args.config)
-    config = load_config(path)
+    config = load_config(resolve_config_path(args.config))
     supplied = {r: getattr(args, r) for r in STAFF_ROLES if getattr(args, r) is not None}
     if supplied:
-        staffing = dataclasses.replace(config.staffing, **supplied)
         try:  # the new staffing must still serve the file's [empowerment]
+            staffing = dataclasses.replace(config.staffing, **supplied)
             config = dataclasses.replace(config, staffing=staffing)
         except ValueError as exc:
-            raise ConfigError(f"{os.path.basename(path)}: {exc}") from None
+            flags = " ".join(f"--{role.replace('_', '-')} {n}" for role, n in supplied.items())
+            raise ConfigError(f"{flags}: {exc}") from None
     if args.weeks is not None:
         try:
             horizon = dataclasses.replace(config.horizon, days=args.weeks * 7)
@@ -186,8 +186,8 @@ def cmd_analyze(args):
     )
     if lev.degenerate:
         print("  note: zero spread in absolute deviations; W is undefined")
-    elif lev.p < 0.05:
-        print("  note: variance homogeneity rejected at alpha = 0.05; "
+    elif lev.p < ALPHA:
+        print(f"  note: variance homogeneity rejected at alpha = {ALPHA}; "
               "interpret F tests at a stricter alpha (e.g. 0.01)")
     if tukey is None:
         print(f"Tukey HSD on {experiment} levels: skipped (degenerate ANOVA)")

@@ -486,6 +486,6 @@ class DepartmentSim:
         )
 
 
-def run_replication(config, seed=0, trace=None, strict=False):
+def run_replication(config, seed=0):
     """Run one deterministic replication; same arguments, same RunMetrics."""
-    return DepartmentSim(config, seed=seed, trace=trace, strict=strict).run()
+    return DepartmentSim(config, seed=seed).run()

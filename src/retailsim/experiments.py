@@ -3,24 +3,24 @@
 Each (department, level, replication) cell gets its own seed derived by
 hashing the cell coordinates under a base seed, so adding replications or
 reordering execution (including --jobs parallelism) never shifts any cell's
-stream. Rows come back in (experiment, department, level, replication)
-order, and result CSVs are written with round-trip float formatting so a
-repeated sweep is byte-identical. A replication that fails inside a sweep is
-reported as a SimulationFault naming its department, level, replication and
-seed, so it can be rerun on its own; so is one that kills its worker process,
-found by rerunning alone each cell whose result had not come back. A parallel
-sweep's workers, and each rerun, are forked wherever the platform can fork,
-whatever its default start method (`forkserver` on Linux from Python 3.14),
-after the parent has loaded numpy and built the kernel's refill table, so no
-worker pays for either. A fork copies only the calling thread: from Python
-3.12 forking while other threads run gives a DeprecationWarning, and a lock
-another thread held stays held in the worker and can hang it, so a library
-caller with threads of its own runs a parallel sweep before it starts them,
-or with jobs=1. Each cell's config reaches its worker rebuilt by the config
-records' constructors (`records.Record`), so it reads as fast as a loaded one.
-The CSV schema, its reader and its atomic writer live in `results`, which
-the analysis shares; the sweep's per-cell summary table groups rows with the
-ANOVA's own `results_to_cells`.
+stream. Rows come back in (experiment, department, level, replication) order,
+and result CSVs are written with round-trip float formatting so a repeated
+sweep is byte-identical. A replication that fails inside a sweep is reported
+as a SimulationFault naming its department, level, replication and seed, so it
+can be rerun on its own; so is one that kills its worker process, found by
+rerunning alone, in task order, each cell from the first whose result had not
+come back. A parallel sweep's workers, and each rerun, are forked wherever the
+platform can fork, whatever its default start method (`forkserver` on Linux
+from Python 3.14), after the parent has loaded numpy and built the kernel's
+refill table, so no worker pays for either. A fork copies only the calling
+thread: from Python 3.12 forking while other threads run gives a
+DeprecationWarning, and a lock another thread held stays held in the worker
+and can hang it, so a library caller with threads of its own runs a parallel
+sweep before it starts them, or with jobs=1. Each cell's config reaches its
+worker rebuilt by the config records' constructors (`records.Record`), so it
+reads as fast as a loaded one. The CSV schema, its reader and its atomic
+writer live in `results`, which the analysis shares; the sweep's per-cell
+summary table groups rows with the ANOVA's own `results_to_cells`.
 """
 
 from __future__ import annotations
@@ -118,14 +118,17 @@ def _name_dead_cell(suspects, context):
             name = {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
             raise SimulationFault(f"{_cell_name(task)}: worker process killed by {name}")
     raise SimulationFault(
-        f"a sweep worker process died and the fault did not reproduce: none of the "
-        f"{len(suspects)} cells whose results had not come back died when rerun alone: "
-        + "; ".join(_cell_name(task) for task in suspects)
+        "a sweep worker process died and the fault did not reproduce: none of the "
+        f"{len(suspects)} cells from the first whose result had not come back died "
+        "when rerun alone: " + "; ".join(_cell_name(task) for task in suspects)
     )
 
 
 def _run_parallel(tasks, workers):
-    """Each task's outcome from a pool of `workers` forked processes, in task order."""
+    """Each task's outcome from a pool of `workers` forked processes, in task order.
+
+    A dead worker's suspects are the cells from the first whose result had not come back.
+    """
     # Imported here: only a parallel sweep pays for the pool machinery.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -135,26 +138,18 @@ def _run_parallel(tasks, workers):
     # `fork` wherever there is one, not the platform's default start method.
     forks = "fork" in multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if forks else None)
-    futures = []
+    outcomes = []
     # Workers ignore Ctrl-C: the parent's KeyboardInterrupt is its one report.
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=signal.signal,
         initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:
-        try:
-            for task in tasks:
-                futures.append(pool.submit(_run_cell, task))
-            return [future.result() for future in futures]
+        try:  # once a result raises, `map` cancels every cell not yet started
+            outcomes.extend(pool.map(_run_cell, tasks))
+            return outcomes
         except BrokenProcessPool:
             pass
-        finally:
-            # After Ctrl-C or a fault, no cell that has not started runs.
-            for future in futures:
-                future.cancel()
-    # A worker died. The pool is shut down, so every future is settled, and
-    # the suspects are the cells whose results had not come back.
-    suspects = [task for task, f in zip(tasks, futures) if f.cancelled() or f.exception()]
-    _name_dead_cell(suspects + tasks[len(futures):], context)
+    _name_dead_cell(tasks[len(outcomes):], context)
 
 
 def run_sweep(experiment, configs, replications=20, base_seed=1, jobs=1):

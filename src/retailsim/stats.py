@@ -500,6 +500,10 @@ def studentized_range_upper_tail(q, k, df):
     return min(max(1.0 - cdf, 0.0), 1.0)
 
 
+# The significance level of Tukey's pairs and of `analyze`'s Levene note.
+ALPHA = 0.05
+
+
 class TukeyResult(Record):
     """One Tukey HSD pair: mean of group j minus mean of group i, its q and p."""
 
@@ -511,7 +515,7 @@ class TukeyResult(Record):
     significant: bool
 
 
-def tukey_hsd(means, n_per_group, ms_within, df_within, alpha=0.05):
+def tukey_hsd(means, n_per_group, ms_within, df_within):
     """All-pairs Tukey HSD from cell means and the ANOVA error term.
 
     q = |mean_i - mean_j| / sqrt(ms_within / n); p from the studentized
@@ -541,7 +545,7 @@ def tukey_hsd(means, n_per_group, ms_within, df_within, alpha=0.05):
                     diff=diff,
                     q_stat=q,
                     p_value=p,
-                    significant=p < alpha,
+                    significant=p < ALPHA,
                 )
             )
     return out

@@ -255,6 +255,14 @@ def test_run_rejects_a_staffing_override_beyond_the_ceiling(capsys):
     assert "staffing.cashiers must be at most" in capsys.readouterr().err
 
 
+def test_run_names_the_staffing_flag_it_rejects(capsys):
+    rc = main(["run", "--config", "dept_ww", "--seed", "1", "--cashiers", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --cashiers -1: staffing.cashiers must be a non-negative integer, got -1\n"
+    )
+
+
 def test_run_staffing_flags_each_document_their_key(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
@@ -284,7 +292,7 @@ def test_run_rejects_removing_the_manager_refunds_are_referred_to(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "staffing.section_managers is 0" in err
-    assert "dept_atv.toml" in err
+    assert "--section-managers 0" in err
 
 
 def test_run_without_managers_when_fully_empowered(tmp_path, capsys, atv_text):

@@ -37,7 +37,7 @@ from retailsim.config import (
     build_config,
     load_config,
 )
-from retailsim.department import DepartmentSim, run_replication
+from retailsim.department import DepartmentSim
 from retailsim.experiments import run_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -593,7 +593,7 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
     one_day = dataclasses.replace(
         config, horizon=Horizon(config.horizon.trading_day_minutes, 1)
     )
-    metrics = run_replication(one_day, seed=seed, strict=True)
+    metrics = DepartmentSim(one_day, seed=seed, strict=True).run()
     assert metrics.customers_entered == metrics.customers_left
 
 
@@ -679,7 +679,7 @@ def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, se
         dataclasses.replace(base, queues=dataclasses.replace(base.queues, cashier_priority=order))
         for order in (("refund", "pay"), ("pay", "refund"))
     ]
-    runs = [run_replication(variant, seed=seed, strict=True) for variant in variants]
+    runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
     assert all(metrics == runs[0] for metrics in runs[1:])
     assert runs[0].refunds_completed == runs[0].abandoned_refund == 0
 
@@ -700,7 +700,7 @@ def test_fuzzed_configs_at_full_empowerment_ignore_the_hold_flag_and_managers(ro
         dataclasses.replace(base, staffing=dataclasses.replace(
             staffing, section_managers=staffing.section_managers + 1)),
     ]
-    runs = [run_replication(variant, seed=seed, strict=True) for variant in variants]
+    runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
     # No manager ever works, so manager utilization is 0, or empty with none.
     assert [m.manager_utilization for m in runs[1:]] == [runs[0].manager_utilization, 0.0]
     runs = [dataclasses.replace(m, manager_utilization=None) for m in runs]

@@ -146,8 +146,8 @@ def test_handler_fault_names_the_handler_and_the_clock(observed):
 
 
 def test_week_passes_strict_invariant_checks(atv_week, ww_week):
-    m_atv = run_replication(atv_week, seed=3, strict=True)
-    m_ww = run_replication(ww_week, seed=3, strict=True)
+    m_atv = DepartmentSim(atv_week, seed=3, strict=True).run()
+    m_ww = DepartmentSim(ww_week, seed=3, strict=True).run()
     assert m_atv.transactions > 0
     assert m_ww.transactions > m_atv.transactions  # busier door, quicker sales
 
@@ -160,7 +160,7 @@ def test_strict_run_with_referrals_and_release(atv_week):
             atv_week.empowerment, p_empowered=p, hold_cashier_during_referral=hold
         )
         cfg = dataclasses.replace(atv_week, empowerment=policy)
-        m = run_replication(cfg, seed=5, strict=True)
+        m = DepartmentSim(cfg, seed=5, strict=True).run()
         assert m.refunds_completed > 0
 
 
@@ -184,7 +184,7 @@ def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_
 
 
 def test_zero_arrivals_zero_everything():
-    m = run_replication(scripted(days=3), seed=9, strict=True)
+    m = DepartmentSim(scripted(days=3), seed=9, strict=True).run()
     for field in METRIC_FIELDS:
         value = getattr(m, field)
         if field.endswith("utilization"):
@@ -522,19 +522,19 @@ def test_three_day_trace_is_a_prefix_of_the_seven_day_trace(dept, request):
 def test_without_refunds_no_empowerment_policy_or_cashier_order_matters(dept, request):
     base = without_refunds(request.getfixturevalue(f"{dept}_config"))
     policies = {
-        (p, hold): run_replication(
+        (p, hold): DepartmentSim(
             with_policy(base, p_empowered=p, hold_cashier_during_referral=hold),
             seed=7,
             strict=True,
-        )
+        ).run()
         for p in (0.0, 0.5, 1.0)
         for hold in (True, False)
     }
     assert differing(policies) == []
     orders = {
-        order: run_replication(
+        order: DepartmentSim(
             dataclasses.replace(base, queues=Queues(cashier_priority=order)), seed=7, strict=True
-        )
+        ).run()
         for order in (("refund", "pay"), ("pay", "refund"))
     }
     assert differing(orders) == []
@@ -552,18 +552,18 @@ def test_full_empowerment_needs_neither_the_hold_rule_nor_a_manager(dept, reques
         staffing, section_managers=staffing.section_managers + 1
     )
     runs = {
-        "as shipped": run_replication(base, seed=7, strict=True),
-        "hold flag flipped": run_replication(
+        "as shipped": DepartmentSim(base, seed=7, strict=True).run(),
+        "hold flag flipped": DepartmentSim(
             with_policy(
                 base,
                 hold_cashier_during_referral=not base.empowerment.hold_cashier_during_referral,
             ),
             seed=7,
             strict=True,
-        ),
-        "extra manager": run_replication(
+        ).run(),
+        "extra manager": DepartmentSim(
             dataclasses.replace(base, staffing=extra_manager), seed=7, strict=True
-        ),
+        ).run(),
     }
     assert differing(runs) == []
     reference = runs["as shipped"]

@@ -4,6 +4,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -196,10 +197,8 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture()
@@ -261,6 +260,35 @@ def test_sweep_fault_names_its_cell_and_seed(monkeypatch, atv_week, jobs):
         f"sweep cell department='A&TV' level=3 replication=2 seed={bad_seed}: "
         "injected failure"
     )
+
+
+def test_a_fault_stops_the_pool_before_the_cells_not_yet_started(
+    monkeypatch, atv_config, tmp_path
+):
+    # Each cell that starts appends a byte to the log. The first cell fails
+    # at once and every other cell sleeps first, so a pool that cancels the
+    # cells not yet started after a fault runs only a few of the 20.
+    log = tmp_path / "started"
+    bad_seed = derive_cell_seed(1, "A&TV", 1, 1)
+    original = experiments.run_replication
+
+    def logged(config, seed=None):
+        with open(log, "ab") as fh:
+            fh.write(b".")
+        if seed == bad_seed:
+            raise RuntimeError("injected failure")
+        time.sleep(0.2)
+        return original(config, seed=seed)
+
+    # Worker processes are forked, so they inherit the patched function.
+    monkeypatch.setattr(experiments, "run_replication", logged)
+    with pytest.raises(SimulationFault) as excinfo:
+        run_sweep("cashiers", {"A&TV": shorten(atv_config, days=1)}, replications=4, jobs=2)
+    assert str(excinfo.value) == (
+        f"sweep cell department='A&TV' level=1 replication=1 seed={bad_seed}: "
+        "injected failure"
+    )
+    assert log.stat().st_size <= 10  # of the 20 cells
 
 
 def test_parallel_sweep_of_one_day_matches_serial(atv_config, ww_config):
