@@ -275,7 +275,7 @@ def build_parser():
 
     p_an = sub.add_parser("analyze", help="ANOVA / Levene / Tukey on sweep results")
     p_an.add_argument("--results", required=True, help="results CSV from sweep")
-    p_an.add_argument("--metric", default="transactions",
+    p_an.add_argument("--metric", default="transactions", choices=METRIC_FIELDS, metavar="METRIC",
                       help=f"one of: {', '.join(METRIC_FIELDS)}")
     p_an.add_argument(
         "--out",

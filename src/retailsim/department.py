@@ -18,9 +18,9 @@ refund path or to browsing. The ledger is `event_counts`, indexed by
 from `config` where they use it; README's Performance section gives
 measured speeds.
 
-A replication returns a `RunMetrics`. It and `METRIC_FIELDS`, the metric
-names in CSV column order, are defined in `results`, so the analysis reads
-them without loading this model.
+A replication returns a `RunMetrics`, which checks its identities. It and
+`METRIC_FIELDS`, the metric names in CSV column order, are defined in
+`results`, so the analysis reads them without loading this model.
 """
 
 from __future__ import annotations
@@ -135,7 +135,9 @@ class DepartmentSim:
     # -- public API ---------------------------------------------------------
 
     def inject_arrival(self, at):
-        """Force an arrival at an absolute time (scripted scenarios)."""
+        """Force an arrival at `at` (arrivals off): each arrival draws the next one's gap."""
+        if self.config.arrivals.rate_per_hour:
+            raise ValueError("inject_arrival needs arrivals.rate_per_hour = 0")
         self.cal.schedule(at, self._on_arrival)
 
     def run(self):
@@ -150,13 +152,14 @@ class DepartmentSim:
         # Stale renege timers left in the heap hold bound handlers; dropping
         # them breaks the last cycle, so the replication is freed on return.
         cal.heap.clear()
-        if self.live:
-            raise SimulationFault(f"{len(self.live)} customers still in store at horizon")
         for pool in (self.cashiers, self.normal_sellers, self.expert_sellers, self.managers):
             for staff in pool:
                 if staff.busy:
                     raise SimulationFault(f"{staff!r} still busy at horizon")
-        return self._metrics(horizon)
+        try:  # a customer still in store breaks customers_entered == customers_left
+            return self._metrics(horizon)
+        except ValueError as exc:
+            raise SimulationFault(f"metrics at horizon, {exc}") from None
 
     # -- observers ----------------------------------------------------------
 

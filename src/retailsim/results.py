@@ -1,14 +1,14 @@
 """The results-CSV schema that the model writes and the analysis reads.
 
-`RunMetrics` is one replication's outcome and `ResultRow` tags it with its
-sweep cell. A results CSV holds the cell columns, then one column per metric,
-with round-trip float formatting. `load_results` reads one back: only a
-utilization, the one metric whose field admits None, may be an empty cell,
-and a bad cell or broken row identity is an error naming the file, the line
-and the column. `write_csv` writes every CSV the CLI makes, results, `run
---out` and analysis files alike: one dialect, one cell format, and each file
-is written beside its target and moved into place, so no reader sees half of
-one.
+`RunMetrics` is one replication's outcome, held to the identities every
+replication satisfies, and `ResultRow` tags it with its sweep cell. A results
+CSV holds the cell columns, then one column per metric, with round-trip float
+formatting. `load_results` reads one back: only a utilization, the one metric
+whose field admits None, may be an empty cell, and a bad cell or broken
+identity is an error naming the file, the line and the column. `write_csv`
+writes every CSV the CLI makes, results, `run --out` and analysis files alike:
+one dialect, one cell format, and each file is written beside its target and
+moved into place, so no reader sees half of one.
 
 Both are `records.Record`s. This module imports only the standard library
 and `records`, so `analyze` reads results without loading the simulation
@@ -32,9 +32,9 @@ class RunMetrics(Record):
 
     Field order is the column order of result CSVs. Utilizations are None
     (empty CSV cell) when the staffing plan has nobody in the role, which is
-    not the same thing as 0.0. overall_satisfaction equals the satisfaction
-    ledger sum by construction; both are reported so the equality is
-    checkable from the outside.
+    not the same thing as 0.0. Building one checks the identities every
+    replication satisfies, the model's rows and the reader's alike; two
+    pairs of columns are equal by construction, both kept to be checkable.
     """
 
     transactions: int
@@ -53,6 +53,21 @@ class RunMetrics(Record):
     manager_authorizations: int
     autonomous_refunds: int
     satisfaction_ledger_sum: int
+
+    def __post_init__(self):
+        if self.overall_satisfaction != self.satisfaction_ledger_sum:
+            raise ValueError("column 'overall_satisfaction': must equal satisfaction_ledger_sum")
+        for name, u in (("cashier_utilization", self.cashier_utilization),
+                        ("seller_utilization", self.seller_utilization),
+                        ("manager_utilization", self.manager_utilization)):
+            if u is not None and not 0 <= u <= 1:
+                raise ValueError(f"column {name!r}: {u!r} does not lie in [0, 1]")
+        if self.customers_entered != self.customers_left:
+            raise ValueError("column 'customers_entered': must equal customers_left")
+        if self.refunds_completed > self.manager_authorizations + self.autonomous_refunds:
+            raise ValueError(
+                "column 'refunds_completed': exceeds manager_authorizations + autonomous_refunds"
+            )
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
@@ -140,32 +155,13 @@ _PARSERS = (str, str, _parse_level, int, int) + tuple(
 )
 
 
-def _broken_identity(m):
-    """(first column involved, rule) of the first row identity `m` breaks, or None.
-
-    Every replication satisfies these, checked in column order; a row that
-    breaks one was edited or cut short.
-    """
-    if m.overall_satisfaction != m.satisfaction_ledger_sum:
-        return "overall_satisfaction", "must equal satisfaction_ledger_sum"
-    for name in ("cashier_utilization", "seller_utilization", "manager_utilization"):
-        u = getattr(m, name)
-        if u is not None and not 0 <= u <= 1:
-            return name, f"{u!r} does not lie in [0, 1]"
-    if m.customers_entered != m.customers_left:
-        return "customers_entered", "must equal customers_left"
-    if m.refunds_completed > m.manager_authorizations + m.autonomous_refunds:
-        return "refunds_completed", "exceeds manager_authorizations + autonomous_refunds"
-    return None
-
-
 def load_results(path):
     """Read a results CSV back into ResultRows.
 
     A file that is not UTF-8 text or not CSV, a cell that does not parse, a
     level or metric that is NaN or infinite, and a row that breaks an
-    identity of `_broken_identity` raise a ValueError naming the file and,
-    for a cell or a row, the line and the column.
+    identity of `RunMetrics` raise a ValueError naming the file and, for a
+    cell or a row, the line and the column.
     """
     try:
         with open(path, "rb") as fh:
@@ -177,17 +173,16 @@ def load_results(path):
         for record in reader:
             if len(record) != len(header):
                 raise ValueError(f"line {reader.line_num}: wrong field count")
-            values = []
-            for parse, column, text in zip(_PARSERS, header, record):
-                try:
-                    values.append(parse(text))
-                except ValueError as exc:
-                    raise ValueError(f"line {reader.line_num}, column {column!r}: {exc}") from None
-            metrics = RunMetrics(*values[5:])
-            broken = _broken_identity(metrics)
-            if broken is not None:
-                raise ValueError(f"line {reader.line_num}, column {broken[0]!r}: {broken[1]}")
-            rows.append(ResultRow(*values[:5], metrics))
+            try:
+                values = []
+                for parse, column, text in zip(_PARSERS, header, record):
+                    try:
+                        values.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"column {column!r}: {exc}") from None
+                rows.append(ResultRow(*values[:5], RunMetrics(*values[5:])))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}, {exc}") from None
     except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
     return rows

@@ -693,10 +693,22 @@ def test_analyze_levene_undefined_with_within_cell_variance(tmp_path, capsys):
 def test_analyze_rejects_unknown_metric(tmp_path, capsys):
     results = tmp_path / "worked.csv"
     write_worked_example(results)
-    assert main(["analyze", "--results", str(results), "--metric", "bogus"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--results", str(results), "--metric", "bogus"])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown metric 'bogus'" in err
+    assert "--metric" in err and "'bogus'" in err
     assert "transactions" in err  # the valid choices are listed
+    assert str(results) not in err  # a usage error, not the file's
+
+
+def test_analyze_rejects_unknown_metric_before_reading_the_results(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "--results", str(missing), "--metric", "bogus"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--metric" in err and "No such file" not in err
 
 
 def test_analyze_rejects_mixed_experiments(tmp_path, capsys):

@@ -9,8 +9,10 @@ import weakref
 import pytest
 
 from retailsim.agents import SatisfactionEvent
+from retailsim.cli import main
 from retailsim.config import ArrivalProfile, Queues, StaffingPlan, build_config
 from retailsim.department import DepartmentSim, run_replication, utilization
+from retailsim.experiments import derive_cell_seed, run_sweep
 from retailsim.kernel import SimulationFault
 from retailsim.results import METRIC_FIELDS
 
@@ -478,6 +480,57 @@ def test_order_of_injected_arrivals_is_by_time():
     sim.run()
     arrivals = [row for row in trace if row[1] == "arrival"]
     assert [row[0] for row in arrivals] == [1.0, 5.0]
+
+
+def test_inject_arrival_refuses_a_config_with_arrivals_on():
+    # Each arrival draws the next one's gap, so an injected arrival would
+    # start a second Poisson stream beside the config's own.
+    config = scripted(rate=30.0)
+    sim = DepartmentSim(config, seed=3)
+    with pytest.raises(ValueError, match=r"arrivals\.rate_per_hour = 0"):
+        sim.inject_arrival(0.0)
+    assert sim.cal.heap == []
+    assert sim.run() == DepartmentSim(config, seed=3).run()
+
+
+# -- identities of the metrics ------------------------------------------------------
+
+CUSTOMERS_SHORT = "metrics at horizon, column 'customers_entered': must equal customers_left"
+
+
+@pytest.fixture()
+def one_customer_short(monkeypatch):
+    """The model's metrics with customers_left one short of customers_entered."""
+    metrics = DepartmentSim._metrics
+
+    def one_short(self, horizon):
+        m = metrics(self, horizon)
+        return dataclasses.replace(m, customers_left=m.customers_left - 1)
+
+    monkeypatch.setattr(DepartmentSim, "_metrics", one_short)
+
+
+def test_metrics_that_break_an_identity_are_a_simulation_fault(one_customer_short, atv_config):
+    with pytest.raises(SimulationFault) as excinfo:
+        DepartmentSim(shorten(atv_config, days=1), seed=3).run()
+    assert str(excinfo.value) == CUSTOMERS_SHORT
+
+
+def test_a_sweep_names_the_cell_whose_metrics_break_an_identity(one_customer_short, atv_config):
+    with pytest.raises(SimulationFault) as excinfo:
+        run_sweep("cashiers", {"A&TV": shorten(atv_config, days=1)}, replications=1)
+    seed = derive_cell_seed(1, "A&TV", 1, 1)
+    assert str(excinfo.value) == (
+        f"sweep cell department='A&TV' level=1 replication=1 seed={seed}: {CUSTOMERS_SHORT}"
+    )
+
+
+def test_run_exits_1_when_its_metrics_break_an_identity(one_customer_short, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    argv = ["run", "--config", "dept_atv", "--seed", "3", "--weeks", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"simulation fault: {CUSTOMERS_SHORT}\n"
+    assert not out.exists()
 
 
 # -- metamorphic relations ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Sweep harness: seeding, staffing plans, result CSVs, and summaries."""
 
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -460,6 +461,40 @@ def test_load_results_rejects_rows_that_break_an_identity(
     assert str(excinfo.value).startswith(f"{path}: line 4, column {named!r}: ")
     assert main(["analyze", "--results", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+VALID_METRICS = RunMetrics(10, 8, 14, -2, 0.5, None, 0.25, 20, 20, 1, 2, 0, 3, 1, 2, 14)
+UTILIZATIONS = ("cashier_utilization", "seller_utilization", "manager_utilization")
+BROKEN_IDENTITIES = {
+    "ledger": ({"satisfaction_ledger_sum": 15},
+               "column 'overall_satisfaction': must equal satisfaction_ledger_sum"),
+    **{f"{name}-{side}": ({name: u}, f"column {name!r}: {u!r} does not lie in [0, 1]")
+       for name in UTILIZATIONS for side, u in (("below", -0.25), ("above", 1.5))},
+    "customers": ({"customers_left": 19},
+                  "column 'customers_entered': must equal customers_left"),
+    "refunds": ({"refunds_completed": 4},
+                "column 'refunds_completed': exceeds manager_authorizations + autonomous_refunds"),
+}
+
+
+@pytest.mark.parametrize("changes, message", BROKEN_IDENTITIES.values(), ids=BROKEN_IDENTITIES)
+def test_run_metrics_refuse_a_broken_identity_as_the_results_reader_does(
+    tmp_path, changes, message
+):
+    with pytest.raises(ValueError) as excinfo:
+        dataclasses.replace(VALID_METRICS, **changes)
+    assert str(excinfo.value) == message
+    # The same values in a results CSV: the reader names the line before it.
+    path = tmp_path / "edited.csv"
+    save_results([ResultRow("cashiers", "A", 1, 1, 7, VALID_METRICS)], path)
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    cells = row.split(",")
+    for column, value in changes.items():
+        cells[csv_header().index(column)] = str(value)
+    path.write_text(f"{header}\n{','.join(cells)}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_results(path)
+    assert str(excinfo.value) == f"{path}: line 2, {message}"
 
 
 def test_failed_write_leaves_the_existing_file_intact(tmp_path, monkeypatch):

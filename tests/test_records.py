@@ -39,7 +39,7 @@ def record_classes():
 
 def samples(ww_config):
     """One instance of each record class."""
-    metrics = results.RunMetrics(10, 8, 14, -2, 0.5, None, 0.25, 20, 19, 1, 2, 0, 3, 1, 2, 14)
+    metrics = results.RunMetrics(10, 8, 14, -2, 0.5, None, 0.25, 20, 20, 1, 2, 0, 3, 1, 2, 14)
     effect = stats.EffectTest("A", 12.5, 2, 6.25, 3.5, 0.04)
     within = stats.EffectTest("within", 30.0, 20, 1.5, 0.0, 1.0)
     return [
