@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 import tomllib
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, fields
 
 from .records import Record
 
@@ -91,15 +91,12 @@ class TriangularParams(Record):
     """Three-point duration estimate (minutes): low <= mode <= high.
 
     low == high is a fixed duration. `span`, `left` and `right` (high - low,
-    mode - low, high - mode) are derived once here for the sampler.
+    mode - low, high - mode) are derived once for the sampler, not fields.
     """
 
     low: float
     mode: float
     high: float
-    span: float = field(init=False, repr=False, compare=False)
-    left: float = field(init=False, repr=False, compare=False)
-    right: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("low", "mode", "high"):

@@ -18,7 +18,8 @@ refund path or to browsing. The ledger is `event_counts`, indexed by
 from `config` where they use it; README's Performance section gives
 measured speeds.
 
-A replication returns a `RunMetrics`, which checks its identities. It and
+The customers in store are `live`, the one holder of who has not left. A
+replication returns a `RunMetrics`, which checks its identities. It and
 `METRIC_FIELDS`, the metric names in CSV column order, are defined in
 `results`, so the analysis reads them without loading this model.
 """
@@ -124,9 +125,9 @@ class DepartmentSim:
 
         self.day_index = 0
         self.day_end = config.horizon.trading_day_minutes
+        self.horizon = config.horizon.trading_day_minutes * config.horizon.days
 
-        self.entered = 0  # also the next customer id
-        self.departed = 0
+        self.entered = 0  # also the next customer id; entered - len(live) have left
         self.satisfied = 0
         self.overall_satisfaction = 0
         self.manager_authorizations = 0
@@ -135,20 +136,21 @@ class DepartmentSim:
     # -- public API ---------------------------------------------------------
 
     def inject_arrival(self, at):
-        """Force an arrival at `at` (arrivals off): each arrival draws the next one's gap."""
+        """Force an arrival at `at` in [0, horizon], arrivals off: each draws the next's gap."""
         if self.config.arrivals.rate_per_hour:
             raise ValueError("inject_arrival needs arrivals.rate_per_hour = 0")
+        if not 0.0 <= at <= self.horizon:  # NaN fails this too
+            raise ValueError(f"inject_arrival at={at} lies outside [0, horizon={self.horizon}]")
         self.cal.schedule(at, self._on_arrival)
 
     def run(self):
         cal = self.cal
-        horizon = self.config.horizon.trading_day_minutes * self.config.horizon.days
         # Each day close schedules the next one, always ahead of that day's
         # first arrival, so a close precedes every same-time event of its day.
         cal.schedule(self.day_end, self._on_day_close)
         self._chain_arrival(0.0)
         observed = self.trace is not None or self.strict
-        cal.run_until(horizon, self._observed if observed else operator.call)
+        cal.run_until(self.horizon, self._observed if observed else operator.call)
         # Stale renege timers left in the heap hold bound handlers; dropping
         # them breaks the last cycle, so the replication is freed on return.
         cal.heap.clear()
@@ -157,7 +159,7 @@ class DepartmentSim:
                 if staff.busy:
                     raise SimulationFault(f"{staff!r} still busy at horizon")
         try:  # a customer still in store breaks customers_entered == customers_left
-            return self._metrics(horizon)
+            return self._metrics(self.horizon)
         except ValueError as exc:
             raise SimulationFault(f"metrics at horizon, {exc}") from None
 
@@ -173,11 +175,7 @@ class DepartmentSim:
             self._check_invariants()
 
     def _check_invariants(self):
-        if self.entered - self.departed != len(self.live):
-            raise SimulationFault(
-                f"conservation broken: entered={self.entered} "
-                f"departed={self.departed} live={len(self.live)}"
-            )
+        """Check the queue, renege-timer and idle-staff rules; `RunMetrics` checks conservation."""
         # Token-checked calendar: an entry is live iff its target still holds
         # its seq, and a customer holds at most one live entry.
         renege_timers = {
@@ -196,17 +194,11 @@ class DepartmentSim:
                         f"but is in state {c.state.name}"
                     )
                 if c.id not in renege_timers:
-                    raise SimulationFault(
-                        f"queued customer {c.id} lacks a live renege timer"
-                    )
+                    raise SimulationFault(f"queued customer {c.id} lacks a live renege timer")
         stray = renege_timers - queued
         if stray:
-            raise SimulationFault(
-                f"customer {min(stray)} holds a renege timer outside any queue"
-            )
-        if (self.pay_q.entries or self.refund_q.entries) and find_idle(
-            self.cashiers
-        ) is not None:
+            raise SimulationFault(f"customer {min(stray)} holds a renege timer outside any queue")
+        if (self.pay_q.entries or self.refund_q.entries) and find_idle(self.cashiers) is not None:
             raise SimulationFault("idle cashier while pay/refund customers queue")
         if self.help_q.entries:
             if find_idle(self.expert_sellers) is not None:
@@ -258,7 +250,6 @@ class DepartmentSim:
 
     def _depart(self, customer):
         customer.transition(LEAVING)
-        self.departed += 1
         sat = customer.satisfaction
         self.overall_satisfaction += sat
         if sat > 0:
@@ -478,7 +469,7 @@ class DepartmentSim:
             seller_utilization=utilization(seller_busy, sellers, horizon),
             manager_utilization=utilization(manager_busy, len(self.managers), horizon),
             customers_entered=self.entered,
-            customers_left=self.departed,
+            customers_left=self.entered - len(self.live),
             abandoned_help=counts[HELP_QUEUE_ABANDONED],
             abandoned_pay=counts[PAY_QUEUE_ABANDONED],
             abandoned_refund=counts[REFUND_QUEUE_ABANDONED],

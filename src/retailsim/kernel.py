@@ -50,13 +50,12 @@ class EventCalendar:
         """Schedule an event at absolute time `at`; returns its seq token.
 
         `at == now` is legal (zero-delay event, fires before anything later);
-        `at < now` signals a model bug and raises SimulationFault. An event
+        `at < now` or NaN raises SimulationFault, a model bug. An event
         with a target fires only if `target.pending` still equals the token.
         """
-        if at < self.now:
-            raise SimulationFault(
-                f"schedule into the past: at={at} < now={self.now} (kind={kind!r})"
-            )
+        if not at >= self.now:
+            name = getattr(kind, "__name__", kind)
+            raise SimulationFault(f"schedule into the past: at={at} < now={self.now} on {name!r}")
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self.heap, (at, seq, kind, target))

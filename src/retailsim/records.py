@@ -4,8 +4,9 @@
 time the CLI starts. A `Record` stays a dataclass, since README's library
 example, perfbench's self-test and the scripts call `dataclasses.replace`,
 but the methods below, with the generated ones' behaviour and strings, serve
-every record. Each record has a docstring, or `dataclass` writes one through
-`inspect.signature`.
+every record. A record's fields, each compared, hashed and shown, are its
+constructor's arguments; a value derived from them is a plain attribute.
+Each record has a docstring, or `dataclass` writes one through `inspect.signature`.
 """
 
 import dataclasses
@@ -18,14 +19,11 @@ class Record:
         dataclasses.dataclass(cls, init=False, repr=False, eq=False)
         fields = dataclasses.fields(cls)
         # Set now, not on first use, so that the class gains no attribute later.
-        cls._init_names = tuple(f.name for f in fields if f.init)
-        cls._compare_names = tuple(f.name for f in fields if f.compare)
-        cls._repr_names = tuple(f.name for f in fields if f.repr)
-        cls._defaults = {f.name: f.default for f in fields
-                         if f.init and f.default is not dataclasses.MISSING}
+        cls._names = tuple(f.name for f in fields)
+        cls._defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
 
     def __init__(self, *args, **kwargs):
-        names = self._init_names
+        names = self._names
         if kwargs or len(args) != len(names):
             given = dict(zip(names, args))
             values = {**self._defaults, **given, **kwargs}
@@ -40,21 +38,21 @@ class Record:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the bounds and set the derived fields; a subclass overrides it."""
+        """Check the bounds and set the derived values; a subclass overrides it."""
 
-    def _values(self, names):
-        return tuple(getattr(self, name) for name in names)
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values(self._compare_names) == other._values(self._compare_names)
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values(self._compare_names))
+        return hash(self._values())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_names)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -68,4 +66,4 @@ class Record:
         # `__dict__` directly, which on CPython 3.11 loses the inline attribute
         # layout that the event loop's specialised loads rely on (a parallel
         # sweep's workers ran 10% slower), and skips the bounds checks.
-        return self.__class__, self._values(self._init_names)
+        return self.__class__, self._values()

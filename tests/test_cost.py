@@ -48,14 +48,14 @@ HANDLERS = ("_on_arrival", "_on_auth_end", "_on_browse_end", "_on_day_close", "_
 COUNTED = HANDLERS + ("uniform", "schedule", "transition")
 PINS = {
     "dept_ww": {
-        "calls": 130313, "customers": 2472,
+        "calls": 130314, "customers": 2472,
         "_on_arrival": 2472, "_on_auth_end": 125, "_on_browse_end": 2269, "_on_day_close": 3,
         "_on_help_end": 463, "_on_pay_end": 1263, "_on_refund_end": 235,
         "_on_refund_service_end": 0, "_on_renege": 100,
         "uniform": 16117, "schedule": 8173, "transition": 10122,
     },
     "dept_atv": {
-        "calls": 61999, "customers": 1179,
+        "calls": 62000, "customers": 1179,
         "_on_arrival": 1179, "_on_auth_end": 54, "_on_browse_end": 1078, "_on_day_close": 3,
         "_on_help_end": 362, "_on_pay_end": 567, "_on_refund_end": 117,
         "_on_refund_service_end": 0, "_on_renege": 36,

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import hashlib
+import math
+import re
 import tomllib
 import weakref
 
@@ -141,6 +143,12 @@ def test_handler_fault_names_the_handler_and_the_clock(observed):
         sim.run()
     msg = str(excinfo.value)
     assert "t=7.0" in msg and "'_on_pay_end'" in msg and "till jammed" in msg
+    assert "0x" not in msg
+    # A schedule into the past names its bound-method kind the same way.
+    with pytest.raises(SimulationFault) as excinfo:
+        sim.cal.schedule(1.0, sim._on_arrival)
+    msg = str(excinfo.value)
+    assert "at=1.0 < now=7.0" in msg and "'_on_arrival'" in msg
     assert "0x" not in msg
 
 
@@ -491,6 +499,25 @@ def test_inject_arrival_refuses_a_config_with_arrivals_on():
         sim.inject_arrival(0.0)
     assert sim.cal.heap == []
     assert sim.run() == DepartmentSim(config, seed=3).run()
+
+
+@pytest.mark.parametrize("at", [-1.0, math.inf, 61.0, math.nan, 60.0])
+def test_inject_arrival_refuses_a_time_outside_the_horizon(at):
+    # The config of scripts/refund_penalty_demo.py: one 60-minute day. An
+    # arrival at the close is injected before run() schedules the close, so it
+    # enters and the close sees it out; any other time is refused at the call.
+    config = scripted(refund_goal=1.0, cashiers=0, managers=0, patience=8, day_minutes=60)
+    sim = DepartmentSim(config, seed=0, strict=True)
+    if at == 60.0:
+        sim.inject_arrival(at)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"at={at} lies outside [0, horizon=60.0]")):
+            sim.inject_arrival(at)
+        assert sim.cal.heap == []
+    sim.inject_arrival(5.0)
+    m = sim.run()
+    assert m.customers_entered == m.customers_left == (2 if at == 60.0 else 1)
+    assert m.abandoned_refund == 1
 
 
 # -- identities of the metrics ------------------------------------------------------

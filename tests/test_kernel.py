@@ -35,6 +35,9 @@ def test_schedule_in_past_rejected():
     cal.run_until(5.0, lambda kind, target: None)
     with pytest.raises(SimulationFault, match="past"):
         cal.schedule(3.0, "late")
+    with pytest.raises(SimulationFault, match="past"):  # NaN compares false with the clock
+        cal.schedule(math.nan, "never")
+    assert cal.heap == []
 
 
 def test_simultaneous_events_dispatch_in_insertion_order():

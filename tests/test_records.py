@@ -2,10 +2,10 @@
 
 The records are the config sections, the results schema and the statistics'
 results. Each test runs over all of them: assignment and deletion are refused,
-equality and hashing read the compare fields alone, repr prints the repr
-fields, pickling rebuilds a record through its constructor, `dataclasses`
-can read and replace it, and a bad call names the class. Building the records
-compiles no method source.
+equality and hashing read the fields, repr prints them, pickling rebuilds a
+record through its constructor, `dataclasses` can read and replace it, and a
+bad call names the class. Every field is a constructor argument, compared and
+shown, as `Record` assumes. Building the records compiles no method source.
 """
 
 import dataclasses
@@ -60,18 +60,17 @@ def records(ww_config):
     return samples(ww_config)
 
 
-def values(record, which):
-    """The record's values of the fields for which `which(field)` holds."""
-    return tuple(getattr(record, f.name) for f in dataclasses.fields(record) if which(f))
-
-
-def init_values(record):
-    return values(record, lambda f: f.init)
+def field_values(record):
+    """The record's field values, its constructor's arguments in order."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
 
 
 def test_every_record_class_has_a_sample(records):
     assert {type(r) for r in records} == record_classes()
     assert len(record_classes()) == 16
+    # `Record` keeps one tuple of names: no field may leave init, compare or repr.
+    for cls in record_classes():
+        assert all(f.init and f.compare and f.repr for f in dataclasses.fields(cls)), cls
 
 
 def test_records_refuse_assignment_and_deletion(records):
@@ -82,21 +81,21 @@ def test_records_refuse_assignment_and_deletion(records):
                 setattr(record, attr, 1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(record, attr)
-        assert getattr(record, name) == init_values(record)[0]
+        assert getattr(record, name) == field_values(record)[0]
 
 
 def test_equality_and_hash_read_the_compare_fields_only(records):
     for record in records:
         cls = type(record)
-        twin = cls(*init_values(record))
+        values = field_values(record)
+        twin = cls(*values)
         assert twin == record and twin is not record
-        compared = values(record, lambda f: f.compare)
-        assert hash(twin) == hash(record) == hash(compared)
-        # A record of another class with the same compare fields and values.
-        names = [f.name for f in dataclasses.fields(record) if f.compare]
-        other = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*compared)
+        assert hash(twin) == hash(record) == hash(values)
+        # A record of another class with the same fields and values.
+        names = [f.name for f in dataclasses.fields(record)]
+        other = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(*values)
         assert record != other and other != record
-        assert record.__eq__(compared) is NotImplemented
+        assert record.__eq__(values) is NotImplemented
     a, b = config.TriangularParams(1.0, 3.0, 6.0), config.TriangularParams(1.0, 3.0, 6.0)
     assert a == b and hash(a) == hash(b) == hash((1.0, 3.0, 6.0))
     assert a != config.TriangularParams(1.0, 3.0, 7.0)
@@ -104,9 +103,8 @@ def test_equality_and_hash_read_the_compare_fields_only(records):
 
 def test_repr_prints_the_repr_fields(records):
     for record in records:
-        shown = ", ".join(
-            f"{f.name}={getattr(record, f.name)!r}" for f in dataclasses.fields(record) if f.repr
-        )
+        names = [f.name for f in dataclasses.fields(record)]
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
         assert repr(record) == f"{type(record).__qualname__}({shown})"
     assert repr(config.Horizon()) == "Horizon(trading_day_minutes=600.0, days=70)"
     assert repr(config.TriangularParams(1.0, 3.0, 6.0)) == (
@@ -154,7 +152,7 @@ def test_dataclasses_reads_and_replaces_every_record(records):
 def test_a_bad_call_names_the_class(records):
     for record in records:
         cls = type(record)
-        args = init_values(record)
+        args = field_values(record)
         name = re.escape(cls.__name__)
         with pytest.raises(TypeError, match=name):
             cls(*args, None)
@@ -162,7 +160,7 @@ def test_a_bad_call_names_the_class(records):
             cls(*args, extra=1)
         with pytest.raises(TypeError, match=name):
             cls(*args, **{dataclasses.fields(cls)[0].name: args[0]})
-        if any(f.init and f.default is dataclasses.MISSING for f in dataclasses.fields(cls)):
+        if any(f.default is dataclasses.MISSING for f in dataclasses.fields(cls)):
             with pytest.raises(TypeError, match=name):
                 cls()
 
@@ -174,6 +172,9 @@ def test_defaults_and_keywords_build_the_same_record():
     params = config.TriangularParams(high=6.0, low=1.0, mode=3.0)
     assert params == config.TriangularParams(1.0, 3.0, 6.0)
     assert (params.span, params.left, params.right) == (5.0, 2.0, 3.0)
+    # The derived values are attributes, not fields.
+    assert [f.name for f in dataclasses.fields(config.TriangularParams)] == ["low", "mode", "high"]
+    assert dataclasses.asdict(params) == {"low": 1.0, "mode": 3.0, "high": 6.0}
 
 
 # Run in a fresh interpreter: the standard modules that the package imports
