@@ -43,7 +43,6 @@ section_managers = 0
 
 [empowerment]
 p_empowered = 1.0
-hold_cashier_during_referral = true
 empowered_duration_multiplier = 1.0
 
 [horizon]

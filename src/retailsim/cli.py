@@ -99,13 +99,8 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     from .config import ConfigError, load_config
-    from .experiments import MAX_JOBS, MAX_REPLICATIONS
     from .experiments import format_summary_table, run_sweep, save_results
 
-    if not 1 <= args.reps <= MAX_REPLICATIONS:
-        raise ConfigError(f"--reps must be between 1 and {MAX_REPLICATIONS}, got {args.reps}")
-    if not 1 <= args.jobs <= MAX_JOBS:
-        raise ConfigError(f"--jobs must be between 1 and {MAX_JOBS}, got {args.jobs}")
     configs = {}
     for name in args.configs:
         cfg = load_config(resolve_config_path(name))

@@ -5,7 +5,7 @@ only `records`, so the schema loads without the model. Each field of
 `DepartmentConfig` after `label` is a section, read into the frozen record
 below that its annotation names. A record's fields are its section's keys,
 their defaults those of omitted keys, and its `__post_init__` holds every
-bound and checks each float, bool and tuple field's kind with `_read`, the
+bound and checks each float and bool field's kind with `_read`, the
 check the one reader, `_record`, makes of each key: a config built in code,
 as each parallel sweep cell's is in its worker, passes the loaded one's
 checks. The rule across sections, that referred refunds need a manager on
@@ -61,10 +61,6 @@ def _read(value, kind, where):
         if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
             raise ValueError(f"{where} must be finite, got {value}")
         return float(value)
-    if kind == "tuple":
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where} must be an array, got {value!r}")
-        return tuple(value)
     if not kind.startswith("TriangularParams"):
         return value
     # A duration: {min, mode, max}, or a bare number v for the fixed (v, v, v).
@@ -237,21 +233,6 @@ class Horizon(Record):
             )
 
 
-class Queues(Record):
-    """The order in which a freed cashier looks at its two queues."""
-
-    cashier_priority: tuple = ("refund", "pay")
-
-    def __post_init__(self):
-        priority = _read(self.cashier_priority, "tuple", "queues.cashier_priority")
-        object.__setattr__(self, "cashier_priority", priority)
-        if sorted(self.cashier_priority, key=str) != ["pay", "refund"]:
-            raise ValueError(
-                f"queues.cashier_priority must be a permutation of ['refund', 'pay'], "
-                f"got {list(self.cashier_priority)!r}"
-            )
-
-
 class SatisfactionWeights(Record):
     """Points per `SatisfactionEvent`, one field for each, named in lower case."""
 
@@ -271,19 +252,16 @@ class SatisfactionWeights(Record):
 
 
 class EmpowermentPolicy(Record):
-    """How refunds are authorized.
+    """How refunds are authorized, read from [empowerment].
 
     With probability p_empowered the serving cashier settles the refund alone
-    (duration scaled by empowered_duration_multiplier); otherwise a section
-    manager must sign off, costing an authorization time on top of the refund
-    service. While hold_cashier_during_referral is true the cashier stays
-    occupied through the wait and authorization; when false the cashier is
-    released after the service portion and the customer alone waits for the
-    manager.
+    (duration scaled by empowered_duration_multiplier); otherwise it is
+    referred to a section manager. The cashier stays with a referred refund
+    through the wait for a manager and the authorization, then does the
+    refund service.
     """
 
     p_empowered: float = 1.0
-    hold_cashier_during_referral: bool = True
     empowered_duration_multiplier: float = 1.0
 
     def __post_init__(self):
@@ -311,7 +289,6 @@ class DepartmentConfig(Record):
     staffing: StaffingPlan
     empowerment: EmpowermentPolicy
     horizon: Horizon
-    queues: Queues
 
     def __post_init__(self):
         if self.staffing.section_managers == 0 and self.empowerment.p_empowered < 1.0:

@@ -104,14 +104,6 @@ class DepartmentSim:
         self._queues = {
             IN_HELP_QUEUE: self.help_q, IN_PAY_QUEUE: self.pay_q, IN_REFUND_QUEUE: self.refund_q,
         }
-        # Plain functions, not bound methods, so the model holds no cycle.
-        cls = type(self)
-        self._cashier_dispatch = tuple(
-            (self.refund_q.entries, cls._start_refund)
-            if name == "refund"
-            else (self.pay_q.entries, cls._start_pay)
-            for name in config.queues.cashier_priority
-        )
         self.auth_wait = deque()
 
         self.live = {}
@@ -132,11 +124,14 @@ class DepartmentSim:
         self.overall_satisfaction = 0
         self.manager_authorizations = 0
         self.autonomous_refunds = 0
+        self.ran = False  # set by run(): a DepartmentSim runs one replication
 
     # -- public API ---------------------------------------------------------
 
     def inject_arrival(self, at):
         """Force an arrival at `at` in [0, horizon], arrivals off: each draws the next's gap."""
+        if self.ran:
+            raise ValueError("inject_arrival after run(): a DepartmentSim runs once")
         if self.config.arrivals.rate_per_hour:
             raise ValueError("inject_arrival needs arrivals.rate_per_hour = 0")
         if not 0.0 <= at <= self.horizon:  # NaN fails this too
@@ -144,6 +139,9 @@ class DepartmentSim:
         self.cal.schedule(at, self._on_arrival)
 
     def run(self):
+        if self.ran:
+            raise ValueError("run() called twice: build a new DepartmentSim for each run")
+        self.ran = True
         cal = self.cal
         # Each day close schedules the next one, always ahead of that day's
         # first arrival, so a close precedes every same-time event of its day.
@@ -218,18 +216,16 @@ class DepartmentSim:
         self.event_counts[kind] += 1
         self.ledger_sum += w
 
-    def _begin_service(self, staff, customer, duration=None, handler=None):
-        """Seize idle `staff` for `customer` and, given a handler, schedule the completion.
+    def _begin_service(self, staff, customer, duration, handler):
+        """Seize idle `staff` for `customer` and schedule the completion.
 
         The completion calls `handler(customer)` and is the customer's pending
         event: it supersedes a renege timer, and a day close can supersede it.
-        With no handler nothing is scheduled: a refund referral that holds its
-        cashier ends through the manager's authorization instead.
         """
-        staff.begin(self.cal.now)
+        now = self.cal.now
+        staff.begin(now)
         customer.serving_staff = staff
-        if handler is not None:
-            customer.pending = self.cal.schedule(self.cal.now + duration, handler, customer)
+        customer.pending = self.cal.schedule(now + duration, handler, customer)
 
     def _settle(self, customer, now):
         """Release the staff the customer holds; credit the service they are in.
@@ -275,11 +271,11 @@ class DepartmentSim:
 
     def _staff_freed(self, staff):
         role = staff.role
-        if role is CASHIER:
-            for queue, starter in self._cashier_dispatch:
-                if queue:
-                    starter(self, queue.popleft(), staff)
-                    return
+        if role is CASHIER:  # refunds before payments
+            if self.refund_q.entries:
+                self._start_refund(self.refund_q.entries.popleft(), staff)
+            elif self.pay_q.entries:
+                self._start_pay(self.pay_q.entries.popleft(), staff)
         elif role is SECTION_MANAGER:
             if self.auth_wait:
                 self._begin_auth(self.auth_wait.popleft(), staff)
@@ -365,18 +361,13 @@ class DepartmentSim:
             self.autonomous_refunds += 1
             self._begin_service(cashier, customer, duration, self._on_refund_end)
             return
+        # Referred: the cashier is seized through the manager's authorization,
+        # which starts now if a manager is idle, then does the service.
         self.manager_authorizations += 1
-        customer.refund_overhead = overhead
-        if not config.empowerment.hold_cashier_during_referral:
-            # The cashier does the service part alone; the manager signs off after.
-            self._begin_service(cashier, customer, duration, self._on_refund_service_end)
-            return
-        self._begin_service(cashier, customer)
+        cashier.begin(self.cal.now)
+        customer.serving_staff = cashier
         customer.refund_base = duration
-        self._refer(customer)
-
-    def _refer(self, customer):
-        """Hand a refund to an idle manager, or park it until one is freed."""
+        customer.refund_overhead = overhead
         manager = find_idle(self.managers)
         if manager is not None:
             self._begin_auth(customer, manager)
@@ -395,36 +386,22 @@ class DepartmentSim:
     def _on_auth_end(self, customer):
         manager = customer.auth_manager
         now = self.cal.now
-        if self.config.empowerment.hold_cashier_during_referral:
-            manager.finish(now)
-            customer.auth_manager = None
-            customer.pending = self.cal.schedule(
-                now + customer.refund_base, self._on_refund_end, customer
-            )
-        else:
-            self._settle(customer, now)
-            self._after_refund(customer)
+        manager.finish(now)
+        customer.auth_manager = None
+        customer.pending = self.cal.schedule(
+            now + customer.refund_base, self._on_refund_end, customer
+        )
         self._staff_freed(manager)
-
-    def _on_refund_service_end(self, customer):
-        cashier = customer.serving_staff
-        cashier.finish(self.cal.now)
-        customer.serving_staff = None
-        self._refer(customer)
-        self._staff_freed(cashier)
 
     def _on_refund_end(self, customer):
         cashier = customer.serving_staff
         self._settle(customer, self.cal.now)
-        self._after_refund(customer)
-        self._staff_freed(cashier)
-
-    def _after_refund(self, customer):
         if self.rng_decisions.uniform() < self.config.probabilities.repurchase_after_refund:
             customer.transition(BROWSING)
             self._begin_browse(customer, self.cal.now)
         else:
             self._depart(customer)
+        self._staff_freed(cashier)
 
     # -- reneging and day close ---------------------------------------------
 

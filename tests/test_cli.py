@@ -143,6 +143,23 @@ def test_validate_rejects_corrupted_config(tmp_path, capsys, atv_text, label, ol
     assert err.startswith("error: ")
 
 
+# A freed cashier's queue order and a referral's hold on its cashier are
+# rules of the model, not settings: a config that sets either is refused.
+@pytest.mark.parametrize("old, new, key", [
+    (
+        "p_empowered = 0.5",
+        "p_empowered = 0.5\nhold_cashier_during_referral = true",
+        "empowerment.hold_cashier_during_referral",
+    ),
+    ("[horizon]", '[queues]\ncashier_priority = ["refund", "pay"]\n\n[horizon]', "queues"),
+])
+def test_validate_names_a_removed_key(tmp_path, capsys, atv_text, old, new, key):
+    path = tmp_path / "old.toml"
+    path.write_text(atv_text.replace(old, new, 1), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: old.toml: unknown key {key!r}\n"
+
+
 def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
     # Spot-check that rejection messages point at the broken field.
     cases = [
@@ -478,7 +495,7 @@ def test_sweep_rejects_bad_usage(short_dir, tmp_path, capsys):
         "sweep", "--experiment", "cashiers", "--reps", "0", "--out", str(out), "--configs", atv,
     ]
     assert main(zero_reps) == 2
-    assert "--reps" in capsys.readouterr().err
+    assert "replications must be between 1" in capsys.readouterr().err
     dup = ["sweep", "--experiment", "cashiers", "--out", str(out), "--configs", atv, atv]
     assert main(dup) == 2
     assert "duplicate department label" in capsys.readouterr().err
@@ -488,12 +505,12 @@ def test_sweep_rejects_reps_beyond_the_ceiling(short_dir, tmp_path, capsys, monk
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(experiments, "run_sweep", refuse)
+    monkeypatch.setattr(experiments, "run_replication", refuse)
     for reps in (0, MAX_REPLICATIONS + 1, 10**9):
         argv = sweep_argv(short_dir, tmp_path / "x.csv") + ["--reps", str(reps)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"--reps must be between 1 and {MAX_REPLICATIONS}, got {reps}" in err
+        assert err == f"error: replications must be between 1 and {MAX_REPLICATIONS}, got {reps}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -504,7 +521,7 @@ def test_sweep_rejects_jobs_beyond_the_ceiling(short_dir, tmp_path, capsys, monk
         argv = sweep_argv(short_dir, tmp_path / "x.csv") + ["--jobs", str(jobs)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"--jobs must be between 1 and {MAX_JOBS}, got {jobs}" in err
+        assert err == f"error: jobs must be between 1 and {MAX_JOBS}, got {jobs}\n"
     assert started == []
     assert not (tmp_path / "x.csv").exists()
 

@@ -28,10 +28,8 @@ from retailsim.config import (
     ConfigError,
     DepartmentConfig,
     Durations,
-    EmpowermentPolicy,
     Horizon,
     Probabilities,
-    Queues,
     StaffingPlan,
     TriangularParams,
     build_config,
@@ -109,8 +107,6 @@ def test_parser_handles_sections_scalars_arrays_comments(tmp_path):
     text = MINIMAL.replace('label = "TEST"', 'label = "X"  # trailing comment')
     text += textwrap.dedent(
         """\
-        [queues]
-        cashier_priority = ["pay", "refund"]
         [horizon]
         trading_day_minutes = 480.5
         days = 7
@@ -118,8 +114,10 @@ def test_parser_handles_sections_scalars_arrays_comments(tmp_path):
     )
     cfg = load_text(tmp_path, text)
     assert cfg.label == "X"
-    assert cfg.queues.cashier_priority == ("pay", "refund")
     assert cfg.horizon == Horizon(480.5, 7)
+    # No key takes an array: one is read, then refused by the key's record.
+    with pytest.raises(ConfigError, match=r"horizon\.days must be a whole number.*got \[7\]"):
+        load_text(tmp_path, text.replace("days = 7", "days = [7]"), "array.toml")
 
 
 def test_inline_table_durations_parse(tmp_path):
@@ -204,9 +202,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.probabilities.needs_expert == 0.2
     assert cfg.probabilities.buy_after_browse_is_marginal is True
     assert cfg.empowerment.p_empowered == 1.0
-    assert cfg.empowerment.hold_cashier_during_referral is True
     assert cfg.horizon == Horizon(600.0, 70)
-    assert cfg.queues.cashier_priority == ("refund", "pay")
     assert cfg.satisfaction_weights.purchase_completed == 2
 
 
@@ -275,12 +271,12 @@ def test_constant_table_duration_allowed(tmp_path):
             "section_managers is 0",
         ),
         (
-            lambda t: t + '\n[queues]\ncashier_priority = ["refund", "refund"]\n',
-            "permutation",
+            lambda t: t + '\n[queues]\ncashier_priority = ["refund", "pay"]\n',
+            "unknown key 'queues'",
         ),
         (
-            lambda t: t + '\n[queues]\ncashier_priority = ["pay", 1]\n',
-            "queues.cashier_priority must be a permutation",
+            lambda t: t + "\n[empowerment]\nhold_cashier_during_referral = true\n",
+            "unknown key 'empowerment.hold_cashier_during_referral'",
         ),
         (
             lambda t: t + "\n[empowerment]\nmanager_overhead = 3\n",
@@ -322,11 +318,6 @@ def test_referral_rule_holds_for_a_config_changed_in_code(tmp_path):
     staffed = dataclasses.replace(cfg.staffing, section_managers=1)
     both = dataclasses.replace(cfg, staffing=staffed, empowerment=referring)
     assert both.empowerment == referring
-
-
-def test_cashier_priority_override(tmp_path):
-    text = MINIMAL + '\n[queues]\ncashier_priority = ["pay", "refund"]\n'
-    assert load_text(tmp_path, text).queues.cashier_priority == ("pay", "refund")
 
 
 def test_horizon_validation():
@@ -416,26 +407,14 @@ def test_durations_built_in_code_name_a_bound_that_is_not_a_number(args, message
     assert str(excinfo.value) == message
 
 
-def test_cashier_priority_built_in_code_is_a_tuple_of_the_two_queues():
-    with pytest.raises(ValueError) as excinfo:
-        Queues(None)
-    assert str(excinfo.value) == "queues.cashier_priority must be an array, got None"
-    listed = Queues(["pay", "refund"])
-    assert listed == Queues(("pay", "refund"))
-    assert hash(listed) == hash(Queues(("pay", "refund")))
-    assert listed.cashier_priority == ("pay", "refund")
-
-
 @pytest.mark.parametrize("record, name", [
-    (EmpowermentPolicy, "hold_cashier_during_referral"),
     (Probabilities, "buy_after_browse_is_marginal"),
 ])
 @pytest.mark.parametrize("bad", [None, 1, "true"])
-def test_flags_built_in_code_must_be_bools(ww_config, record, name, bad):
-    section = "empowerment" if record is EmpowermentPolicy else "probabilities"
+def test_flags_built_in_code_must_be_bools(record, name, bad):
     with pytest.raises(ValueError) as excinfo:
-        dataclasses.replace(getattr(ww_config, section), **{name: bad})
-    assert str(excinfo.value) == f"{section}.{name} must be true or false, got {bad!r}"
+        record(need_help=0.38, buy_after_browse=0.37, buy_after_help=0.56, **{name: bad})
+    assert str(excinfo.value) == f"probabilities.{name} must be true or false, got {bad!r}"
 
 
 def test_probabilities_validation():
@@ -480,7 +459,7 @@ def toml_text(value):
         return repr(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(map(toml_text, value)) + "]"
     return "{ " + ", ".join(f"{k} = {toml_text(v)}" for k, v in value.items()) + " }"
 
@@ -494,7 +473,7 @@ def test_readme_reference_lists_every_key_with_its_default():
         default, bound = rows[key]
         if field.default is dataclasses.MISSING:
             assert default == "required", key
-        elif isinstance(field.default, (bool, int, float, tuple)):
+        elif isinstance(field.default, (bool, int, float)):
             assert default == f"`{toml_text(field.default)}`", key
     documented = {key.split(".")[0] for key in rows} - {"label"}
     assert documented == set(RECORDS)
@@ -526,8 +505,6 @@ def valid_value(section, field):
         return st.integers(-5, 5)
     if field.type == "bool":
         return st.booleans()
-    if field.type == "tuple":
-        return st.permutations(["refund", "pay"])
     if field.type.startswith("TriangularParams"):
         return durations()
     if field.type == "int":
@@ -559,8 +536,6 @@ def expected_value(field, value):
         return TriangularParams(*(float(value[k]) for k in ("min", "mode", "max")))
     if field.type == "float":
         return float(value)
-    if field.type == "tuple":
-        return tuple(value)
     return value
 
 
@@ -643,10 +618,9 @@ def test_an_unpickled_record_checks_its_bounds():
 
 # The metamorphic relations of test_department.py and test_experiments.py,
 # over fuzzed configs on 1- to 3-day horizons: a shorter horizon replays the
-# start of a longer one; without refunds neither the empowerment policy nor
-# the cashier order changes anything; at full empowerment neither the hold
-# flag nor an extra section manager does; and a sweep with fewer
-# replications gives the leading rows of one with more.
+# start of a longer one; without refunds the empowerment policy changes
+# nothing; at full empowerment neither does an extra section manager; and a
+# sweep with fewer replications gives the leading rows of one with more.
 SEEDS = st.integers(0, 2**63 - 1)
 
 
@@ -670,14 +644,8 @@ def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, se
     # Without a section manager only full empowerment is a valid policy.
     shares = (0.0, 0.5, 1.0) if base.staffing.section_managers else (1.0,)
     variants = [
-        dataclasses.replace(base, empowerment=dataclasses.replace(
-            base.empowerment, p_empowered=p, hold_cashier_during_referral=hold))
+        dataclasses.replace(base, empowerment=dataclasses.replace(base.empowerment, p_empowered=p))
         for p in shares
-        for hold in (True, False)
-    ]
-    variants += [
-        dataclasses.replace(base, queues=dataclasses.replace(base.queues, cashier_priority=order))
-        for order in (("refund", "pay"), ("pay", "refund"))
     ]
     runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
     assert all(metrics == runs[0] for metrics in runs[1:])
@@ -691,18 +659,16 @@ def test_fuzzed_configs_at_full_empowerment_ignore_the_hold_flag_and_managers(ro
     base = dataclasses.replace(
         config, empowerment=dataclasses.replace(config.empowerment, p_empowered=1.0)
     )
-    hold = base.empowerment.hold_cashier_during_referral
     staffing = base.staffing
     variants = [
         base,
-        dataclasses.replace(base, empowerment=dataclasses.replace(
-            base.empowerment, hold_cashier_during_referral=not hold)),
         dataclasses.replace(base, staffing=dataclasses.replace(
             staffing, section_managers=staffing.section_managers + 1)),
     ]
     runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
     # No manager ever works, so manager utilization is 0, or empty with none.
-    assert [m.manager_utilization for m in runs[1:]] == [runs[0].manager_utilization, 0.0]
+    assert runs[1].manager_utilization == 0.0
+    assert runs[0].manager_utilization in (0.0, None)
     runs = [dataclasses.replace(m, manager_utilization=None) for m in runs]
     assert all(metrics == runs[0] for metrics in runs[1:])
     assert runs[0].manager_authorizations == 0
@@ -725,8 +691,6 @@ def wrong_types(field):
     """TOML values of a type the field cannot be read from."""
     if field.type == "bool":
         return [1, 0.5, "yes", [True]]
-    if field.type == "tuple":
-        return ["refund", 1, {"first": "pay"}]
     if field.type.startswith("TriangularParams"):
         return ["3", True, [1.0], {"value": 1}, {"min": 1.0, "mode": 2.0}]
     return ["3", True, [1.0], {"value": 1}]
@@ -736,8 +700,6 @@ def out_of_bound(section, field):
     """A value of the right TOML type that the field's bounds reject."""
     if field.type == "bool" or section == "satisfaction_weights":
         return st.sampled_from(wrong_types(field))  # every boolean, and every weight, is in bounds
-    if field.type == "tuple":
-        return st.sampled_from([["pay", "pay"], ["refund"], [], ["pay", "refund", "pay"], ["pay", 1]])
     if field.type == "int":
         return st.integers(max_value=-1) | st.integers(MAX_HORIZON_MINUTES + 1, 2**63 - 1)
     bad_number = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])

@@ -12,7 +12,7 @@ import pytest
 
 from retailsim.agents import SatisfactionEvent
 from retailsim.cli import main
-from retailsim.config import ArrivalProfile, Queues, StaffingPlan, build_config
+from retailsim.config import ArrivalProfile, StaffingPlan, build_config
 from retailsim.department import DepartmentSim, run_replication, utilization
 from retailsim.experiments import derive_cell_seed, run_sweep
 from retailsim.kernel import SimulationFault
@@ -51,7 +51,6 @@ section_managers = {managers}
 
 [empowerment]
 p_empowered = {p_empowered}
-hold_cashier_during_referral = {hold}
 empowered_duration_multiplier = {multiplier}
 
 [horizon]
@@ -79,7 +78,6 @@ def scripted(**overrides):
         expert=0,
         managers=1,
         p_empowered=1.0,
-        hold="true",
         multiplier=1.0,
         day_minutes=600,
         days=1,
@@ -163,12 +161,10 @@ def test_week_passes_strict_invariant_checks(atv_week, ww_week):
 
 
 def test_strict_run_with_referrals_and_release(atv_week):
-    # Exercise the referred-refund path with the cashier released during
-    # authorization, and a mixed empowerment split.
-    for p, hold in ((0.0, False), (0.5, True)):
-        policy = dataclasses.replace(
-            atv_week.empowerment, p_empowered=p, hold_cashier_during_referral=hold
-        )
+    # Exercise the referred-refund path, every refund referred and a mixed
+    # empowerment split; each referral releases its cashier and manager.
+    for p in (0.0, 0.5):
+        policy = dataclasses.replace(atv_week.empowerment, p_empowered=p)
         cfg = dataclasses.replace(atv_week, empowerment=policy)
         m = DepartmentSim(cfg, seed=5, strict=True).run()
         assert m.refunds_completed > 0
@@ -339,7 +335,7 @@ def test_day_close_grants_refund_waiting_for_a_manager():
 
 
 def test_day_close_releases_both_staff_of_a_held_authorization():
-    sim = refund_sim(p_empowered=0.0, hold="true", auth=10, day_minutes=5)
+    sim = refund_sim(p_empowered=0.0, auth=10, day_minutes=5)
     m = sim.run()
     # Authorization 0-10 with the cashier parked; the close at 5 ends both.
     assert m.refunds_completed == 1
@@ -369,7 +365,7 @@ def refund_sim(**overrides):
 
 
 def test_referred_refund_holds_cashier_through_authorization():
-    sim = refund_sim(p_empowered=0.0, hold="true")
+    sim = refund_sim(p_empowered=0.0)
     m = sim.run()
     # Authorization 0-3 with the cashier parked, then processing 3-5.
     assert m.refunds_completed == 1
@@ -379,16 +375,6 @@ def test_referred_refund_holds_cashier_through_authorization():
     assert sim.managers[0].busy_minutes == 3.0
     assert m.refund_satisfaction == 2
     assert m.overall_satisfaction == 2
-
-
-def test_referred_refund_releases_cashier_when_configured():
-    sim = refund_sim(p_empowered=0.0, hold="false")
-    m = sim.run()
-    # Cashier does the 2-minute part first, manager authorizes 2-5.
-    assert m.refunds_completed == 1
-    assert m.manager_authorizations == 1
-    assert sim.cashiers[0].busy_minutes == 2.0
-    assert sim.managers[0].busy_minutes == 3.0
 
 
 def test_empowered_refund_skips_manager_and_scales_duration():
@@ -402,14 +388,14 @@ def test_empowered_refund_skips_manager_and_scales_duration():
 
 
 def test_held_refund_taken_from_the_queue_waits_for_a_manager_without_reneging():
-    # Two cashiers, one manager, every refund referred with the cashier held.
+    # Two cashiers, one manager, every refund referred.
     # #0 takes the manager 0-10; #1 parks cashier 1 from 0.5; #2 queues at 1
     # with 15 minutes' patience. At 10 the manager takes #1 (10-20); at 12
     # cashier 0 takes #2 from the queue, which then waits for the manager
     # past minute 16, when its patience ran out, and is authorized 20-30.
     trace = []
     sim = DepartmentSim(
-        scripted(refund_goal=1.0, p_empowered=0.0, hold="true", cashiers=2, auth=10,
+        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10,
                  patience=15),
         seed=0, trace=trace, strict=True,
     )
@@ -448,6 +434,25 @@ def test_pay_queue_is_first_come_first_served():
     sim.run()
     served = [cid for _, name, cid in trace if name == "pay_end"]
     assert served == [0, 1, 2]
+
+
+def test_a_freed_cashier_serves_refunds_before_payments():
+    # One cashier, 3-minute refunds, each followed by a browse and a purchase.
+    # #0 refunds 0-3 and queues to pay at 5; #1 refunds 4-7; #2 queues for a
+    # refund at 6. At 7 the cashier takes #2, who queued later than #0.
+    trace = []
+    sim = DepartmentSim(
+        scripted(refund_goal=1.0, repurchase=1.0, refund=3), seed=0, trace=trace, strict=True
+    )
+    for at in (0.0, 4.0, 6.0):
+        sim.inject_arrival(at)
+    m = sim.run()
+    ends = [(t, name, cid) for t, name, cid in trace if name in ("refund_end", "pay_end")]
+    assert ends[:4] == [
+        (3.0, "refund_end", 0), (7.0, "refund_end", 1), (10.0, "refund_end", 2),
+        (11.0, "pay_end", 0),
+    ]
+    assert m.refunds_completed == m.transactions == 3
 
 
 def test_ledger_reconciles_with_metrics(atv_week):
@@ -518,6 +523,22 @@ def test_inject_arrival_refuses_a_time_outside_the_horizon(at):
     m = sim.run()
     assert m.customers_entered == m.customers_left == (2 if at == 60.0 else 1)
     assert m.abandoned_refund == 1
+
+
+def test_a_second_run_is_refused(atv_config):
+    sim = DepartmentSim(shorten(atv_config, days=1), seed=1)
+    sim.run()
+    with pytest.raises(ValueError, match=r"run\(\) called twice: build a new DepartmentSim"):
+        sim.run()
+
+
+def test_an_arrival_injected_after_the_run_is_refused():
+    sim = DepartmentSim(scripted(day_minutes=60), seed=0)
+    sim.inject_arrival(5.0)
+    sim.run()
+    with pytest.raises(ValueError, match=r"inject_arrival after run\(\)"):
+        sim.inject_arrival(10.0)
+    assert sim.cal.heap == []
 
 
 # -- identities of the metrics ------------------------------------------------------
@@ -602,23 +623,11 @@ def test_three_day_trace_is_a_prefix_of_the_seven_day_trace(dept, request):
 def test_without_refunds_no_empowerment_policy_or_cashier_order_matters(dept, request):
     base = without_refunds(request.getfixturevalue(f"{dept}_config"))
     policies = {
-        (p, hold): DepartmentSim(
-            with_policy(base, p_empowered=p, hold_cashier_during_referral=hold),
-            seed=7,
-            strict=True,
-        ).run()
+        p: DepartmentSim(with_policy(base, p_empowered=p), seed=7, strict=True).run()
         for p in (0.0, 0.5, 1.0)
-        for hold in (True, False)
     }
     assert differing(policies) == []
-    orders = {
-        order: DepartmentSim(
-            dataclasses.replace(base, queues=Queues(cashier_priority=order)), seed=7, strict=True
-        ).run()
-        for order in (("refund", "pay"), ("pay", "refund"))
-    }
-    assert differing(orders) == []
-    reference = policies[(0.0, True)]
+    reference = policies[0.0]
     assert reference.refunds_completed == reference.manager_authorizations == 0
     assert reference.transactions > 0
 
@@ -633,14 +642,6 @@ def test_full_empowerment_needs_neither_the_hold_rule_nor_a_manager(dept, reques
     )
     runs = {
         "as shipped": DepartmentSim(base, seed=7, strict=True).run(),
-        "hold flag flipped": DepartmentSim(
-            with_policy(
-                base,
-                hold_cashier_during_referral=not base.empowerment.hold_cashier_during_referral,
-            ),
-            seed=7,
-            strict=True,
-        ).run(),
         "extra manager": DepartmentSim(
             dataclasses.replace(base, staffing=extra_manager), seed=7, strict=True
         ).run(),

@@ -67,7 +67,7 @@ def field_values(record):
 
 def test_every_record_class_has_a_sample(records):
     assert {type(r) for r in records} == record_classes()
-    assert len(record_classes()) == 16
+    assert len(record_classes()) == 15
     # `Record` keeps one tuple of names: no field may leave init, compare or repr.
     for cls in record_classes():
         assert all(f.init and f.compare and f.repr for f in dataclasses.fields(cls)), cls
@@ -168,7 +168,6 @@ def test_a_bad_call_names_the_class(records):
 def test_defaults_and_keywords_build_the_same_record():
     assert config.Horizon() == config.Horizon(600.0, 70) == config.Horizon(days=70)
     assert config.Horizon(300.0) == config.Horizon(trading_day_minutes=300.0)
-    assert config.Queues().cashier_priority == ("refund", "pay")
     params = config.TriangularParams(high=6.0, low=1.0, mode=3.0)
     assert params == config.TriangularParams(1.0, 3.0, 6.0)
     assert (params.span, params.left, params.right) == (5.0, 2.0, 3.0)

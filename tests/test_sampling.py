@@ -101,6 +101,17 @@ def test_triangular_inverse_cdf_monotone_in_u(tri, u1, u2):
     assert sample_triangular(tri, u1) <= sample_triangular(tri, u2)
 
 
+def test_triangular_left_branch_is_clamped_at_the_mode():
+    # One float below the branch point left/span, the left branch's
+    # low + sqrt(u * span * left) rounds to 15.170000000000002, above the
+    # mode and above the next u's sample, the mode itself.
+    tri = TriangularParams(4.44, 15.17, 20.7)
+    u = 0.6599015990159901
+    after = math.nextafter(u, 1.0)
+    assert u * tri.span < tri.left <= after * tri.span
+    assert sample_triangular(tri, u) == tri.mode == sample_triangular(tri, after)
+
+
 @given(triangular_params(), st.floats(min_value=0.0, max_value=0.9999999))
 def test_triangular_is_a_pure_function(tri, u):
     assert sample_triangular(tri, u) == sample_triangular(tri, u)
