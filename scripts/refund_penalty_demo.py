@@ -24,7 +24,7 @@ help = 3
 pay_service = 1
 refund_service = 2
 manager_authorization = 3
-patience_pay = 8
+patience = 8
 
 [probabilities]
 need_help = 0.0
@@ -33,7 +33,6 @@ buy_after_help = 1.0
 refund_goal = 1.0
 repurchase_after_refund = 0.0
 needs_expert = 0.0
-buy_after_browse_is_marginal = false
 
 [staffing]
 cashiers = 0

@@ -4,15 +4,16 @@ Config files are TOML, read with tomllib; of the package this module imports
 only `records`, so the schema loads without the model. Each field of
 `DepartmentConfig` after `label` is a section, read into the frozen record
 below that its annotation names. A record's fields are its section's keys,
-their defaults those of omitted keys, and its `__post_init__` holds every
-bound and checks each float and bool field's kind with `_read`, the
-check the one reader, `_record`, makes of each key: a config built in code,
-as each parallel sweep cell's is in its worker, passes the loaded one's
-checks. The rule across sections, that referred refunds need a manager on
-staff, is `DepartmentConfig.__post_init__`. Every record is a
-`records.Record`, which pickles as a call to its constructor. A duration
-(`TriangularParams`) is a min/mode/max table or a bare number for a fixed
-one. Numbers must be finite; errors name the field, and `build_config` the file.
+their defaults those of omitted keys. Every key is an int, a float or a
+duration (`TriangularParams`: a min/mode/max table, or a bare number for a
+fixed one), and `_read` is the one check of each kind: the reader, `_record`,
+makes it of each key, and each record of its own numbers (`Durations` takes
+only `TriangularParams`) before `_require` checks their bounds. So a config
+built in code, as each parallel sweep cell's is in its worker, passes the
+loaded one's checks. The rule across sections, that referred refunds need a
+manager on staff, is `DepartmentConfig.__post_init__`. Every record is a
+`records.Record`, which pickles as a call to its constructor. Numbers must be
+finite; errors name the field, and `build_config` the file.
 """
 
 from __future__ import annotations
@@ -48,22 +49,22 @@ def _check_known(table, known, path):
 
 
 def _read(value, kind, where):
-    """`value` as the annotated `kind` of the field at `where`.
+    """`value` as the annotated `kind` of the field at `where`: int, float or duration.
 
-    The reader calls it on each key, and each record on its own fields. An
-    int field's value is passed on as it is: its record checks its bounds.
+    The reader calls it on each key, and `_check_kinds` on each int and float
+    field of a record, so a record built in code passes the loaded one's checks.
     """
-    if kind == "bool" and not isinstance(value, bool):
-        raise ValueError(f"{where} must be true or false, got {value!r}")
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+        return value
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int beyond float range
             raise ValueError(f"{where} must be finite, got {value}")
         return float(value)
-    if not kind.startswith("TriangularParams"):
-        return value
-    # A duration: {min, mode, max}, or a bare number v for the fixed (v, v, v).
+    # kind == "TriangularParams": {min, mode, max}, or a bare number v for (v, v, v).
     if not isinstance(value, dict):
         v = _read(value, "float", where)
         return TriangularParams(v, v, v)
@@ -77,6 +78,18 @@ def _read(value, kind, where):
         return TriangularParams(low, mode, high)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _check_kinds(record, section):
+    """Check each field of `record`, all ints or floats, as `_read` checks a key of [section]."""
+    for f in fields(record):
+        _read(getattr(record, f.name), f.type, f"{section}.{f.name}")
+
+
+def _require(ok, where, value, rule):
+    """Refuse `value`, the field at `where`, unless `ok`: the one wording of every bound."""
+    if not ok:
+        raise ValueError(f"{where} must be {rule}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +108,9 @@ class TriangularParams(Record):
     high: float
 
     def __post_init__(self):
-        for name in ("low", "mode", "high"):
-            _read(getattr(self, name), "float", f"TriangularParams.{name}")
-        if not (self.low <= self.mode <= self.high):
-            raise ValueError(
-                f"triangular params must satisfy low <= mode <= high, "
-                f"got ({self.low}, {self.mode}, {self.high})"
-            )
+        _check_kinds(self, "TriangularParams")
+        _require(self.low <= self.mode <= self.high, "TriangularParams",
+                 (self.low, self.mode, self.high), "ordered low <= mode <= high")
         object.__setattr__(self, "span", self.high - self.low)
         object.__setattr__(self, "left", self.mode - self.low)
         object.__setattr__(self, "right", self.high - self.mode)
@@ -113,14 +122,11 @@ class ArrivalProfile(Record):
     rate_per_hour: float
 
     def __post_init__(self):
-        _read(self.rate_per_hour, "float", "arrivals.rate_per_hour")
-        if not self.rate_per_hour >= 0:
-            raise ValueError(f"arrivals.rate_per_hour must be >= 0, got {self.rate_per_hour}")
-        if self.rate_per_hour > MAX_ARRIVALS_PER_HOUR:
-            raise ValueError(
-                f"arrivals.rate_per_hour must be at most {MAX_ARRIVALS_PER_HOUR}, "
-                f"got {self.rate_per_hour}"
-            )
+        _check_kinds(self, "arrivals")
+        rate = self.rate_per_hour
+        _require(rate >= 0, "arrivals.rate_per_hour", rate, ">= 0")
+        _require(rate <= MAX_ARRIVALS_PER_HOUR, "arrivals.rate_per_hour", rate,
+                 f"at most {MAX_ARRIVALS_PER_HOUR}")
 
 
 class StaffingPlan(Record):
@@ -132,46 +138,40 @@ class StaffingPlan(Record):
     section_managers: int
 
     def __post_init__(self):
+        _check_kinds(self, "staffing")
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValueError(f"staffing.{f.name} must be a non-negative integer, got {v!r}")
-            if v > MAX_STAFF_PER_ROLE:
-                raise ValueError(
-                    f"staffing.{f.name} must be at most {MAX_STAFF_PER_ROLE}, got {v}"
-                )
+            v, where = getattr(self, f.name), f"staffing.{f.name}"
+            _require(v >= 0, where, v, ">= 0")
+            _require(v <= MAX_STAFF_PER_ROLE, where, v, f"at most {MAX_STAFF_PER_ROLE}")
 
     def total(self):
         return sum(getattr(self, f.name) for f in fields(self))
 
 
 class Durations(Record):
-    """Triangular durations in minutes; an omitted patience is patience_pay."""
+    """Triangular durations in minutes; `patience` is the wait before reneging from any queue."""
 
     browse: TriangularParams
     help: TriangularParams
     pay_service: TriangularParams
     refund_service: TriangularParams
-    patience_pay: TriangularParams
+    patience: TriangularParams
     manager_authorization: TriangularParams = TriangularParams(1.0, 3.0, 6.0)
-    patience_help: TriangularParams | None = None
-    patience_refund: TriangularParams | None = None
 
     def __post_init__(self):
         for f in fields(self):
-            params = getattr(self, f.name)
-            if params is None and f.default is None:
-                params = self.patience_pay
-                object.__setattr__(self, f.name, params)
-            if not isinstance(params, TriangularParams):
-                raise ValueError(f"durations.{f.name} must be a TriangularParams, got {params!r}")
+            params, where = getattr(self, f.name), f"durations.{f.name}"
+            _require(isinstance(params, TriangularParams), where, params, "a TriangularParams")
             # low <= mode <= high holds already, so this bounds all three.
-            if not params.low >= 0:
-                raise ValueError(f"durations.{f.name}.min must be >= 0, got {params.low}")
+            _require(params.low >= 0, f"{where}.min", params.low, ">= 0")
 
 
 class Probabilities(Record):
-    """Branching probabilities of the customer statechart, read from [probabilities]."""
+    """Branching probabilities of the customer statechart, read from [probabilities].
+
+    buy_after_browse is the marginal share of browsers who buy unassisted, so
+    need_help + buy_after_browse is at most 1.
+    """
 
     need_help: float
     buy_after_browse: float
@@ -179,28 +179,18 @@ class Probabilities(Record):
     refund_goal: float = 0.1
     repurchase_after_refund: float = 0.3
     needs_expert: float = 0.2
-    buy_after_browse_is_marginal: bool = True
 
     def __post_init__(self):
+        _check_kinds(self, "probabilities")
         for f in fields(self):
-            p = _read(getattr(self, f.name), f.type, f"probabilities.{f.name}")
-            if f.type == "float" and not 0.0 <= p <= 1.0:
-                raise ValueError(f"probabilities.{f.name} must lie in [0, 1], got {p}")
-        if self.buy_after_browse_is_marginal and self.need_help + self.buy_after_browse > 1.0:
-            raise ValueError(
-                f"probabilities.need_help + probabilities.buy_after_browse "
-                f"exceed 1 ({self.need_help} + {self.buy_after_browse}); "
-                f"marginal browse-exit probabilities must sum to at most 1"
-            )
+            p = getattr(self, f.name)
+            _require(0.0 <= p <= 1.0, f"probabilities.{f.name}", p, "in [0, 1]")
+        _require(self.need_help + self.buy_after_browse <= 1.0,
+                 "probabilities.need_help and probabilities.buy_after_browse",
+                 (self.need_help, self.buy_after_browse), "shares that sum to at most 1")
 
     def browse_buy_conditional(self):
-        """P(buy | browsed, no help wanted) implied by the configured reading.
-
-        In the marginal reading buy_after_browse is the overall fraction of
-        browsers who buy unassisted, so it is rescaled by the non-help share.
-        """
-        if not self.buy_after_browse_is_marginal:
-            return self.buy_after_browse
+        """P(buy | browsed, no help wanted): buy_after_browse rescaled by the non-help share."""
         if self.need_help >= 1.0:
             return 0.0
         return self.buy_after_browse / (1.0 - self.need_help)
@@ -213,24 +203,14 @@ class Horizon(Record):
     days: int = 70
 
     def __post_init__(self):
-        _read(self.trading_day_minutes, "float", "horizon.trading_day_minutes")
-        if not (self.trading_day_minutes > 0):
-            raise ValueError(
-                f"horizon.trading_day_minutes must be > 0, got {self.trading_day_minutes}"
-            )
-        if isinstance(self.days, bool) or not isinstance(self.days, int) or self.days < 1:
-            raise ValueError(
-                f"horizon.days must be a whole number of at least 1 day, got {self.days!r}"
-            )
+        _check_kinds(self, "horizon")
+        minutes, days = self.trading_day_minutes, self.days
+        _require(minutes > 0, "horizon.trading_day_minutes", minutes, "> 0")
+        _require(days >= 1, "horizon.days", days, "at least 1 day")
         # The first test keeps the product below float overflow.
-        if (
-            self.days > MAX_HORIZON_MINUTES
-            or self.days * self.trading_day_minutes > MAX_HORIZON_MINUTES
-        ):
-            raise ValueError(
-                f"horizon.days x horizon.trading_day_minutes must be at most 2**53 "
-                f"minutes, got days={self.days} of {self.trading_day_minutes:g} minutes"
-            )
+        _require(days <= MAX_HORIZON_MINUTES and days * minutes <= MAX_HORIZON_MINUTES,
+                 "horizon.days x horizon.trading_day_minutes", (days, minutes),
+                 "at most 2**53 minutes")
 
 
 class SatisfactionWeights(Record):
@@ -245,10 +225,7 @@ class SatisfactionWeights(Record):
     left_without_purchase: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"satisfaction_weights.{f.name} must be an integer, got {v!r}")
+        _check_kinds(self, "satisfaction_weights")
 
 
 class EmpowermentPolicy(Record):
@@ -265,17 +242,10 @@ class EmpowermentPolicy(Record):
     empowered_duration_multiplier: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            _read(getattr(self, f.name), f.type, f"empowerment.{f.name}")
-        if not (0.0 <= self.p_empowered <= 1.0):
-            raise ValueError(
-                f"empowerment.p_empowered must lie in [0, 1], got {self.p_empowered}"
-            )
-        if not self.empowered_duration_multiplier > 0:
-            raise ValueError(
-                f"empowerment.empowered_duration_multiplier must be > 0, "
-                f"got {self.empowered_duration_multiplier}"
-            )
+        _check_kinds(self, "empowerment")
+        p, multiplier = self.p_empowered, self.empowered_duration_multiplier
+        _require(0.0 <= p <= 1.0, "empowerment.p_empowered", p, "in [0, 1]")
+        _require(multiplier > 0, "empowerment.empowered_duration_multiplier", multiplier, "> 0")
 
 
 class DepartmentConfig(Record):

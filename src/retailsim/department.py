@@ -13,10 +13,12 @@ nothing is ever cancelled: superseding the token makes the old event stale,
 as starting a queued customer's service does to its renege timer. The service
 queues hold the waiting customers themselves; handlers append, pop and clear
 their deques directly, and an arrival's single decision draw sends it to the
-refund path or to browsing. The ledger is `event_counts`, indexed by
-`SatisfactionEvent`, and `ledger_sum`. Handlers read each config value
-from `config` where they use it; README's Performance section gives
-measured speeds.
+refund path or to browsing. A browse end buys unassisted with probability
+`Probabilities.browse_buy_conditional()`, and a customer who joins any queue
+draws the time they will wait from `durations.patience`. The ledger is
+`event_counts`, indexed by `SatisfactionEvent`, and `ledger_sum`. Handlers
+read every other config value from `config` where they use it; README's
+Performance section gives measured speeds.
 
 The customers in store are `live`, the one holder of who has not left. A
 replication returns a `RunMetrics`, which checks its identities. It and
@@ -97,10 +99,9 @@ class DepartmentSim:
                 pool.append(StaffAgent(sid, role))
                 sid += 1
 
-        d = config.durations
-        self.help_q = ServiceQueue(d.patience_help, HELP_QUEUE_ABANDONED)
-        self.pay_q = ServiceQueue(d.patience_pay, PAY_QUEUE_ABANDONED)
-        self.refund_q = ServiceQueue(d.patience_refund, REFUND_QUEUE_ABANDONED)
+        self.help_q = ServiceQueue(HELP_QUEUE_ABANDONED)
+        self.pay_q = ServiceQueue(PAY_QUEUE_ABANDONED)
+        self.refund_q = ServiceQueue(REFUND_QUEUE_ABANDONED)
         self._queues = {
             IN_HELP_QUEUE: self.help_q, IN_PAY_QUEUE: self.pay_q, IN_REFUND_QUEUE: self.refund_q,
         }
@@ -263,11 +264,10 @@ class DepartmentSim:
         if staff is not None:
             start(customer, staff)
             return
-        queue = self._queues[state]
         customer.transition(state)
-        wait = sample_triangular(queue.patience, self.rng_patience.uniform())
+        wait = sample_triangular(self.config.durations.patience, self.rng_patience.uniform())
         customer.pending = self.cal.schedule(self.cal.now + wait, self._on_renege, customer)
-        queue.entries.append(customer)
+        self._queues[state].entries.append(customer)
 
     def _staff_freed(self, staff):
         role = staff.role

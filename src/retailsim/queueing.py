@@ -1,6 +1,7 @@
 """FIFO service queues with reneging rules and skill matching; refund paths.
 
-A queue holds the waiting `CustomerAgent`s themselves and its reneging rule.
+A queue holds the waiting `CustomerAgent`s themselves and the event charged
+to one who reneges; every queue's wait is a draw from `durations.patience`.
 Each queued customer's renege timer is the event whose calendar token it
 holds as its pending event, so starting the customer's service, which
 schedules a new pending event, supersedes the timer. A freed expert seller
@@ -18,19 +19,18 @@ from .sampling import sample_triangular
 
 
 class ServiceQueue:
-    """FIFO queue of waiting customers for one service, and its reneging rule.
+    """FIFO queue of waiting customers for one service, and what reneging costs.
 
-    A customer waits at most a draw from `patience`, then reneges and is
-    charged the `abandoned` event. The department appends to, pops from and
-    clears `entries` itself; the two methods here are the scans that pick a
-    customer out of the middle.
+    A customer waits at most a draw from the config's `durations.patience`,
+    the same for every queue, then reneges and is charged the `abandoned`
+    event. The department appends to, pops from and clears `entries` itself;
+    the two methods here are the scans that pick a customer out of the middle.
     """
 
-    __slots__ = ("entries", "patience", "abandoned")
+    __slots__ = ("entries", "abandoned")
 
-    def __init__(self, patience, abandoned):
+    def __init__(self, abandoned):
         self.entries = deque()
-        self.patience = patience
         self.abandoned = abandoned
 
     def pop_first_servable(self, can_serve_expert):

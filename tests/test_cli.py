@@ -116,7 +116,7 @@ MUTATIONS = [
     ("negative-staffing", "cashiers = 3", "cashiers = -1"),
     ("fractional-staffing", "cashiers = 3", "cashiers = 2.5"),
     ("missing-arrivals-section", "[arrivals]", "[was_arrivals]"),
-    ("missing-browse-duration", "[durations.browse]", "[durations.patience_help]"),
+    ("missing-browse-duration", "[durations.browse]\nmin = 1\nmode = 7\nmax = 15\n", ""),
     ("missing-need-help", "need_help = 0.38\n", ""),
     ("negative-arrival-rate", "rate_per_hour = 40", "rate_per_hour = -40"),
     ("triangular-mode-above-max", "max = 15", "max = 5"),
@@ -125,7 +125,7 @@ MUTATIONS = [
     ("zero-day-horizon", "days = 70", "days = 0"),
     ("marginal-sum-above-one", "buy_after_browse = 0.37", "buy_after_browse = 0.87"),
     (
-        "bad-cashier-priority",
+        "removed-queues-section",
         "[horizon]",
         '[queues]\ncashier_priority = ["pay", "pay"]\n\n[horizon]',
     ),
@@ -143,8 +143,9 @@ def test_validate_rejects_corrupted_config(tmp_path, capsys, atv_text, label, ol
     assert err.startswith("error: ")
 
 
-# A freed cashier's queue order and a referral's hold on its cashier are
-# rules of the model, not settings: a config that sets either is refused.
+# A freed cashier's queue order, a referral's hold on its cashier, the
+# reading of buy_after_browse and one patience for every queue are rules of
+# the model, not settings: a config that sets a key they replaced is refused.
 @pytest.mark.parametrize("old, new, key", [
     (
         "p_empowered = 0.5",
@@ -152,12 +153,36 @@ def test_validate_rejects_corrupted_config(tmp_path, capsys, atv_text, label, ol
         "empowerment.hold_cashier_during_referral",
     ),
     ("[horizon]", '[queues]\ncashier_priority = ["refund", "pay"]\n\n[horizon]', "queues"),
+    (
+        "needs_expert = 0.2  # assumed default",
+        "needs_expert = 0.2\nbuy_after_browse_is_marginal = true",
+        "probabilities.buy_after_browse_is_marginal",
+    ),
+    ("max = 20\n", "max = 20\n\n[durations.patience_help]\nmin = 5\nmode = 12\nmax = 20\n",
+     "durations.patience_help"),
+    ("[durations.browse]", "[durations]\npatience_refund = 12\n\n[durations.browse]",
+     "durations.patience_refund"),
+    ("[durations.patience]", "[durations.patience_pay]", "durations.patience_pay"),
 ])
 def test_validate_names_a_removed_key(tmp_path, capsys, atv_text, old, new, key):
     path = tmp_path / "old.toml"
     path.write_text(atv_text.replace(old, new, 1), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: old.toml: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--weeks", "1", "--seed", "1", "--config"],
+    ["sweep", "--experiment", "cashiers", "--reps", "1", "--configs"],
+], ids=["run", "sweep"])
+def test_run_and_sweep_name_a_removed_key(tmp_path, capsys, atv_text, command):
+    path = tmp_path / "old.toml"
+    path.write_text(atv_text.replace("[durations.patience]", "[durations.patience_pay]", 1),
+                    encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([*command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: old.toml: unknown key 'durations.patience_pay'\n"
+    assert not out.exists()
 
 
 def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
@@ -168,7 +193,7 @@ def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
         ("days = 70", "days = 0", "at least 1 day"),
         ("rate_per_hour = 40", "rate_per_hour = 1e16",
          "arrivals.rate_per_hour must be at most 10000, got 1e+16"),
-        ("[staffing]", "[staffing", "line 59"),
+        ("[staffing]", "[staffing", "line 58"),
     ]
     for old, new, fragment in cases:
         path = tmp_path / "mutant.toml"
@@ -276,7 +301,7 @@ def test_run_names_the_staffing_flag_it_rejects(capsys):
     rc = main(["run", "--config", "dept_ww", "--seed", "1", "--cashiers", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: --cashiers -1: staffing.cashiers must be a non-negative integer, got -1\n"
+        "error: --cashiers -1: staffing.cashiers must be >= 0, got -1\n"
     )
 
 

@@ -75,7 +75,7 @@ MINIMAL = textwrap.dedent(
     mode = 5
     max = 10
 
-    [durations.patience_pay]
+    [durations.patience]
     min = 5
     mode = 12
     max = 20
@@ -103,7 +103,7 @@ def load_text(tmp_path, text, name="case.toml"):
 # -- file format ----------------------------------------------------------------
 
 
-def test_parser_handles_sections_scalars_arrays_comments(tmp_path):
+def test_parser_reads_sections_scalars_and_comments_and_refuses_an_array(tmp_path):
     text = MINIMAL.replace('label = "TEST"', 'label = "X"  # trailing comment')
     text += textwrap.dedent(
         """\
@@ -115,8 +115,8 @@ def test_parser_handles_sections_scalars_arrays_comments(tmp_path):
     cfg = load_text(tmp_path, text)
     assert cfg.label == "X"
     assert cfg.horizon == Horizon(480.5, 7)
-    # No key takes an array: one is read, then refused by the key's record.
-    with pytest.raises(ConfigError, match=r"horizon\.days must be a whole number.*got \[7\]"):
+    # No key takes an array: each key is an int, a float or a duration.
+    with pytest.raises(ConfigError, match=r"horizon\.days must be an integer, got \[7\]"):
         load_text(tmp_path, text.replace("days = 7", "days = [7]"), "array.toml")
 
 
@@ -194,13 +194,10 @@ def test_minimal_config_defaults(tmp_path):
     cfg = load_text(tmp_path, MINIMAL)
     assert cfg.label == "TEST"
     # Omitted pieces fall back to documented defaults.
-    assert cfg.durations.patience_help == cfg.durations.patience_pay
-    assert cfg.durations.patience_refund == cfg.durations.patience_pay
     assert cfg.durations.manager_authorization == TriangularParams(1.0, 3.0, 6.0)
     assert cfg.probabilities.refund_goal == 0.1
     assert cfg.probabilities.repurchase_after_refund == 0.3
     assert cfg.probabilities.needs_expert == 0.2
-    assert cfg.probabilities.buy_after_browse_is_marginal is True
     assert cfg.empowerment.p_empowered == 1.0
     assert cfg.horizon == Horizon(600.0, 70)
     assert cfg.satisfaction_weights.purchase_completed == 2
@@ -213,15 +210,6 @@ def test_marginal_probability_rescaled():
 
 def load_probabilities(text):
     return build_config(tomllib.loads(text), "inline").probabilities
-
-
-def test_conditional_probability_taken_verbatim(tmp_path):
-    text = MINIMAL.replace(
-        "buy_after_help = 0.56",
-        "buy_after_help = 0.56\nbuy_after_browse_is_marginal = false",
-    )
-    cfg = load_text(tmp_path, text)
-    assert cfg.probabilities.browse_buy_conditional() == 0.37
 
 
 def test_scalar_duration_becomes_constant(tmp_path):
@@ -343,9 +331,9 @@ def test_size_limits_sit_at_the_documented_constants():
 
 
 def test_staffing_plan_validation():
-    with pytest.raises(ValueError, match="non-negative integer"):
+    with pytest.raises(ValueError, match="staffing.normal_sellers must be >= 0, got -2"):
         StaffingPlan(1, -2, 1, 1)
-    with pytest.raises(ValueError, match="non-negative integer"):
+    with pytest.raises(ValueError, match="staffing.cashiers must be an integer, got True"):
         StaffingPlan(True, 2, 1, 1)
     assert StaffingPlan(3, 5, 1, 1).total() == 10
 
@@ -359,19 +347,15 @@ def test_durations_built_in_code_name_a_value_that_is_not_a_duration(ww_config):
     durations = ww_config.durations
     for field in dataclasses.fields(Durations):
         for bad in (None, 5.0, (1.0, 2.0, 3.0)):
-            if bad is None and field.default is None:
-                continue  # an omitted patience is patience_pay
             with pytest.raises(ValueError, match=f"durations.{field.name} must be a Triang"):
                 dataclasses.replace(durations, **{field.name: bad})
     fixed = TriangularParams(5.0, 5.0, 5.0)
-    assert dataclasses.replace(durations, patience_help=fixed).patience_help is fixed
+    assert dataclasses.replace(durations, patience=fixed).patience is fixed
 
 
 def test_probabilities_built_in_code_name_a_value_that_is_not_a_number(ww_config):
     probabilities = ww_config.probabilities
     for field in dataclasses.fields(Probabilities):
-        if field.type != "float":
-            continue
         for bad in NOT_NUMBERS:
             with pytest.raises(ValueError, match=f"probabilities.{field.name} must be a number"):
                 dataclasses.replace(probabilities, **{field.name: bad})
@@ -407,25 +391,13 @@ def test_durations_built_in_code_name_a_bound_that_is_not_a_number(args, message
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("record, name", [
-    (Probabilities, "buy_after_browse_is_marginal"),
-])
-@pytest.mark.parametrize("bad", [None, 1, "true"])
-def test_flags_built_in_code_must_be_bools(record, name, bad):
-    with pytest.raises(ValueError) as excinfo:
-        record(need_help=0.38, buy_after_browse=0.37, buy_after_help=0.56, **{name: bad})
-    assert str(excinfo.value) == f"probabilities.{name} must be true or false, got {bad!r}"
-
-
 def test_probabilities_validation():
     base = Probabilities(0.38, 0.37, 0.56)
     assert (base.refund_goal, base.repurchase_after_refund, base.needs_expert) == (0.1, 0.3, 0.2)
     dataclasses.replace(base, need_help=0.0, buy_after_help=1.0, refund_goal=1.0)
     for field in dataclasses.fields(Probabilities):
-        if field.type != "float":
-            continue
         for bad in (-0.01, 1.01):
-            with pytest.raises(ValueError, match=f"probabilities.{field.name} must lie in"):
+            with pytest.raises(ValueError, match=f"probabilities.{field.name} must be in"):
                 dataclasses.replace(base, **{field.name: bad})
         # NaN is refused by the kind check a loaded value also passes.
         with pytest.raises(ValueError) as excinfo:
@@ -433,10 +405,10 @@ def test_probabilities_validation():
         assert str(excinfo.value) == f"probabilities.{field.name} must be finite, got nan"
     with pytest.raises(ValueError, match="sum to at most 1"):
         dataclasses.replace(base, need_help=0.6, buy_after_browse=0.5)
-    verbatim = dataclasses.replace(
-        base, need_help=0.6, buy_after_browse=0.5, buy_after_browse_is_marginal=False
-    )
-    assert verbatim.browse_buy_conditional() == 0.5
+    # Everyone who browses wants help, so nobody buys unassisted.
+    assert dataclasses.replace(
+        base, need_help=1.0, buy_after_browse=0.0
+    ).browse_buy_conditional() == 0.0
 
 
 # -- configuration reference ----------------------------------------------------
@@ -473,7 +445,7 @@ def test_readme_reference_lists_every_key_with_its_default():
         default, bound = rows[key]
         if field.default is dataclasses.MISSING:
             assert default == "required", key
-        elif isinstance(field.default, (bool, int, float)):
+        elif isinstance(field.default, (int, float)):
             assert default == f"`{toml_text(field.default)}`", key
     documented = {key.split(".")[0] for key in rows} - {"label"}
     assert documented == set(RECORDS)
@@ -503,9 +475,7 @@ def valid_value(section, field):
     """Values inside the record's bounds; days stay small so the clock is exact."""
     if section == "satisfaction_weights":
         return st.integers(-5, 5)
-    if field.type == "bool":
-        return st.booleans()
-    if field.type.startswith("TriangularParams"):
+    if field.type == "TriangularParams":
         return durations()
     if field.type == "int":
         return st.integers(1, 400) if field.name == "days" else st.integers(0, 3)
@@ -522,15 +492,14 @@ def valid_configs(draw):
         if field.default is dataclasses.MISSING or draw(st.booleans()):
             root.setdefault(section, {})[field.name] = draw(valid_value(section, field))
     probs = root["probabilities"]
-    if probs.get("buy_after_browse_is_marginal", True):
-        assume(probs["need_help"] + probs["buy_after_browse"] <= 1.0)
+    assume(probs["need_help"] + probs["buy_after_browse"] <= 1.0)
     if root["staffing"]["section_managers"] == 0:
         assume(root.get("empowerment", {}).get("p_empowered", 1.0) == 1.0)
     return root
 
 
 def expected_value(field, value):
-    if field.type.startswith("TriangularParams"):
+    if field.type == "TriangularParams":
         if not isinstance(value, dict):
             value = dict.fromkeys(("min", "mode", "max"), value)
         return TriangularParams(*(float(value[k]) for k in ("min", "mode", "max")))
@@ -560,8 +529,6 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
         value = getattr(getattr(config, section), field.name)
         if field.name in root.get(section, {}):
             expected = expected_value(field, root[section][field.name])
-        elif field.default is None:
-            expected = config.durations.patience_pay
         else:
             expected = field.default
         assert value == expected and type(value) is type(expected), (section, field.name)
@@ -637,7 +604,7 @@ def test_fuzzed_configs_replay_a_shorter_horizon_as_a_prefix(root, seed, days, m
 
 @FUZZ
 @given(valid_configs(), SEEDS, st.integers(1, 3))
-def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, seed, days):
+def test_fuzzed_configs_without_refunds_ignore_the_empowerment_policy(root, seed, days):
     config = load_root(root)
     no_refunds = dataclasses.replace(config.probabilities, refund_goal=0.0)
     base = dataclasses.replace(shorten(config, days), probabilities=no_refunds)
@@ -654,7 +621,7 @@ def test_fuzzed_configs_without_refunds_ignore_policy_and_cashier_order(root, se
 
 @FUZZ
 @given(valid_configs(), SEEDS, st.integers(1, 3))
-def test_fuzzed_configs_at_full_empowerment_ignore_the_hold_flag_and_managers(root, seed, days):
+def test_fuzzed_configs_at_full_empowerment_ignore_an_extra_manager(root, seed, days):
     config = shorten(load_root(root), days)
     base = dataclasses.replace(
         config, empowerment=dataclasses.replace(config.empowerment, p_empowered=1.0)
@@ -689,17 +656,15 @@ def test_fuzzed_sweeps_with_fewer_replications_give_the_leading_rows(root, seed,
 
 def wrong_types(field):
     """TOML values of a type the field cannot be read from."""
-    if field.type == "bool":
-        return [1, 0.5, "yes", [True]]
-    if field.type.startswith("TriangularParams"):
+    if field.type == "TriangularParams":
         return ["3", True, [1.0], {"value": 1}, {"min": 1.0, "mode": 2.0}]
     return ["3", True, [1.0], {"value": 1}]
 
 
 def out_of_bound(section, field):
     """A value of the right TOML type that the field's bounds reject."""
-    if field.type == "bool" or section == "satisfaction_weights":
-        return st.sampled_from(wrong_types(field))  # every boolean, and every weight, is in bounds
+    if section == "satisfaction_weights":
+        return st.sampled_from(wrong_types(field))  # every weight is in bounds
     if field.type == "int":
         return st.integers(max_value=-1) | st.integers(MAX_HORIZON_MINUTES + 1, 2**63 - 1)
     bad_number = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])

@@ -40,22 +40,18 @@ def customer(cid, needs_expert=False):
 # -- FIFO and skill matching ----------------------------------------------------
 
 
-PATIENCE = TriangularParams(1, 5, 9)
-
-
 def queue_of(*customers):
-    q = ServiceQueue(PATIENCE, SatisfactionEvent.PAY_QUEUE_ABANDONED)
+    q = ServiceQueue(SatisfactionEvent.PAY_QUEUE_ABANDONED)
     q.entries.extend(customers)
     return q
 
 
-def test_queue_carries_its_reneging_rule():
+def test_queue_carries_its_abandonment_event():
     q = queue_of()
-    assert q.patience is PATIENCE
     assert q.abandoned is SatisfactionEvent.PAY_QUEUE_ABANDONED
     assert not q.entries
     # The department keys each queue by the state its customers wait in.
-    sim = DepartmentSim(scripted(patience=7))
+    sim = DepartmentSim(scripted())
     for state, queue, abandoned in (
         (CustomerState.IN_HELP_QUEUE, sim.help_q, SatisfactionEvent.HELP_QUEUE_ABANDONED),
         (CustomerState.IN_PAY_QUEUE, sim.pay_q, SatisfactionEvent.PAY_QUEUE_ABANDONED),
@@ -63,7 +59,19 @@ def test_queue_carries_its_reneging_rule():
     ):
         assert sim._queues[state] is queue
         assert queue.abandoned is abandoned
-        assert queue.patience == TriangularParams(7.0, 7.0, 7.0)
+
+
+@pytest.mark.parametrize("overrides, queued_at", [
+    (dict(need_help=1.0, buy=0.0), 7.0),  # after a 2-minute browse, with no seller
+    (dict(cashiers=0), 7.0),
+    (dict(refund_goal=1.0, cashiers=0), 5.0),
+], ids=["help", "pay", "refund"])
+def test_every_queue_reneges_after_one_patience_draw(overrides, queued_at):
+    trace = []
+    sim = DepartmentSim(scripted(patience=8, **overrides), seed=0, trace=trace, strict=True)
+    sim.inject_arrival(5.0)
+    sim.run()
+    assert (queued_at + 8.0, "renege", 0) in trace
 
 
 def test_pop_head_is_fifo():
