@@ -5,9 +5,11 @@ drive customers and seize staff. The statechart here only polices that each
 transition is legal, so a handler bug surfaces as an IllegalTransition naming
 both states instead of silently corrupting counters. The event that made the
 move is named by the handler running it, which the kernel's fault message and
-a trace both report. A customer holds only what some handler reads back; why
-they came in (to buy or to return an item) is decided by the arrival
-handler's branch and not stored, and a queued customer is its own queue entry.
+a trace both report. A customer holds only what some handler reads back: the
+staff member serving them, and through a manager's authorization the cashier
+their refund holds. Why they came in (to buy or to return an item) is decided
+by the arrival handler's branch and not stored; a queued customer is its own
+queue entry.
 """
 
 from __future__ import annotations
@@ -95,9 +97,8 @@ class CustomerAgent:
         "needs_expert",
         "pending",
         "serving_staff",
+        "held_cashier",
         "refund_base",
-        "refund_overhead",
-        "auth_manager",
     )
 
     def __init__(self, cid):
@@ -107,9 +108,8 @@ class CustomerAgent:
         self.needs_expert = False
         self.pending = None
         self.serving_staff = None
+        self.held_cashier = None
         self.refund_base = 0.0
-        self.refund_overhead = 0.0
-        self.auth_manager = None
 
     def transition(self, new_state):
         if not _ALLOWED[self.state] >> new_state & 1:

@@ -347,7 +347,3 @@ def entry():
         status = 141  # 128 + SIGPIPE, as a shell reports a tool SIGPIPE ended
     gc.freeze()
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

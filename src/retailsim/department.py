@@ -20,10 +20,12 @@ draws the time they will wait from `durations.patience`. The ledger is
 read every other config value from `config` where they use it; README's
 Performance section gives measured speeds.
 
-The customers in store are `live`, the one holder of who has not left. A
-replication returns a `RunMetrics`, which checks its identities. It and
-`METRIC_FIELDS`, the metric names in CSV column order, are defined in
-`results`, so the analysis reads them without loading this model.
+A referred refund's authorization is a manager's service like any other,
+while its cashier waits in `held_cashier`. The customers in store are `live`,
+the one holder of who has not left. A replication returns a `RunMetrics`,
+which checks its identities. It and `METRIC_FIELDS`, the metric names in CSV
+column order, are defined in `results`, so the analysis reads them without
+loading this model.
 """
 
 from __future__ import annotations
@@ -238,9 +240,9 @@ class DepartmentSim:
         if customer.serving_staff is not None:
             customer.serving_staff.finish(now)
             customer.serving_staff = None
-        if customer.auth_manager is not None:
-            customer.auth_manager.finish(now)
-            customer.auth_manager = None
+        if customer.held_cashier is not None:
+            customer.held_cashier.finish(now)
+            customer.held_cashier = None
         kind = _CREDIT[customer.state]
         if kind is not None:
             self._apply(customer, kind)
@@ -278,7 +280,8 @@ class DepartmentSim:
                 self._start_pay(self.pay_q.entries.popleft(), staff)
         elif role is SECTION_MANAGER:
             if self.auth_wait:
-                self._begin_auth(self.auth_wait.popleft(), staff)
+                customer, overhead = self.auth_wait.popleft()
+                self._begin_service(staff, customer, overhead, self._on_auth_end)
         else:
             customer = self.help_q.pop_first_servable(role is EXPERT_SELLER)
             if customer is not None:
@@ -295,11 +298,11 @@ class DepartmentSim:
             customer.transition(SEEKING_REFUND)
             self._request(customer, find_idle(self.cashiers), self._start_refund, IN_REFUND_QUEUE)
         else:
-            customer.transition(BROWSING)
             self._begin_browse(customer, now)
         self._chain_arrival(now)
 
     def _begin_browse(self, customer, now):
+        customer.transition(BROWSING)
         duration = sample_triangular(self.config.durations.browse, self.rng_service.uniform())
         customer.pending = self.cal.schedule(now + duration, self._on_browse_end, customer)
 
@@ -361,33 +364,25 @@ class DepartmentSim:
             self.autonomous_refunds += 1
             self._begin_service(cashier, customer, duration, self._on_refund_end)
             return
-        # Referred: the cashier is seized through the manager's authorization,
-        # which starts now if a manager is idle, then does the service.
+        # Referred: the cashier is held through the manager's authorization, a
+        # service that starts now if a manager is idle, then does the refund.
         self.manager_authorizations += 1
         cashier.begin(self.cal.now)
-        customer.serving_staff = cashier
+        customer.held_cashier = cashier
         customer.refund_base = duration
-        customer.refund_overhead = overhead
+        customer.pending = None  # one just taken from the queue holds a renege timer
         manager = find_idle(self.managers)
         if manager is not None:
-            self._begin_auth(customer, manager)
+            self._begin_service(manager, customer, overhead, self._on_auth_end)
         else:
-            customer.pending = None  # one just taken from the queue holds a renege timer
-            self.auth_wait.append(customer)
-
-    def _begin_auth(self, customer, manager):
-        now = self.cal.now
-        manager.begin(now)
-        customer.auth_manager = manager
-        customer.pending = self.cal.schedule(
-            now + customer.refund_overhead, self._on_auth_end, customer
-        )
+            self.auth_wait.append((customer, overhead))
 
     def _on_auth_end(self, customer):
-        manager = customer.auth_manager
+        manager = customer.serving_staff
         now = self.cal.now
         manager.finish(now)
-        customer.auth_manager = None
+        customer.serving_staff = customer.held_cashier
+        customer.held_cashier = None
         customer.pending = self.cal.schedule(
             now + customer.refund_base, self._on_refund_end, customer
         )
@@ -397,7 +392,6 @@ class DepartmentSim:
         cashier = customer.serving_staff
         self._settle(customer, self.cal.now)
         if self.rng_decisions.uniform() < self.config.probabilities.repurchase_after_refund:
-            customer.transition(BROWSING)
             self._begin_browse(customer, self.cal.now)
         else:
             self._depart(customer)

@@ -3,8 +3,8 @@
 `RunMetrics` is one replication's outcome, held to the identities every
 replication satisfies, and `ResultRow` tags it with its sweep cell. A results
 CSV holds the cell columns, then one column per metric, with round-trip float
-formatting. `load_results` reads one back: only a utilization, the one metric
-whose field admits None, may be an empty cell, and a bad cell or broken
+formatting. `load_results` reads one back, each cell by its field's type: a
+count is an int, only a utilization may be empty, and a bad cell or broken
 identity is an error naming the file, the line and the column. `write_csv`
 writes every CSV the CLI makes, results, `run --out` and analysis files alike:
 one dialect, one cell format, and each file is written beside its target and
@@ -64,14 +64,10 @@ class RunMetrics(Record):
                 raise ValueError(f"column {name!r}: {u!r} does not lie in [0, 1]")
         if self.customers_entered != self.customers_left:
             raise ValueError("column 'customers_entered': must equal customers_left")
-        if self.refunds_completed > self.manager_authorizations + self.autonomous_refunds:
+        if self.refunds_completed != self.manager_authorizations + self.autonomous_refunds:
             raise ValueError(
-                "column 'refunds_completed': exceeds manager_authorizations + autonomous_refunds"
+                "column 'refunds_completed': must equal manager_authorizations + autonomous_refunds"
             )
-
-
-METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
-CSV_ID_FIELDS = ("experiment", "department", "level", "replication", "seed")
 
 
 class ResultRow(Record):
@@ -88,6 +84,10 @@ class ResultRow(Record):
         """This row's values in `csv_header` order."""
         return [self.experiment, self.department, self.level, self.replication, self.seed,
                 *(getattr(self.metrics, name) for name in METRIC_FIELDS)]
+
+
+METRIC_FIELDS = tuple(f.name for f in fields(RunMetrics))
+CSV_ID_FIELDS = tuple(f.name for f in fields(ResultRow)[:-1])  # all but `metrics`
 
 
 def csv_header():
@@ -146,13 +146,12 @@ def _parse_level(text):
 
 
 def _parse_utilization(text):
-    return None if text == "" else _parse_level(text)
+    return None if text == "" else _finite(float(text))
 
 
-# A cell of each column: only a field that admits None may be empty.
-_PARSERS = (str, str, _parse_level, int, int) + tuple(
-    _parse_utilization if f.type == "float | None" else _parse_level for f in fields(RunMetrics)
-)
+# Each column's cells parsed by its field's annotation: only a utilization may be empty.
+_PARSE = {"str": str, "int": int, "object": _parse_level, "float | None": _parse_utilization}
+_PARSERS = tuple(_PARSE[f.type] for f in fields(ResultRow)[:-1] + fields(RunMetrics))
 
 
 def load_results(path):

@@ -65,7 +65,7 @@ def cli_argv():
     exe = shutil.which("retailsim")
     if exe:
         return [exe]
-    return [sys.executable, "-m", "retailsim.cli"]
+    return [sys.executable, "-m", "retailsim"]
 
 
 # Twice criterion 01's bound: a sweep still running then is hung, and is killed.

@@ -10,7 +10,6 @@ import hashlib
 import io
 import os
 import pathlib
-import shutil
 import signal
 import subprocess
 import sys
@@ -29,7 +28,7 @@ from retailsim.department import run_replication
 from retailsim.experiments import MAX_JOBS, MAX_REPLICATIONS, derive_cell_seed, save_results
 from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
 
-from conftest import shorten
+from conftest import cli_argv, shorten
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +193,8 @@ def test_mutation_errors_name_field_or_line(tmp_path, capsys, atv_text):
         ("rate_per_hour = 40", "rate_per_hour = 1e16",
          "arrivals.rate_per_hour must be at most 10000, got 1e+16"),
         ("[staffing]", "[staffing", "line 58"),
+        ("[arrivals]\nrate_per_hour = 40  # assumed default\n", "arrivals = 5\n",
+         "mutant.toml: [arrivals] must be a section, got 5\n"),
     ]
     for old, new, fragment in cases:
         path = tmp_path / "mutant.toml"
@@ -782,13 +783,15 @@ def test_analyze_empty_results(tmp_path, capsys):
 @pytest.mark.parametrize(
     "column, value, reason",
     [
-        ("transactions", "abc", "could not convert string to float: 'abc'"),
+        ("transactions", "abc", "invalid literal for int() with base 10: 'abc'"),
+        # A count is an int: a fraction or NaN in one is a bad cell.
+        ("transactions", "81.5", "invalid literal for int() with base 10: '81.5'"),
         ("level", "xyz", "could not convert string to float: 'xyz'"),
-        ("overall_satisfaction", "nan", "nan is not a finite number"),
+        ("overall_satisfaction", "nan", "invalid literal for int() with base 10: 'nan'"),
         ("cashier_utilization", "-inf", "-inf is not a finite number"),
         # Only a utilization may be empty; an empty count is a bad number.
-        ("manager_authorizations", "", "could not convert string to float: ''"),
-        ("refunds_completed", "", "could not convert string to float: ''"),
+        ("manager_authorizations", "", "invalid literal for int() with base 10: ''"),
+        ("refunds_completed", "", "invalid literal for int() with base 10: ''"),
     ],
 )
 def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
@@ -818,7 +821,7 @@ def one_day_results(tmp_path_factory, atv_config, ww_config):
 # One edit of a results CSV: a cell (to a number the analysis runs on, in a
 # column no row identity involves, or to anything), a BOM before a cell, a
 # repeated or dropped row, a cut after some fields of a row, or a header cell.
-NUMBERS = ["-0", "0", "1", "1e2", "0.5", "9" * 30]
+NUMBERS = ["-0", "0", "1", "100", "+7", "9" * 30]  # every free column is a count
 FREE_COLUMNS = ["transactions", "satisfied_customers", "refund_satisfaction",
                 "abandoned_help", "abandoned_pay", "abandoned_refund"]
 # The last is one character over the csv module's field size limit.
@@ -943,10 +946,8 @@ def test_config_lookup_error_lists_exactly_the_paths_tried(tmp_path, monkeypatch
 
 
 def test_installed_entry_point_runs():
-    exe = shutil.which("retailsim")
-    argv = [exe] if exe else [sys.executable, "-m", "retailsim.cli"]
     proc = subprocess.run(
-        argv + ["validate", "--config", "dept_atv.toml"],
+        cli_argv() + ["validate", "--config", "dept_atv.toml"],
         capture_output=True,
         text=True,
     )
@@ -988,7 +989,7 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
         assert gc.get_freeze_count() == 0
 
 
-@pytest.mark.parametrize("module", ["retailsim", "retailsim.cli"])
+@pytest.mark.parametrize("module", ["retailsim"])
 @pytest.mark.parametrize("run", list(ENTRY_RUNS))
 def test_module_entry_freezes_the_heap_and_keeps_output(tmp_path, capsys, monkeypatch,
                                                         module, run):

@@ -169,6 +169,84 @@ def test_strict_run_with_referred_refunds(atv_week):
         assert m.refunds_completed > 0
 
 
+# Mutants, each breaking one rule that a strict run checks after every event.
+class DoubleQueued(DepartmentSim):
+    def _request(self, customer, staff, start, state):
+        super()._request(customer, staff, start, state)
+        if staff is None:  # queued, and in the refund queue as well
+            self.refund_q.entries.append(customer)
+
+
+class ServesWithoutDequeuing(DepartmentSim):
+    def _staff_freed(self, staff):
+        if self.pay_q.entries:
+            self._start_pay(self.pay_q.entries[0], staff)
+
+
+class UntimedQueue(DepartmentSim):
+    def _request(self, customer, staff, start, state):
+        super()._request(customer, staff, start, state)
+        if staff is None:
+            customer.pending = None  # the renege timer goes stale
+
+
+class LostQueueEntry(DepartmentSim):
+    def _request(self, customer, staff, start, state):
+        super()._request(customer, staff, start, state)
+        if staff is None:
+            self._queues[state].entries.pop()  # the renege timer stays
+
+
+class IdleWhenFreed(DepartmentSim):
+    def _staff_freed(self, staff):
+        pass
+
+
+class ForgetsHeldCashier(DepartmentSim):
+    def _settle(self, customer, now):
+        customer.held_cashier = None
+        super()._settle(customer, now)
+
+
+# Two customers arrive together, so the second waits for the one member of
+# staff the first holds; the last arrives one minute before the close, which
+# ends its refund's authorization.
+STRICT_FAULTS = {
+    "two-queues": (DoubleQueued, {}, (1.0, 1.0), "customer 1 present in two queues"),
+    "queued-in-service": (ServesWithoutDequeuing, {}, (1.0, 1.0),
+                          "customer 1 is queued in IN_PAY_QUEUE but is in state PAYING"),
+    "no-renege-timer": (UntimedQueue, {}, (1.0, 1.0),
+                        "queued customer 1 lacks a live renege timer"),
+    "stray-renege-timer": (LostQueueEntry, {}, (1.0, 1.0),
+                           "customer 1 holds a renege timer outside any queue"),
+    "idle-cashier": (IdleWhenFreed, {}, (1.0, 1.0),
+                     "idle cashier while pay/refund customers queue"),
+    "idle-expert": (IdleWhenFreed, dict(need_help=1.0, buy=0.0, expert=1), (1.0, 1.0),
+                    "idle expert seller while help customers queue"),
+    "idle-normal": (IdleWhenFreed, dict(need_help=1.0, buy=0.0, normal=1), (1.0, 1.0),
+                    "idle normal seller while servable help entry queues"),
+    "idle-manager": (IdleWhenFreed, dict(refund_goal=1.0, p_empowered=0.0, cashiers=2),
+                     (1.0, 1.0), "idle manager while refunds await authorization"),
+    "busy-at-horizon": (ForgetsHeldCashier, dict(refund_goal=1.0, p_empowered=0.0), (599.0,),
+                        "StaffAgent(id=0, role=CASHIER, busy=True) still busy at horizon"),
+}
+
+
+@pytest.mark.parametrize("mutant, overrides, arrivals, message", STRICT_FAULTS.values(),
+                         ids=STRICT_FAULTS)
+def test_strict_run_names_the_rule_a_mutant_breaks(mutant, overrides, arrivals, message):
+    def strict_run(cls):
+        sim = cls(scripted(**overrides), strict=True)
+        for at in arrivals:
+            sim.inject_arrival(at)
+        return sim.run()
+
+    strict_run(DepartmentSim)  # the model itself keeps every rule here
+    with pytest.raises(SimulationFault) as excinfo:
+        strict_run(mutant)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("strict", [False, True], ids=["bare", "strict"])
 def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_week, strict):
     # Refcounting alone must free a replication once run() returns: no

@@ -433,6 +433,8 @@ ROW_EDITS = {
                "overall_satisfaction"),
     "refunds": ({"refunds_completed": lambda m: m.manager_authorizations
                  + m.autonomous_refunds + 1}, "refunds_completed"),
+    "refunds-short": ({"refunds_completed": lambda m: m.manager_authorizations
+                       + m.autonomous_refunds - 1}, "refunds_completed"),
     "utilization-high": ({"seller_utilization": lambda m: 1.25}, "seller_utilization"),
     "utilization-negative": ({"manager_utilization": lambda m: -0.5}, "manager_utilization"),
     # Two identities broken: the error names the earlier column.
@@ -472,8 +474,9 @@ BROKEN_IDENTITIES = {
        for name in UTILIZATIONS for side, u in (("below", -0.25), ("above", 1.5))},
     "customers": ({"customers_left": 19},
                   "column 'customers_entered': must equal customers_left"),
-    "refunds": ({"refunds_completed": 4},
-                "column 'refunds_completed': exceeds manager_authorizations + autonomous_refunds"),
+    **{name: ({"refunds_completed": n},
+              "column 'refunds_completed': must equal manager_authorizations + autonomous_refunds")
+       for name, n in (("refunds", 4), ("refunds-short", 2))},
 }
 
 
