@@ -126,29 +126,30 @@ class CustomerAgent:
 
 
 class StaffAgent:
-    """One staff member. busy_minutes accrues when a service finishes."""
+    """One staff member, idle while busy_since is None; busy_minutes accrues at finish."""
 
-    __slots__ = ("id", "role", "busy", "busy_minutes", "busy_since")
+    __slots__ = ("id", "role", "busy_minutes", "busy_since")
 
     def __init__(self, sid, role):
         self.id = sid
         self.role = role
-        self.busy = False
         self.busy_minutes = 0.0
-        self.busy_since = 0.0
+        self.busy_since = None
 
     def begin(self, now):
-        if self.busy:
+        if self.busy_since is not None:
             raise RuntimeError(f"staff {self.id} ({self.role.name}) is not idle")
-        self.busy = True
         self.busy_since = now
 
     def finish(self, now):
-        if not self.busy:
+        if self.busy_since is None:
             raise RuntimeError(f"staff {self.id} ({self.role.name}) is not busy")
         self.busy_minutes += now - self.busy_since
-        self.busy = False
+        self.busy_since = None
 
     def __repr__(self):
-        return f"StaffAgent(id={self.id}, role={self.role.name}, busy={self.busy})"
+        return (
+            f"StaffAgent(id={self.id}, role={self.role.name}, "
+            f"busy={self.busy_since is not None})"
+        )
 

@@ -60,7 +60,7 @@ _CREDIT = tuple(
 def find_idle(staff_list):
     """First idle member (lowest id, lists are id-ordered), or None."""
     for staff in staff_list:
-        if not staff.busy:
+        if staff.busy_since is None:
             return staff
     return None
 
@@ -157,7 +157,7 @@ class DepartmentSim:
         cal.heap.clear()
         for pool in (self.cashiers, self.normal_sellers, self.expert_sellers, self.managers):
             for staff in pool:
-                if staff.busy:
+                if staff.busy_since is not None:
                     raise SimulationFault(f"{staff!r} still busy at horizon")
         try:  # a customer still in store breaks customers_entered == customers_left
             return self._metrics(self.horizon)

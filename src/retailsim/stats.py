@@ -261,33 +261,33 @@ def levene_test(groups):
 _SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); exp(-x*x) underflows past it
 
-# erfc(x) = exp(-x*x) P(x) / Q(x) for 1 <= x < 8; Q has an implied leading 1.
+# erfc(x) = exp(-x*x) P(x) / Q(x) for 1 <= x < 8; Q's leading 1 is written out.
 _ERFC_P = (
     2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
 )
 _ERFC_Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2,
 )
-# erfc(x) = exp(-x*x) R(x) / S(x) for x >= 8; S has an implied leading 1.
+# erfc(x) = exp(-x*x) R(x) / S(x) for x >= 8; S's leading 1 is written out.
 _ERFC_R = (
     5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
 )
 _ERFC_S = (
-    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
 )
-# erf(x) = x T(x*x) / U(x*x) for |x| <= 1; U has an implied leading 1.
+# erf(x) = x T(x*x) / U(x*x) for |x| <= 1; U's leading 1 is written out.
 _ERF_T = (
     9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
     7.00332514112805075473e3, 5.55923013010394962768e4,
 )
 _ERF_U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
 )
 
@@ -305,19 +305,10 @@ def _polevl(x, coef):
     return ans
 
 
-def _p1evl(x, coef):
-    """As _polevl with an implied leading coefficient of 1 (Cephes p1evl)."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _erf_inner(x):
     """erf(x) for |x| <= 1."""
     z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
 def _exp(x):
@@ -352,14 +343,9 @@ def _ndtr(a):
     tail = np.flatnonzero((z >= 1.0) & (zz <= _MAXLOG))
     zt = z[tail]
     expo = _exp(-zz[tail])
-    erfc = np.empty_like(zt)
-    near = zt < 8.0
-    far = ~near
-    zn = zt[near]
-    zf = zt[far]
-    erfc[near] = expo[near] * _polevl(zn, _ERFC_P) / _p1evl(zn, _ERFC_Q)
-    erfc[far] = expo[far] * _polevl(zf, _ERFC_R) / _p1evl(zf, _ERFC_S)
-    h[tail] = 0.5 * erfc
+    for part, num, den in ((zt < 8.0, _ERFC_P, _ERFC_Q), (zt >= 8.0, _ERFC_R, _ERFC_S)):
+        zp = zt[part]
+        h[tail[part]] = 0.5 * (expo[part] * _polevl(zp, num) / _polevl(zp, den))
     y = np.where(x > 0.0, 1.0 - h, h)
     small = z < _SQRTH
     y[small] = 0.5 + 0.5 * _erf_inner(x[small])

@@ -282,7 +282,7 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
 
     def start(_):
         sim._begin_service(staff, customer, 4.0, on_pay_end)
-        assert staff.busy and customer.serving_staff is staff
+        assert staff.busy_since == 1.5 and customer.serving_staff is staff
         assert customer.pending is not None
 
     cal.schedule(1.5, start)
@@ -290,7 +290,7 @@ def test_begin_service_schedules_completion_and_accrues_busy_time():
     assert fired == [(5.5, customer)]
     assert customer.pending is None
     assert staff.busy_minutes == 4.0
-    assert not staff.busy
+    assert staff.busy_since is None
 
 
 def test_begin_service_on_busy_staff_faults():

@@ -116,6 +116,11 @@ MUTATIONS = [
     ("fractional-staffing", "cashiers = 3", "cashiers = 2.5"),
     ("missing-arrivals-section", "[arrivals]", "[was_arrivals]"),
     ("missing-browse-duration", "[durations.browse]\nmin = 1\nmode = 7\nmax = 15\n", ""),
+    (
+        "duration-without-mode",
+        "[durations.browse]\nmin = 1\nmode = 7\n",
+        "[durations.browse]\nmin = 1\n",
+    ),
     ("missing-need-help", "need_help = 0.38\n", ""),
     ("negative-arrival-rate", "rate_per_hour = 40", "rate_per_hour = -40"),
     ("triangular-mode-above-max", "max = 15", "max = 5"),
@@ -131,6 +136,12 @@ MUTATIONS = [
 ]
 
 
+# The whole of stderr, for the mutations whose message is pinned.
+MUTATION_ERRORS = {
+    "duration-without-mode": "error: mutant.toml: missing required key durations.browse.mode\n",
+}
+
+
 @pytest.mark.parametrize("label, old, new", MUTATIONS, ids=[m[0] for m in MUTATIONS])
 def test_validate_rejects_corrupted_config(tmp_path, capsys, atv_text, label, old, new):
     mutated = atv_text.replace(old, new, 1)
@@ -140,6 +151,8 @@ def test_validate_rejects_corrupted_config(tmp_path, capsys, atv_text, label, ol
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    if label in MUTATION_ERRORS:
+        assert err == MUTATION_ERRORS[label]
 
 
 # A freed cashier's queue order, a referral's hold on its cashier, the

@@ -286,6 +286,12 @@ def test_missing_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "nope.toml")
 
 
+def test_a_config_root_that_is_not_a_table_is_refused():
+    with pytest.raises(ConfigError) as excinfo:
+        build_config([], "x")
+    assert str(excinfo.value) == "x: config root must be a table"
+
+
 def test_error_messages_name_the_file(tmp_path):
     with pytest.raises(ConfigError, match="broken.toml"):
         load_text(tmp_path, MINIMAL.replace("mode = 7", "mode = 99"), name="broken.toml")

@@ -408,7 +408,7 @@ def test_day_close_grants_refund_waiting_for_a_manager():
     assert m.refunds_completed == 2
     assert m.refund_satisfaction == 4
     assert sim.cashiers[1].busy_minutes == 4.0
-    assert not any(s.busy for s in sim.cashiers + sim.managers)
+    assert all(s.busy_since is None for s in sim.cashiers + sim.managers)
 
 
 def test_day_close_releases_both_staff_of_a_held_authorization():

@@ -86,6 +86,16 @@ def test_incomplete_beta_matches_scipy():
             )
 
 
+def test_incomplete_beta_refuses_bad_shapes_and_x_and_passes_nan_through():
+    for a, b in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="shape parameters must be positive"):
+            regularized_incomplete_beta(a, b, 0.5)
+    assert math.isnan(regularized_incomplete_beta(2.0, 3.0, math.nan))
+    for x in (-0.25, 1.5, math.inf):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            regularized_incomplete_beta(2.0, 3.0, x)
+
+
 # -- two-way ANOVA -----------------------------------------------------------------
 
 
@@ -166,6 +176,19 @@ def test_anova_degenerate_when_cells_are_constant():
     assert math.isnan(table.factor_a.f)
     assert math.isnan(table.factor_a.p)
     assert table.factor_a.ss > 0  # sums of squares still reported
+
+
+def test_anova_f_that_overflows_has_p_zero():
+    # Within-cell deviations of 1e-160 square to a subnormal within MS: positive,
+    # so the table is not degenerate, but the level means' MS over it is inf.
+    d = 1e-160
+    data = [[[0.0, d], [1.0, 1.0]], [[2.0, 2.0], [3.0, 3.0]]]
+    table = anova_two_way(data)
+    assert not table.degenerate
+    assert 0.0 < table.within.ms < 1e-300
+    for effect in (table.factor_a, table.factor_b):
+        assert effect.f == math.inf
+        assert effect.p == 0.0
 
 
 def test_anova_validation():
