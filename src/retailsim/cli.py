@@ -141,18 +141,16 @@ def cmd_analyze(args):
             )
         experiment = experiments.pop()
         departments, levels, data = results_to_cells(rows, metric)
-        table = anova_two_way(data, factor_names=("department", experiment))
+        import numpy as np
+
+        cells = np.asarray(data, dtype=float)  # (departments, levels, replications)
+        table = anova_two_way(cells, factor_names=("department", experiment))
         df_w = table.within.df
-        flat_groups = [cell for dept_cells in data for cell in dept_cells]
-        lev = levene_test(flat_groups)
+        lev = levene_test(cells.reshape(-1, cells.shape[2]))
         tukey = None
         if not table.degenerate:
-            import numpy as np
-
-            arr = np.asarray(data, dtype=float)
-            level_means = arr.mean(axis=(0, 2))
-            n_per_level = arr.shape[0] * arr.shape[2]
-            tukey = tukey_hsd(level_means, n_per_level, table.within.ms, df_w)
+            tukey = tukey_hsd(cells.mean(axis=(0, 2)), cells.shape[0] * cells.shape[2],
+                              table.within.ms, df_w)
     except ValueError as exc:
         raise ValueError(f"{args.results}: {exc}") from None
     out = args.out
@@ -176,7 +174,7 @@ def cmd_analyze(args):
     if table.degenerate:
         print("  note: zero within-cell variance; F ratios are undefined")
     print(
-        f"Levene (mean-centered) across {len(flat_groups)} cells: "
+        f"Levene (mean-centered) across {len(departments) * len(levels)} cells: "
         f"W({lev.df1}, {lev.df2}) = {_fmt(lev.w, '.2f')}, p = {_fmt(lev.p, '.6g')}"
     )
     if lev.degenerate:

@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import fields
 
@@ -133,7 +134,7 @@ def write_csv(path, header, rows):
 
 
 def _finite(value):
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # false for ±inf, NaN and an int past float range
         raise ValueError(f"{value!r} is not a finite number")
     return value
 
@@ -149,8 +150,8 @@ def _parse_utilization(text):
     return None if text == "" else _finite(float(text))
 
 
-# Each column's cells parsed by its field's annotation: only a utilization may be empty.
-_PARSE = {"str": str, "int": int, "object": _parse_level, "float | None": _parse_utilization}
+_PARSE = {"str": str, "int": lambda text: _finite(int(text)), "object": _parse_level,
+          "float | None": _parse_utilization}  # by field annotation; only a utilization may be empty
 _PARSERS = tuple(_PARSE[f.type] for f in fields(ResultRow)[:-1] + fields(RunMetrics))
 
 

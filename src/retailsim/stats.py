@@ -1,10 +1,10 @@
 """Inferential statistics for sweep results.
 
 Balanced two-way fixed-effects ANOVA, mean-centered Levene, and Tukey HSD.
-Tail probabilities are computed here rather than taken from a stats library:
-the F tail via a continued-fraction regularized incomplete beta, and the
-studentized-range tail via composite Gauss-Legendre quadrature over both the
-scaled-chi axis and the normal-range axis. The normal CDF inside that
+Tails are computed here, not taken from a stats library: the F tail of both
+tests by a continued-fraction incomplete beta, 0 at an infinite F or W (as
+scipy's `f.sf`), and the studentized range by composite Gauss-Legendre
+quadrature over the scaled-chi and normal-range axes. The normal CDF inside that
 integral is a port of the Cephes `ndtr` (Moshier, *Methods and Programs for
 Mathematical Functions*, 1989) that returns the C routine's bits, so the
 package needs numpy alone; its exp is the C library's, taken for a whole
@@ -100,11 +100,9 @@ def regularized_incomplete_beta(a, b, x):
 
 
 def f_upper_tail(f, df1, df2):
-    """P(F_{df1, df2} > f) for finite f >= 0; f == 0 gives 1."""
+    """P(F_{df1, df2} > f) for f >= 0, as scipy's f.sf: 1 at 0, 0 at inf, NaN at NaN."""
     if df1 <= 0 or df2 <= 0:
         raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    if not math.isfinite(f):
-        raise ValueError(f"F statistic must be finite, got {f}")
     if f < 0.0:
         raise ValueError(f"F statistic must be non-negative, got {f}")
     if f == 0.0:
@@ -192,8 +190,6 @@ def anova_two_way(data, factor_names=("A", "B")):
         if degenerate:
             return EffectTest(name, ss, df, ms, math.nan, math.nan)
         f = ms / ms_within
-        if math.isinf(f):  # overflow on a near-zero within MS
-            return EffectTest(name, ss, df, ms, f, 0.0)
         return EffectTest(name, ss, df, ms, f, f_upper_tail(f, df, df_within))
 
     name_a, name_b = factor_names
@@ -504,8 +500,8 @@ class TukeyResult(Record):
 def tukey_hsd(means, n_per_group, ms_within, df_within):
     """All-pairs Tukey HSD from cell means and the ANOVA error term.
 
-    q = |mean_i - mean_j| / sqrt(ms_within / n); p from the studentized
-    range with k = len(means) groups and the ANOVA within df.
+    q = |mean_i - mean_j| / sqrt(ms_within / n), the roots divided if that quotient
+    underflows; p from the studentized range, k = len(means), on the ANOVA within df.
     """
     k = len(means)
     if k < 2:
@@ -517,7 +513,7 @@ def tukey_hsd(means, n_per_group, ms_within, df_within):
             f"ms_within must be positive for Tukey HSD, got {ms_within} "
             f"(degenerate ANOVA has no error term)"
         )
-    se = math.sqrt(ms_within / n_per_group)
+    se = math.sqrt(ms_within / n_per_group) or math.sqrt(ms_within) / math.sqrt(n_per_group)
     out = []
     for i in range(k):
         for j in range(i + 1, k):

@@ -834,7 +834,8 @@ def one_day_results(tmp_path_factory, atv_config, ww_config):
 # One edit of a results CSV: a cell (to a number the analysis runs on, in a
 # column no row identity involves, or to anything), a BOM before a cell, a
 # repeated or dropped row, a cut after some fields of a row, or a header cell.
-NUMBERS = ["-0", "0", "1", "100", "+7", "9" * 30]  # every free column is a count
+# Every free column is a count; the last is beyond float range.
+NUMBERS = ["-0", "0", "1", "100", "+7", "9" * 30, "9" * 400]
 FREE_COLUMNS = ["transactions", "satisfied_customers", "refund_satisfaction",
                 "abandoned_help", "abandoned_pay", "abandoned_refund"]
 # The last is one character over the csv module's field size limit.
@@ -885,6 +886,7 @@ def blanked(column):
 @example(numbers=[], edits=blanked("refunds_completed"), metric="transactions")
 @example(numbers=[], edits=blanked("autonomous_refunds"), metric="transactions")
 @example(numbers=[], edits=[("cell", 1, "experiment", ODD_CELLS[-1])], metric="transactions")
+@example(numbers=[("cell", 1, "transactions", NUMBERS[-1])], edits=[], metric="transactions")
 def test_fuzzed_results_csvs_exit_0_or_name_the_file(one_day_results, numbers, edits, metric):
     """analyze reads any edited results CSV to a report, or to exit 2 naming the file."""
     directory, rows = one_day_results

@@ -55,10 +55,9 @@ def test_f_tail_reciprocal_identity(f, df1, df2):
 def test_f_tail_edges_and_validation():
     assert f_upper_tail(0.0, 3, 7) == 1.0
     assert f_upper_tail(1e6, 4, 190) < 1e-12
-    with pytest.raises(ValueError, match="must be finite"):
-        f_upper_tail(math.inf, 1, 1)
-    with pytest.raises(ValueError, match="must be finite"):
-        f_upper_tail(math.nan, 1, 1)
+    # Infinity and NaN pass through as IEEE values, as in scipy's f.sf.
+    assert f_upper_tail(math.inf, 1, 1) == 0.0
+    assert math.isnan(f_upper_tail(math.nan, 1, 1))
     with pytest.raises(ValueError, match="non-negative"):
         f_upper_tail(-0.5, 1, 1)
     with pytest.raises(ValueError, match="degrees of freedom"):
@@ -246,6 +245,18 @@ def test_levene_zero_denominator_is_degenerate():
     result = levene_test([[0.0, 0.0], [0.0, 2.0]])
     assert result.degenerate
     assert math.isnan(result.w)
+
+
+def test_levene_w_that_overflows_has_p_zero():
+    # One group's deviations of about 1e-160 square to a subnormal denominator, and
+    # the other groups' deviations are constant: W is inf and its F tail is 0.
+    tiny = [0.0] * 10 + [2e-160] * 9 + [3e-160]
+    groups = [tiny] + [[0.0, 0.5] * 10 if i % 2 else [0.0, 1.0] * 10 for i in range(9)]
+    result = levene_test(groups)
+    assert result.w == math.inf
+    assert result.p == 0.0
+    assert not result.degenerate
+    assert (result.df1, result.df2) == (9, 190)
 
 
 def test_levene_matches_scipy():
@@ -486,6 +497,13 @@ def test_tukey_integer_location_shift_is_exact():
         assert r2.diff == r.diff
         assert r2.q_stat == r.q_stat
         assert r2.p_value == r.p_value
+
+
+def test_tukey_se_when_ms_within_over_n_underflows():
+    # 5e-324 / 400 rounds to 0; the roots' quotient does not.
+    (result,) = tukey_hsd([0.0, 1e-162], 400, 5e-324, 190)
+    assert result.q_stat == 1e-162 / (math.sqrt(5e-324) / math.sqrt(400))
+    assert 0.0 < result.p_value < 1.0
 
 
 def test_tukey_validation():
