@@ -10,7 +10,7 @@ import tomllib
 
 from retailsim.agents import SatisfactionEvent
 from retailsim.config import build_config
-from retailsim.department import DepartmentSim
+from retailsim.department import DepartmentSim, strict, traced
 
 CONFIG = """\
 label = "DEMO"
@@ -53,9 +53,9 @@ days = 1
 def main():
     config = build_config(tomllib.loads(CONFIG), "demo")
     trace = []
-    sim = DepartmentSim(config, seed=0, strict=True, trace=trace)
+    sim = DepartmentSim(config, seed=0)
     sim.inject_arrival(5.0)
-    metrics = sim.run()
+    metrics = sim.run(traced(trace, strict))
 
     print("event trace (minute, event, customer):")
     for time, event, cid in trace:

@@ -6,7 +6,10 @@ through their current activity (purchase counted, help or refund credited)
 and everyone else departs with the satisfaction already accumulated; staff
 busy time never crosses a close, so utilization stays in [0, 1].
 
-The calendar schedules each handler itself, and a trace names an event by its
+The calendar schedules each handler itself, and `run(dispatch)` hands each
+event to `dispatch(handler, target)`: `operator.call`, or a watcher such as
+`traced` or `strict` below, which reaches the model through
+`handler.__self__`, so the model keeps no watch state. A trace row names its
 handler without the `_on_` prefix. States are ints, staff lists id-ordered,
 and each customer holds at most one pending event as a calendar token, so
 nothing is ever cancelled: superseding the token makes the old event stale,
@@ -65,6 +68,55 @@ def find_idle(staff_list):
     return None
 
 
+def traced(rows, dispatch=operator.call):
+    """A dispatcher that appends `(now, name, customer id)` to `rows`, then calls `dispatch`."""
+    def dispatch_traced(handler, target):
+        name = handler.__name__.removeprefix("_on_")
+        rows.append((handler.__self__.cal.now, name, None if target is None else target.id))
+        dispatch(handler, target)
+    return dispatch_traced
+
+
+def strict(handler, target):
+    """A dispatcher that calls the handler, then checks its model's invariants."""
+    handler(target)
+    check_invariants(handler.__self__)
+
+
+def check_invariants(sim):
+    """Check the queue, renege-timer and idle-staff rules; `RunMetrics` checks conservation."""
+    # Token-checked calendar: an entry is live iff its target still holds
+    # its seq, and a customer holds at most one live entry.
+    renege_timers = {
+        target.id for _, seq, kind, target in sim.cal.heap
+        if kind == sim._on_renege and target.pending == seq
+    }
+    queued = set()
+    for state, queue in sim._queues.items():
+        for c in queue.entries:
+            if c.id in queued:
+                raise SimulationFault(f"customer {c.id} present in two queues")
+            queued.add(c.id)
+            if c.state is not state:
+                raise SimulationFault(
+                    f"customer {c.id} is queued in {state.name} but is in state {c.state.name}")
+            if c.id not in renege_timers:
+                raise SimulationFault(f"queued customer {c.id} lacks a live renege timer")
+    stray = renege_timers - queued
+    if stray:
+        raise SimulationFault(f"customer {min(stray)} holds a renege timer outside any queue")
+    if (sim.pay_q.entries or sim.refund_q.entries) and find_idle(sim.cashiers) is not None:
+        raise SimulationFault("idle cashier while pay/refund customers queue")
+    if sim.help_q.entries:
+        if find_idle(sim.expert_sellers) is not None:
+            raise SimulationFault("idle expert seller while help customers queue")
+        if find_idle(sim.normal_sellers) is not None and any(
+                not c.needs_expert for c in sim.help_q.entries):
+            raise SimulationFault("idle normal seller while servable help entry queues")
+    if sim.auth_wait and find_idle(sim.managers) is not None:
+        raise SimulationFault("idle manager while refunds await authorization")
+
+
 def utilization(busy_minutes, headcount, trading_minutes):
     """Busy fraction of total paid minutes; None when nobody holds the role."""
     if headcount == 0:
@@ -75,11 +127,9 @@ def utilization(busy_minutes, headcount, trading_minutes):
 class DepartmentSim:
     """One seeded replication; build, optionally inject arrivals, then run()."""
 
-    def __init__(self, config, seed=0, trace=None, strict=False):
+    def __init__(self, config, seed=0):
         staffing = config.staffing
         self.cal = EventCalendar()
-        self.trace = trace
-        self.strict = strict
 
         self.rng_arrivals = RngStream(seed, "arrivals")
         self.rng_decisions = RngStream(seed, "decisions")
@@ -141,20 +191,18 @@ class DepartmentSim:
             raise ValueError(f"inject_arrival at={at} lies outside [0, horizon={self.horizon}]")
         self.cal.schedule(at, self._on_arrival)
 
-    def run(self):
+    def run(self, dispatch=operator.call):
         if self.ran:
             raise ValueError("run() called twice: build a new DepartmentSim for each run")
         self.ran = True
-        cal = self.cal
         # Each day close schedules the next one, always ahead of that day's
         # first arrival, so a close precedes every same-time event of its day.
-        cal.schedule(self.day_end, self._on_day_close)
+        self.cal.schedule(self.day_end, self._on_day_close)
         self._chain_arrival(0.0)
-        observed = self.trace is not None or self.strict
-        cal.run_until(self.horizon, self._observed if observed else operator.call)
+        self.cal.run_until(self.horizon, dispatch)
         # Stale renege timers left in the heap hold bound handlers; dropping
         # them breaks the last cycle, so the replication is freed on return.
-        cal.heap.clear()
+        self.cal.heap.clear()
         for pool in (self.cashiers, self.normal_sellers, self.expert_sellers, self.managers):
             for staff in pool:
                 if staff.busy_since is not None:
@@ -163,53 +211,6 @@ class DepartmentSim:
             return self._metrics(self.horizon)
         except ValueError as exc:
             raise SimulationFault(f"metrics at horizon, {exc}") from None
-
-    # -- observers ----------------------------------------------------------
-
-    def _observed(self, handler, target):
-        """The dispatcher of a traced or strict run; others call the handler."""
-        if self.trace is not None:
-            name = handler.__name__.removeprefix("_on_")
-            self.trace.append((self.cal.now, name, None if target is None else target.id))
-        handler(target)
-        if self.strict:
-            self._check_invariants()
-
-    def _check_invariants(self):
-        """Check the queue, renege-timer and idle-staff rules; `RunMetrics` checks conservation."""
-        # Token-checked calendar: an entry is live iff its target still holds
-        # its seq, and a customer holds at most one live entry.
-        renege_timers = {
-            target.id for _, seq, kind, target in self.cal.heap
-            if kind == self._on_renege and target.pending == seq
-        }
-        queued = set()
-        for state, queue in self._queues.items():
-            for c in queue.entries:
-                if c.id in queued:
-                    raise SimulationFault(f"customer {c.id} present in two queues")
-                queued.add(c.id)
-                if c.state is not state:
-                    raise SimulationFault(
-                        f"customer {c.id} is queued in {state.name} "
-                        f"but is in state {c.state.name}"
-                    )
-                if c.id not in renege_timers:
-                    raise SimulationFault(f"queued customer {c.id} lacks a live renege timer")
-        stray = renege_timers - queued
-        if stray:
-            raise SimulationFault(f"customer {min(stray)} holds a renege timer outside any queue")
-        if (self.pay_q.entries or self.refund_q.entries) and find_idle(self.cashiers) is not None:
-            raise SimulationFault("idle cashier while pay/refund customers queue")
-        if self.help_q.entries:
-            if find_idle(self.expert_sellers) is not None:
-                raise SimulationFault("idle expert seller while help customers queue")
-            if find_idle(self.normal_sellers) is not None and any(
-                not c.needs_expert for c in self.help_q.entries
-            ):
-                raise SimulationFault("idle normal seller while servable help entry queues")
-        if self.auth_wait and find_idle(self.managers) is not None:
-            raise SimulationFault("idle manager while refunds await authorization")
 
     # -- helpers ------------------------------------------------------------
 

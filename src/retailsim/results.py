@@ -4,11 +4,11 @@
 replication satisfies, and `ResultRow` tags it with its sweep cell. A results
 CSV holds the cell columns, then one column per metric, with round-trip float
 formatting. `load_results` reads one back, each cell by its field's type: a
-count is an int, only a utilization may be empty, and a bad cell or broken
-identity is an error naming the file, the line and the column. `write_csv`
-writes every CSV the CLI makes, results, `run --out` and analysis files alike:
-one dialect, one cell format, and each file is written beside its target and
-moved into place, so no reader sees half of one.
+count is an int within ±2**53, only a utilization may be empty, and a bad cell
+or broken identity is an error naming the file, the line and the column.
+`write_csv` writes every CSV the CLI makes, results, `run --out` and analysis
+files alike: one dialect, one cell format, and each file is written beside its
+target and moved into place, so no reader sees half of one.
 
 Both are `records.Record`s. This module imports only the standard library
 and `records`, so `analyze` reads results without loading the simulation
@@ -150,18 +150,25 @@ def _parse_utilization(text):
     return None if text == "" else _finite(float(text))
 
 
+def _count(text):
+    if abs(value := int(text)) > 2**53:  # past 2**53 a count is no longer an exact float
+        raise ValueError(f"{value!r} exceeds 2**53 in magnitude, so it is not an exact float")
+    return value
+
+
 _PARSE = {"str": str, "int": lambda text: _finite(int(text)), "object": _parse_level,
           "float | None": _parse_utilization}  # by field annotation; only a utilization may be empty
-_PARSERS = tuple(_PARSE[f.type] for f in fields(ResultRow)[:-1] + fields(RunMetrics))
+_PARSERS = tuple(_PARSE[f.type] for f in fields(ResultRow)[:-1]) + tuple(
+    _count if f.type == "int" else _PARSE[f.type] for f in fields(RunMetrics))
 
 
 def load_results(path):
     """Read a results CSV back into ResultRows.
 
     A file that is not UTF-8 text or not CSV, a cell that does not parse, a
-    level or metric that is NaN or infinite, and a row that breaks an
-    identity of `RunMetrics` raise a ValueError naming the file and, for a
-    cell or a row, the line and the column.
+    level or metric that is NaN or infinite, a count beyond ±2**53, and a row
+    that breaks an identity of `RunMetrics` raise a ValueError naming the file
+    and, for a cell or a row, the line and the column.
     """
     try:
         with open(path, "rb") as fh:

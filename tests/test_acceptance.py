@@ -15,7 +15,7 @@ import scipy.stats
 
 from retailsim.cli import main
 from retailsim.config import TriangularParams
-from retailsim.department import DepartmentSim
+from retailsim.department import DepartmentSim, strict
 from retailsim.experiments import save_results
 from retailsim.kernel import RngStream
 from retailsim.results import METRIC_FIELDS, load_results, results_to_cells
@@ -119,8 +119,8 @@ class RecordingSim(DepartmentSim):
 def test_criterion_03_statechart_conservation(atv_week, capsys):
     ok = True
     for seed in range(20):
-        sim = RecordingSim(atv_week, seed=seed, strict=True)
-        m = sim.run()
+        sim = RecordingSim(atv_week, seed=seed)
+        m = sim.run(strict)
         terminal = set(s.name for s in sim.final_states.values())
         ok = ok and (
             terminal == {"LEAVING"}
@@ -159,9 +159,9 @@ def test_criterion_05_department_contrast(cashier_rows, capsys):
 
 def test_criterion_06_refund_penalty(capsys):
     config = scripted(refund_goal=1.0, cashiers=0, managers=0, patience=3)
-    sim = DepartmentSim(config, seed=0, strict=True)
+    sim = DepartmentSim(config, seed=0)
     sim.inject_arrival(5.0)
-    m = sim.run()
+    m = sim.run(strict)
     ok = (
         m.overall_satisfaction == -4
         and m.refund_satisfaction == -4

@@ -17,7 +17,7 @@ from retailsim.agents import (
 )
 from retailsim.cli import resolve_config_path
 from retailsim.config import ConfigError, SatisfactionWeights, load_config
-from retailsim.department import DepartmentSim
+from retailsim.department import DepartmentSim, strict, traced
 
 from conftest import shorten
 from test_department import scripted
@@ -208,23 +208,23 @@ class ConstantRng:
         return self.value
 
 
-def arrival_moves(monkeypatch, sim):
+def arrival_moves(monkeypatch, sim, rows=None):
     """Run `sim`; each customer's first move as (from, to, event, satisfaction).
 
-    The event is the name of the traced handler that made the move, or None
-    when `sim` keeps no trace.
+    Given `rows`, the run is traced into them and strict, and the event is the
+    name of the traced handler that made the move; without, the event is None.
     """
     first = {}
     transition = CustomerAgent.transition
 
     def record(customer, new_state):
         if customer.id not in first:
-            event = None if sim.trace is None else sim.trace[-1][1]
+            event = None if rows is None else rows[-1][1]
             first[customer.id] = (customer.state, new_state, event, customer.satisfaction)
         transition(customer, new_state)
 
     monkeypatch.setattr(CustomerAgent, "transition", record)
-    sim.run()
+    sim.run(operator.call if rows is None else traced(rows, strict))
     monkeypatch.undo()
     return list(first.values())
 
@@ -259,7 +259,7 @@ def test_spawn_refund_share_binomial(monkeypatch, ww_config):
 
 
 def test_spawn_starts_clean(monkeypatch, atv_week):
-    moves = arrival_moves(monkeypatch, DepartmentSim(atv_week, seed=9, trace=[], strict=True))
+    moves = arrival_moves(monkeypatch, DepartmentSim(atv_week, seed=9), rows=[])
     assert moves
     assert {(move[0], move[2], move[3]) for move in moves} == {
         (CustomerState.ENTERING, "arrival", 0)

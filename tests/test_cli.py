@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tomllib
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,9 @@ from retailsim.cli import PACKAGED_CONFIG_DIR, main, resolve_config_path
 from retailsim.config import ConfigError, StaffingPlan
 from retailsim.department import run_replication
 from retailsim.experiments import MAX_JOBS, MAX_REPLICATIONS, derive_cell_seed, save_results
-from retailsim.results import CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header
+from retailsim.results import (
+    CSV_ID_FIELDS, METRIC_FIELDS, ResultRow, RunMetrics, csv_header, load_results,
+)
 
 from conftest import cli_argv, shorten
 
@@ -821,6 +824,44 @@ def test_analyze_names_the_bad_cell(tmp_path, capsys, column, value, reason):
     assert f"error: {results}: line 3, column {column!r}: {reason}" in err
 
 
+def worked_with(tmp_path, column, value):
+    """The worked example's results CSV with one cell of line 3 set to `value`."""
+    results = tmp_path / "worked.csv"
+    write_worked_example(results)
+    lines = results.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[csv_header().index(column)] = str(value)
+    lines[2] = ",".join(cells)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return results
+
+
+@pytest.mark.parametrize("value", [2**53, -2**53])
+def test_analyze_reads_a_count_of_2_to_the_53(tmp_path, capsys, value):
+    # The largest count that is still an exact float: its squares stay far
+    # from float range, so the analysis runs without an overflow or an
+    # infinite sum of squares.
+    results = worked_with(tmp_path, "transactions", value)
+    assert load_results(results)[1].metrics.transactions == value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--results", str(results)]) == 0
+    assert "inf" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, int("9" * 160), -2**53 - 1],
+                         ids=["2**53+1", "160-nines", "-2**53-1"])
+def test_analyze_refuses_a_count_past_2_to_the_53(tmp_path, capsys, value):
+    # Past 2**53 a count is no longer an exact float, and one of 160 digits
+    # would overflow the sums of squares.
+    results = worked_with(tmp_path, "transactions", value)
+    assert main(["analyze", "--results", str(results)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}: line 3, column 'transactions': "
+        f"{value} exceeds 2**53 in magnitude, so it is not an exact float\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def one_day_results(tmp_path_factory, atv_config, ww_config):
     """Rows of a 1-day, 2-replication cashier sweep of both departments, header first."""
@@ -834,8 +875,10 @@ def one_day_results(tmp_path_factory, atv_config, ww_config):
 # One edit of a results CSV: a cell (to a number the analysis runs on, in a
 # column no row identity involves, or to anything), a BOM before a cell, a
 # repeated or dropped row, a cut after some fields of a row, or a header cell.
-# Every free column is a count; the last is beyond float range.
-NUMBERS = ["-0", "0", "1", "100", "+7", "9" * 30, "9" * 400]
+# Every free column is a count; one beyond 2**53 is refused, and the last is
+# beyond float range as well.
+NUMBERS = ["-0", "0", "1", "100", "+7", str(2**53), str(2**53 + 1), "9" * 30, "9" * 160,
+           "9" * 400]
 FREE_COLUMNS = ["transactions", "satisfied_customers", "refund_satisfaction",
                 "abandoned_help", "abandoned_pay", "abandoned_refund"]
 # The last is one character over the csv module's field size limit.
@@ -887,11 +930,13 @@ def blanked(column):
 @example(numbers=[], edits=blanked("autonomous_refunds"), metric="transactions")
 @example(numbers=[], edits=[("cell", 1, "experiment", ODD_CELLS[-1])], metric="transactions")
 @example(numbers=[("cell", 1, "transactions", NUMBERS[-1])], edits=[], metric="transactions")
+@example(numbers=[("cell", 1, "abandoned_pay", "9" * 160)], edits=[], metric="transactions")
 def test_fuzzed_results_csvs_exit_0_or_name_the_file(one_day_results, numbers, edits, metric):
     """analyze reads any edited results CSV to a report, or to exit 2 naming the file."""
     directory, rows = one_day_results
+    mutant = edited(rows, numbers + edits)
     text = io.StringIO(newline="")
-    csv.writer(text, lineterminator="\n").writerows(edited(rows, numbers + edits))
+    csv.writer(text, lineterminator="\n").writerows(mutant)
     results = directory / "mutant.csv"
     results.write_text(text.getvalue(), encoding="utf-8", newline="")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -901,6 +946,9 @@ def test_fuzzed_results_csvs_exit_0_or_name_the_file(one_day_results, numbers, e
     assert status in (0, 2), stderr.getvalue()
     if status == 2:
         assert str(results) in stderr.getvalue(), stderr.getvalue()
+    free = [csv_header().index(column) for column in FREE_COLUMNS]
+    if not edits and any(abs(int(row[c])) > 2**53 for row in mutant[1:] for c in free):
+        assert status == 2, stdout.getvalue()
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep", "analyze"])

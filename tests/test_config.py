@@ -35,7 +35,7 @@ from retailsim.config import (
     build_config,
     load_config,
 )
-from retailsim.department import DepartmentSim
+from retailsim.department import DepartmentSim, strict, traced
 from retailsim.experiments import run_sweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -541,7 +541,7 @@ def test_fuzzed_valid_configs_load_and_run(root, seed):
     one_day = dataclasses.replace(
         config, horizon=Horizon(config.horizon.trading_day_minutes, 1)
     )
-    metrics = DepartmentSim(one_day, seed=seed, strict=True).run()
+    metrics = DepartmentSim(one_day, seed=seed).run(strict)
     assert metrics.customers_entered == metrics.customers_left
 
 
@@ -602,8 +602,8 @@ SEEDS = st.integers(0, 2**63 - 1)
 def test_fuzzed_configs_replay_a_shorter_horizon_as_a_prefix(root, seed, days, more):
     config = load_root(root)
     short, longer = [], []
-    DepartmentSim(shorten(config, days), seed=seed, trace=short, strict=True).run()
-    DepartmentSim(shorten(config, days + more), seed=seed, trace=longer, strict=True).run()
+    DepartmentSim(shorten(config, days), seed=seed).run(traced(short, strict))
+    DepartmentSim(shorten(config, days + more), seed=seed).run(traced(longer, strict))
     assert short[-1] == (days * config.horizon.trading_day_minutes, "day_close", None)
     assert longer[: len(short)] == short
 
@@ -620,7 +620,7 @@ def test_fuzzed_configs_without_refunds_ignore_the_empowerment_policy(root, seed
         dataclasses.replace(base, empowerment=dataclasses.replace(base.empowerment, p_empowered=p))
         for p in shares
     ]
-    runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
+    runs = [DepartmentSim(variant, seed=seed).run(strict) for variant in variants]
     assert all(metrics == runs[0] for metrics in runs[1:])
     assert runs[0].refunds_completed == runs[0].abandoned_refund == 0
 
@@ -638,7 +638,7 @@ def test_fuzzed_configs_at_full_empowerment_ignore_an_extra_manager(root, seed, 
         dataclasses.replace(base, staffing=dataclasses.replace(
             staffing, section_managers=staffing.section_managers + 1)),
     ]
-    runs = [DepartmentSim(variant, seed=seed, strict=True).run() for variant in variants]
+    runs = [DepartmentSim(variant, seed=seed).run(strict) for variant in variants]
     # No manager ever works, so manager utilization is 0, or empty with none.
     assert runs[1].manager_utilization == 0.0
     assert runs[0].manager_utilization in (0.0, None)

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import operator
 import re
 import tomllib
 import weakref
@@ -13,7 +14,7 @@ import pytest
 from retailsim.agents import SatisfactionEvent
 from retailsim.cli import main
 from retailsim.config import ArrivalProfile, StaffingPlan, build_config
-from retailsim.department import DepartmentSim, run_replication, utilization
+from retailsim.department import DepartmentSim, run_replication, strict, traced, utilization
 from retailsim.experiments import derive_cell_seed, run_sweep
 from retailsim.kernel import SimulationFault
 from retailsim.results import METRIC_FIELDS
@@ -90,8 +91,8 @@ def scripted(**overrides):
 
 def test_same_seed_same_metrics_and_trace(atv_week):
     t1, t2 = [], []
-    m1 = DepartmentSim(atv_week, seed=7, trace=t1).run()
-    m2 = DepartmentSim(atv_week, seed=7, trace=t2).run()
+    m1 = DepartmentSim(atv_week, seed=7).run(traced(t1))
+    m2 = DepartmentSim(atv_week, seed=7).run(traced(t2))
     assert m1 == m2
     assert t1 == t2
     assert len(t1) > 100
@@ -99,8 +100,8 @@ def test_same_seed_same_metrics_and_trace(atv_week):
 
 def test_different_seeds_diverge(atv_week):
     t1, t2 = [], []
-    DepartmentSim(atv_week, seed=1, trace=t1).run()
-    DepartmentSim(atv_week, seed=2, trace=t2).run()
+    DepartmentSim(atv_week, seed=1).run(traced(t1))
+    DepartmentSim(atv_week, seed=2).run(traced(t2))
     assert t1 != t2
 
 
@@ -121,7 +122,7 @@ def test_strict_three_day_traces_match_golden_digests(atv_config, ww_config):
     digests = {}
     for config in (atv_config, ww_config):
         trace = []
-        DepartmentSim(shorten(config, days=3), seed=11, trace=trace, strict=True).run()
+        DepartmentSim(shorten(config, days=3), seed=11).run(traced(trace, strict))
         digests[config.label] = hashlib.sha256(repr(trace).encode()).hexdigest()
     assert digests == GOLDEN_TRACE_SHA256
 
@@ -133,14 +134,16 @@ class JammedTill(DepartmentSim):
 
 @pytest.mark.parametrize("observed", [False, True], ids=["bare", "traced-strict"])
 def test_handler_fault_names_the_handler_and_the_clock(observed):
-    trace = [] if observed else None
-    sim = JammedTill(scripted(pay=4), seed=0, trace=trace, strict=observed)
+    trace = []
+    sim = JammedTill(scripted(pay=4), seed=0)
     sim.inject_arrival(1.0)  # browses for 2 minutes, then pays for 4
     with pytest.raises(SimulationFault) as excinfo:
-        sim.run()
+        sim.run(traced(trace, strict) if observed else operator.call)
     msg = str(excinfo.value)
     assert "t=7.0" in msg and "'_on_pay_end'" in msg and "till jammed" in msg
     assert "0x" not in msg
+    # The trace row comes before the handler runs, so the faulting event is the last row.
+    assert trace[-1:] == ([(7.0, "pay_end", 0)] if observed else [])
     # A schedule into the past names its bound-method kind the same way.
     with pytest.raises(SimulationFault) as excinfo:
         sim.cal.schedule(1.0, sim._on_arrival)
@@ -153,8 +156,8 @@ def test_handler_fault_names_the_handler_and_the_clock(observed):
 
 
 def test_week_passes_strict_invariant_checks(atv_week, ww_week):
-    m_atv = DepartmentSim(atv_week, seed=3, strict=True).run()
-    m_ww = DepartmentSim(ww_week, seed=3, strict=True).run()
+    m_atv = DepartmentSim(atv_week, seed=3).run(strict)
+    m_ww = DepartmentSim(ww_week, seed=3).run(strict)
     assert m_atv.transactions > 0
     assert m_ww.transactions > m_atv.transactions  # busier door, quicker sales
 
@@ -165,7 +168,7 @@ def test_strict_run_with_referred_refunds(atv_week):
     for p in (0.0, 0.5):
         policy = dataclasses.replace(atv_week.empowerment, p_empowered=p)
         cfg = dataclasses.replace(atv_week, empowerment=policy)
-        m = DepartmentSim(cfg, seed=5, strict=True).run()
+        m = DepartmentSim(cfg, seed=5).run(strict)
         assert m.refunds_completed > 0
 
 
@@ -236,10 +239,10 @@ STRICT_FAULTS = {
                          ids=STRICT_FAULTS)
 def test_strict_run_names_the_rule_a_mutant_breaks(mutant, overrides, arrivals, message):
     def strict_run(cls):
-        sim = cls(scripted(**overrides), strict=True)
+        sim = cls(scripted(**overrides))
         for at in arrivals:
             sim.inject_arrival(at)
-        return sim.run()
+        return sim.run(strict)
 
     strict_run(DepartmentSim)  # the model itself keeps every rule here
     with pytest.raises(SimulationFault) as excinfo:
@@ -247,15 +250,15 @@ def test_strict_run_names_the_rule_a_mutant_breaks(mutant, overrides, arrivals, 
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["bare", "strict"])
-def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_week, strict):
+@pytest.mark.parametrize("dispatch", [operator.call, strict], ids=["bare", "strict"])
+def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_week, dispatch):
     # Refcounting alone must free a replication once run() returns: no
     # handler the model or its calendar still holds may point back at it.
     gc.disable()
     try:
         for config in (atv_week, ww_week):
-            sim = DepartmentSim(config, seed=3, strict=strict)
-            sim.run()
+            sim = DepartmentSim(config, seed=3)
+            sim.run(dispatch)
             alive = weakref.ref(sim)
             del sim
             assert alive() is None, config.label
@@ -267,7 +270,7 @@ def test_finished_replication_is_freed_without_the_cycle_collector(atv_week, ww_
 
 
 def test_zero_arrivals_zero_everything():
-    m = DepartmentSim(scripted(days=3), seed=9, strict=True).run()
+    m = DepartmentSim(scripted(days=3), seed=9).run(strict)
     for field in METRIC_FIELDS:
         value = getattr(m, field)
         if field.endswith("utilization"):
@@ -280,7 +283,7 @@ def test_zero_arrivals_zero_everything():
 
 def test_zero_cashiers_no_transactions(atv_week):
     no_cashiers = dataclasses.replace(atv_week, staffing=StaffingPlan(0, 5, 1, 1))
-    m = DepartmentSim(no_cashiers, seed=0, strict=True).run()
+    m = DepartmentSim(no_cashiers, seed=0).run(strict)
     assert m.transactions == 0
     assert m.refunds_completed == 0
     assert m.cashier_utilization is None
@@ -299,9 +302,9 @@ def test_utilization_helper():
 
 
 def test_purchase_walk_timing_and_satisfaction():
-    sim = DepartmentSim(scripted(pay=4), seed=0, strict=True)
+    sim = DepartmentSim(scripted(pay=4), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Browse 0-2, pay 2-6: one transaction worth +2.
     assert m.transactions == 1
     assert m.satisfied_customers == 1
@@ -312,16 +315,16 @@ def test_purchase_walk_timing_and_satisfaction():
 
 
 def test_utilization_spans_every_trading_day():
-    sim = DepartmentSim(scripted(pay=4, days=3), seed=0, strict=True)
+    sim = DepartmentSim(scripted(pay=4, days=3), seed=0)
     sim.inject_arrival(0.0)
     # Four busy minutes over three 600-minute days.
-    assert sim.run().cashier_utilization == 4.0 / 1800.0
+    assert sim.run(strict).cashier_utilization == 4.0 / 1800.0
 
 
 def test_help_walk_uses_seller_and_stacks_satisfaction():
-    sim = DepartmentSim(scripted(need_help=1.0, buy=0.0, normal=1), seed=0, strict=True)
+    sim = DepartmentSim(scripted(need_help=1.0, buy=0.0, normal=1), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Browse 0-2, helped 2-5 (+1), pay 5-6 (+2).
     assert m.transactions == 1
     assert m.overall_satisfaction == 3
@@ -330,9 +333,9 @@ def test_help_walk_uses_seller_and_stacks_satisfaction():
 
 
 def test_browse_exit_leaves_with_zero_satisfaction():
-    sim = DepartmentSim(scripted(buy=0.0), seed=0, strict=True)
+    sim = DepartmentSim(scripted(buy=0.0), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     assert m.transactions == 0
     assert m.satisfied_customers == 0
     assert m.overall_satisfaction == 0
@@ -340,9 +343,9 @@ def test_browse_exit_leaves_with_zero_satisfaction():
 
 
 def test_pay_queue_renege_penalty():
-    sim = DepartmentSim(scripted(cashiers=0, managers=0, patience=3), seed=0, strict=True)
+    sim = DepartmentSim(scripted(cashiers=0, managers=0, patience=3), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Queued at 2, patience runs out at 5.
     assert m.abandoned_pay == 1
     assert m.transactions == 0
@@ -355,9 +358,9 @@ def test_pay_queue_renege_penalty():
 
 
 def test_day_close_completes_in_progress_payment():
-    sim = DepartmentSim(scripted(pay=10, day_minutes=5), seed=0, strict=True)
+    sim = DepartmentSim(scripted(pay=10, day_minutes=5), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Service started at 2 would end at 12; the 5-minute day closes it early
     # but the customer still walks out with the purchase.
     assert m.transactions == 1
@@ -367,11 +370,9 @@ def test_day_close_completes_in_progress_payment():
 
 
 def test_day_close_sends_queued_customers_home_unpenalized():
-    sim = DepartmentSim(
-        scripted(cashiers=0, managers=0, day_minutes=5), seed=0, strict=True
-    )
+    sim = DepartmentSim(scripted(cashiers=0, managers=0, day_minutes=5), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Still waiting when the store shuts: no sale, but not an abandonment.
     assert m.transactions == 0
     assert m.abandoned_pay == 0
@@ -380,11 +381,9 @@ def test_day_close_sends_queued_customers_home_unpenalized():
 
 
 def test_day_close_credits_help_in_progress():
-    sim = DepartmentSim(
-        scripted(need_help=1.0, buy=0.0, normal=1, help=10, day_minutes=5), seed=0, strict=True
-    )
+    sim = DepartmentSim(scripted(need_help=1.0, buy=0.0, normal=1, help=10, day_minutes=5), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Help started at 2 would end at 12; the close credits it and frees the seller.
     assert sim.event_counts[SatisfactionEvent.HELP_RECEIVED] == 1
     assert m.overall_satisfaction == 1
@@ -395,13 +394,11 @@ def test_day_close_credits_help_in_progress():
 
 def test_day_close_grants_refund_waiting_for_a_manager():
     sim = DepartmentSim(
-        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10, day_minutes=5),
-        seed=0,
-        strict=True,
+        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10, day_minutes=5), seed=0
     )
     sim.inject_arrival(0.0)
     sim.inject_arrival(1.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Customer 0 holds the only manager from 0; customer 1 parks cashier 1 from 1
     # waiting for authorization. The close grants both refunds.
     assert m.manager_authorizations == 2
@@ -413,7 +410,7 @@ def test_day_close_grants_refund_waiting_for_a_manager():
 
 def test_day_close_releases_both_staff_of_a_held_authorization():
     sim = refund_sim(p_empowered=0.0, auth=10, day_minutes=5)
-    m = sim.run()
+    m = sim.run(strict)
     # Authorization 0-10 with the cashier parked; the close at 5 ends both.
     assert m.refunds_completed == 1
     assert sim.cashiers[0].busy_minutes == 5.0
@@ -422,9 +419,9 @@ def test_day_close_releases_both_staff_of_a_held_authorization():
 
 
 def test_day_close_sends_browsing_customer_home_without_ledger_event():
-    sim = DepartmentSim(scripted(browse=10, day_minutes=5), seed=0, strict=True)
+    sim = DepartmentSim(scripted(browse=10, day_minutes=5), seed=0)
     sim.inject_arrival(0.0)
-    m = sim.run()
+    m = sim.run(strict)
     assert m.overall_satisfaction == 0
     assert m.satisfied_customers == 0
     assert sum(sim.event_counts) == 0
@@ -436,14 +433,14 @@ def test_day_close_sends_browsing_customer_home_without_ledger_event():
 
 
 def refund_sim(**overrides):
-    sim = DepartmentSim(scripted(refund_goal=1.0, **overrides), seed=0, strict=True)
+    sim = DepartmentSim(scripted(refund_goal=1.0, **overrides), seed=0)
     sim.inject_arrival(0.0)
     return sim
 
 
 def test_referred_refund_holds_cashier_through_authorization():
     sim = refund_sim(p_empowered=0.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Authorization 0-3 with the cashier parked, then processing 3-5.
     assert m.refunds_completed == 1
     assert m.manager_authorizations == 1
@@ -456,7 +453,7 @@ def test_referred_refund_holds_cashier_through_authorization():
 
 def test_empowered_refund_skips_manager_and_scales_duration():
     sim = refund_sim(p_empowered=1.0, multiplier=2.0)
-    m = sim.run()
+    m = sim.run(strict)
     assert m.refunds_completed == 1
     assert m.autonomous_refunds == 1
     assert m.manager_authorizations == 0
@@ -472,13 +469,11 @@ def test_held_refund_taken_from_the_queue_waits_for_a_manager_without_reneging()
     # past minute 16, when its patience ran out, and is authorized 20-30.
     trace = []
     sim = DepartmentSim(
-        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10,
-                 patience=15),
-        seed=0, trace=trace, strict=True,
+        scripted(refund_goal=1.0, p_empowered=0.0, cashiers=2, auth=10, patience=15), seed=0
     )
     for at in (0.0, 0.5, 1.0):
         sim.inject_arrival(at)
-    m = sim.run()
+    m = sim.run(traced(trace, strict))
     events = [(t, name, cid) for t, name, cid in trace if cid is not None]
     assert events == [
         (10.0, "auth_end", 0), (12.0, "refund_end", 0), (20.0, "auth_end", 1),
@@ -492,7 +487,7 @@ def test_held_refund_taken_from_the_queue_waits_for_a_manager_without_reneging()
 
 def test_refund_then_repurchase_continues_shopping():
     sim = refund_sim(repurchase=1.0)
-    m = sim.run()
+    m = sim.run(strict)
     # Refund 0-2 (+2), browse again 2-4, buy 4-5 (+2).
     assert m.refunds_completed == 1
     assert m.transactions == 1
@@ -505,10 +500,10 @@ def test_refund_then_repurchase_continues_shopping():
 
 def test_pay_queue_is_first_come_first_served():
     trace = []
-    sim = DepartmentSim(scripted(), seed=0, trace=trace, strict=True)
+    sim = DepartmentSim(scripted(), seed=0)
     for at in (0.0, 0.05, 0.1):
         sim.inject_arrival(at)
-    sim.run()
+    sim.run(traced(trace, strict))
     served = [cid for _, name, cid in trace if name == "pay_end"]
     assert served == [0, 1, 2]
 
@@ -518,12 +513,10 @@ def test_a_freed_cashier_serves_refunds_before_payments():
     # #0 refunds 0-3 and queues to pay at 5; #1 refunds 4-7; #2 queues for a
     # refund at 6. At 7 the cashier takes #2, who queued later than #0.
     trace = []
-    sim = DepartmentSim(
-        scripted(refund_goal=1.0, repurchase=1.0, refund=3), seed=0, trace=trace, strict=True
-    )
+    sim = DepartmentSim(scripted(refund_goal=1.0, repurchase=1.0, refund=3), seed=0)
     for at in (0.0, 4.0, 6.0):
         sim.inject_arrival(at)
-    m = sim.run()
+    m = sim.run(traced(trace, strict))
     ends = [(t, name, cid) for t, name, cid in trace if name in ("refund_end", "pay_end")]
     assert ends[:4] == [
         (3.0, "refund_end", 0), (7.0, "refund_end", 1), (10.0, "refund_end", 2),
@@ -533,8 +526,8 @@ def test_a_freed_cashier_serves_refunds_before_payments():
 
 
 def test_ledger_reconciles_with_metrics(atv_week):
-    sim = DepartmentSim(atv_week, seed=13, strict=True)
-    m = sim.run()
+    sim = DepartmentSim(atv_week, seed=13)
+    m = sim.run(strict)
     counts = sim.event_counts
     assert m.overall_satisfaction == m.satisfaction_ledger_sum == sim.ledger_sum
     assert counts[SatisfactionEvent.PURCHASE_COMPLETED] == m.transactions
@@ -564,10 +557,10 @@ def test_doubling_arrivals_never_helps_abandonment(atv_week):
 
 def test_order_of_injected_arrivals_is_by_time():
     trace = []
-    sim = DepartmentSim(scripted(buy=0.0), seed=0, trace=trace, strict=True)
+    sim = DepartmentSim(scripted(buy=0.0), seed=0)
     sim.inject_arrival(5.0)
     sim.inject_arrival(1.0)
-    sim.run()
+    sim.run(traced(trace, strict))
     arrivals = [row for row in trace if row[1] == "arrival"]
     assert [row[0] for row in arrivals] == [1.0, 5.0]
 
@@ -589,7 +582,7 @@ def test_inject_arrival_refuses_a_time_outside_the_horizon(at):
     # arrival at the close is injected before run() schedules the close, so it
     # enters and the close sees it out; any other time is refused at the call.
     config = scripted(refund_goal=1.0, cashiers=0, managers=0, patience=8, day_minutes=60)
-    sim = DepartmentSim(config, seed=0, strict=True)
+    sim = DepartmentSim(config, seed=0)
     if at == 60.0:
         sim.inject_arrival(at)
     else:
@@ -597,7 +590,7 @@ def test_inject_arrival_refuses_a_time_outside_the_horizon(at):
             sim.inject_arrival(at)
         assert sim.cal.heap == []
     sim.inject_arrival(5.0)
-    m = sim.run()
+    m = sim.run(strict)
     assert m.customers_entered == m.customers_left == (2 if at == 60.0 else 1)
     assert m.abandoned_refund == 1
 
@@ -689,18 +682,34 @@ def differing(runs):
 def test_three_day_trace_is_a_prefix_of_the_seven_day_trace(dept, request):
     config = request.getfixturevalue(f"{dept}_config")
     three, seven = [], []
-    DepartmentSim(shorten(config, days=3), seed=7, trace=three, strict=True).run()
-    DepartmentSim(shorten(config, days=7), seed=7, trace=seven, strict=True).run()
+    DepartmentSim(shorten(config, days=3), seed=7).run(traced(three, strict))
+    DepartmentSim(shorten(config, days=7), seed=7).run(traced(seven, strict))
     assert three[-1] == (3 * config.horizon.trading_day_minutes, "day_close", None)
     assert seven[: len(three)] == three
     assert len(seven) > 2 * len(three)
 
 
 @pytest.mark.parametrize("dept", ["atv", "ww"])
+def test_watching_a_run_never_changes_it(dept, request):
+    # A watcher reads the model and never draws, so every way of watching one
+    # seed gives the bare run's metrics, and both traces are the same rows.
+    config = shorten(request.getfixturevalue(f"{dept}_config"), days=3)
+    rows, strict_rows = [], []
+    runs = {
+        "bare": DepartmentSim(config, seed=7).run(),
+        "traced": DepartmentSim(config, seed=7).run(traced(rows)),
+        "strict": DepartmentSim(config, seed=7).run(strict),
+        "traced strict": DepartmentSim(config, seed=7).run(traced(strict_rows, strict)),
+    }
+    assert differing(runs) == []
+    assert rows == strict_rows and len(rows) > 1000
+
+
+@pytest.mark.parametrize("dept", ["atv", "ww"])
 def test_without_refunds_no_empowerment_policy_matters(dept, request):
     base = without_refunds(request.getfixturevalue(f"{dept}_config"))
     policies = {
-        p: DepartmentSim(with_policy(base, p_empowered=p), seed=7, strict=True).run()
+        p: DepartmentSim(with_policy(base, p_empowered=p), seed=7).run(strict)
         for p in (0.0, 0.5, 1.0)
     }
     assert differing(policies) == []
@@ -718,10 +727,10 @@ def test_full_empowerment_needs_no_manager(dept, request):
         staffing, section_managers=staffing.section_managers + 1
     )
     runs = {
-        "as shipped": DepartmentSim(base, seed=7, strict=True).run(),
+        "as shipped": DepartmentSim(base, seed=7).run(strict),
         "extra manager": DepartmentSim(
-            dataclasses.replace(base, staffing=extra_manager), seed=7, strict=True
-        ).run(),
+            dataclasses.replace(base, staffing=extra_manager), seed=7
+        ).run(strict),
     }
     assert differing(runs) == []
     reference = runs["as shipped"]

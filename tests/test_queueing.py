@@ -12,7 +12,7 @@ from retailsim.agents import (
     StaffRole,
 )
 from retailsim.config import EmpowermentPolicy, TriangularParams
-from retailsim.department import DepartmentSim, find_idle
+from retailsim.department import DepartmentSim, find_idle, strict, traced
 from retailsim.kernel import RngStream
 from retailsim.queueing import ServiceQueue, resolve_refund_path
 
@@ -68,9 +68,9 @@ def test_queue_carries_its_abandonment_event():
 ], ids=["help", "pay", "refund"])
 def test_every_queue_reneges_after_one_patience_draw(overrides, queued_at):
     trace = []
-    sim = DepartmentSim(scripted(patience=8, **overrides), seed=0, trace=trace, strict=True)
+    sim = DepartmentSim(scripted(patience=8, **overrides), seed=0)
     sim.inject_arrival(5.0)
-    sim.run()
+    sim.run(traced(trace, strict))
     assert (queued_at + 8.0, "renege", 0) in trace
 
 

@@ -44,7 +44,7 @@ import pytest
 
 from conftest import triangular_mean, triangular_variance
 from retailsim.config import ArrivalProfile, Horizon, StaffingPlan, TriangularParams
-from retailsim.department import DepartmentSim
+from retailsim.department import DepartmentSim, traced
 
 LAMBDA = 0.5  # arrivals a minute: 30 an hour
 DAY = 20_000.0  # minutes, one trading day
@@ -94,8 +94,8 @@ class Run:
 
 def run(config, seed):
     trace = []
-    sim = DepartmentSim(config, seed, trace=trace)
-    metrics = sim.run()
+    sim = DepartmentSim(config, seed)
+    metrics = sim.run(traced(trace))
     entry, end = {}, {}
     for t, event, cid in trace:
         if event == "browse_end":
